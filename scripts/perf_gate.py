@@ -16,7 +16,10 @@ Microbench mode — three checks:
    in both files (TIMING_GATED prefixes — the async full-solve benches report
    microsecond main-thread submit/wait cpu_time while the work runs on pool
    threads, which is pure scheduler noise; they are printed informationally,
-   never gated), compute ratio = current_cpu_ns / baseline_cpu_ns, then
+   never gated), compute ratio = current_ns / baseline_ns — cpu_time, or
+   real_time for benches registered with UseRealTime() (google-benchmark
+   appends "/real_time" to their names; their work runs on pool workers,
+   so the caller's cpu_time would under-report it) — then
    divide by the **median ratio across the gated benches** — the median
    absorbs machine-speed differences between the baseline machine and the
    runner, so the gate flags benches that regressed *relative to the rest of
@@ -29,9 +32,9 @@ Microbench mode — three checks:
    RAW_FAIL_RATIO (3.0) therefore fails outright. The ceiling is deliberately
    loose — CI runners legitimately differ from the baseline machine by
    2x-ish — so it only trips on regressions far past machine variance; the
-   normalized gate remains the sensitive check. Benches reporting
-   cpu_time == 0 (timer granularity underflow at tiny budgets) are skipped
-   with a warning instead of silently dropped.
+   normalized gate remains the sensitive check. Benches reporting a time
+   of 0 (timer granularity underflow at tiny budgets) are skipped with a
+   warning instead of silently dropped.
 
 Latency mode (--latency) — gates tools/loadgen.cc reports:
 
@@ -67,7 +70,8 @@ P99_FAIL_RATIO = 4.0
 P99_WARN_RATIO = 2.0
 ALLOC_GATED = ("BM_EngineObjectiveSteadyState", "BM_EngineAggregateSteadyState")
 # Compute-bound benches whose cpu_time measures real work on the calling
-# thread. BM_EngineSolveCluster*, BM_EngineSolveFastTier and
+# thread, or (BM_CoarsenGraph, registered with UseRealTime()) whose
+# real_time does. BM_EngineSolveCluster*, BM_EngineSolveFastTier and
 # BM_EngineWarmResolveAfterUpdate are deliberately absent: their solves run
 # on session workers, so caller-thread cpu_time is submit/wait overhead
 # (scheduler noise on shared runners).
@@ -77,6 +81,13 @@ TIMING_GATED = (
     "BM_EngineUpdateGraphValueOnly",
     "BM_CoarsenGraph",
 )
+
+
+def timed_field(name):
+    """The time a bench is gated on: wall-clock for UseRealTime() benches
+    (their work runs on pool workers), the calling thread's cpu_time
+    otherwise."""
+    return "real_time" if name.endswith("/real_time") else "cpu_time"
 
 
 def load_benches(path):
@@ -117,8 +128,9 @@ def microbench_gate(baseline_path, current_path):
         base = baseline.get(name)
         if base is None:
             continue
-        base_ns = base.get("cpu_time")
-        cur_ns = bench.get("cpu_time")
+        field = timed_field(name)
+        base_ns = base.get(field)
+        cur_ns = bench.get(field)
         if base_ns is None or cur_ns is None:
             continue
         if base_ns <= 0 or cur_ns <= 0:
@@ -126,7 +138,7 @@ def microbench_gate(baseline_path, current_path):
             # budgets: a 0 here is a measurement artifact, but silently
             # dropping the bench would shrink the gate without a trace.
             warnings.append(
-                f"{name}: cpu_time is 0 in "
+                f"{name}: {field} is 0 in "
                 f"{'baseline' if base_ns <= 0 else 'current'}; skipped")
             continue
         if name.startswith(TIMING_GATED):

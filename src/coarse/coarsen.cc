@@ -18,6 +18,17 @@ namespace {
 constexpr int64_t kRowGrain = 512;
 /// Coarse rows are ~10x fewer; a smaller grain keeps the pool busy.
 constexpr int64_t kCoarseGrain = 256;
+/// Chunks per matching level. Contracted levels shrink (1021, 529, 281 rows
+/// at n = 2000) while getting denser, so a fixed row grain would leave the
+/// costliest levels on one or two chunks; a grain derived from the level's
+/// row count keeps every level spread over the pool.
+constexpr int64_t kLevelChunks = 64;
+
+/// Row grain of a level's affinity and contraction passes: a function of
+/// the row count only, never of the thread count.
+int64_t LevelGrain(int64_t rows) {
+  return std::max<int64_t>(1, (rows + kLevelChunks - 1) / kLevelChunks);
+}
 
 /// Integer heavy-edge weights of the union pattern: slot p counts the views
 /// whose row holds a structural entry at the same (row, col). Pattern-only
@@ -74,37 +85,38 @@ LevelGraph LevelFromUnion(const la::CsrMatrix& union_pattern,
 /// at every level. Integer arithmetic over patterns only, so the score — and
 /// with it the plan — is still untouched by value-only deltas. Pure function
 /// of the level graph (no matching state), hence safely parallel per row.
+///
+/// Marker-array form, O(sum_v deg(v)^2) per level: row u's weights are
+/// scattered into a rows-sized marker once, then each neighbor v's row is
+/// streamed against it. Weights are non-negative, so min(mark[t], w(v,t))
+/// is 0 for every t outside row u, and zeroing mark[u] (for the whole row)
+/// and mark[v] (for v's pass) drops exactly the excluded t = u, v. Every
+/// score slot is an independent integer sum, so any row partition gives
+/// the same bits; the marker is per chunk, so chunks share nothing.
 std::vector<int64_t> EdgeAffinity(const LevelGraph& g) {
   std::vector<int64_t> score(g.col.size(), 0);
   util::ThreadPool::Global().ParallelFor(
-      0, g.rows, kRowGrain, [&](int64_t lo, int64_t hi) {
+      0, g.rows, LevelGrain(g.rows), [&](int64_t lo, int64_t hi) {
+        std::vector<int64_t> mark(static_cast<size_t>(g.rows), 0);
         for (int64_t u = lo; u < hi; ++u) {
-          for (int64_t p = g.row_ptr[u]; p < g.row_ptr[u + 1]; ++p) {
+          const int64_t u_begin = g.row_ptr[u];
+          const int64_t u_end = g.row_ptr[u + 1];
+          for (int64_t p = u_begin; p < u_end; ++p) {
+            mark[g.col[p]] = g.weight[p];
+          }
+          mark[u] = 0;
+          for (int64_t p = u_begin; p < u_end; ++p) {
             const int64_t v = g.col[p];
             if (v == u) continue;
+            mark[v] = 0;
             int64_t s = g.weight[p];
-            // Two-pointer intersection of the sorted rows of u and v.
-            int64_t a = g.row_ptr[u];
-            int64_t b = g.row_ptr[v];
-            const int64_t a_end = g.row_ptr[u + 1];
-            const int64_t b_end = g.row_ptr[v + 1];
-            while (a < a_end && b < b_end) {
-              const int64_t ca = g.col[a];
-              const int64_t cb = g.col[b];
-              if (ca < cb) {
-                ++a;
-              } else if (cb < ca) {
-                ++b;
-              } else {
-                if (ca != u && ca != v) {
-                  s += std::min(g.weight[a], g.weight[b]);
-                }
-                ++a;
-                ++b;
-              }
+            for (int64_t q = g.row_ptr[v]; q < g.row_ptr[v + 1]; ++q) {
+              s += std::min(mark[g.col[q]], g.weight[q]);
             }
+            mark[v] = g.weight[p];
             score[p] = s;
           }
+          for (int64_t p = u_begin; p < u_end; ++p) mark[g.col[p]] = 0;
         }
       });
   return score;
@@ -154,8 +166,10 @@ int64_t MatchLevel(const LevelGraph& g, int64_t max_merges,
 }
 
 /// Contracts a level along `map`, summing multiplicities; self-edges drop.
-/// Serial and order-fixed (coarse rows ascending, members ascending, slots
-/// ascending) — integer arithmetic, so associativity is moot anyway.
+/// Chunk-parallel over coarse rows: each chunk sums its rows in a fixed
+/// order (members ascending, slots ascending) into its own buffers, and the
+/// buffers are concatenated in chunk order — integer arithmetic, so the
+/// result equals the serial loop's at any partition.
 LevelGraph ContractLevel(const LevelGraph& g, const std::vector<int64_t>& map,
                          int64_t coarse_rows) {
   // Members of each coarse row in ascending fine order (counting sort).
@@ -172,26 +186,46 @@ LevelGraph ContractLevel(const LevelGraph& g, const std::vector<int64_t>& map,
   LevelGraph out;
   out.rows = coarse_rows;
   out.row_ptr.assign(static_cast<size_t>(coarse_rows) + 1, 0);
-  std::vector<int64_t> accum(static_cast<size_t>(coarse_rows), 0);
-  std::vector<int64_t> touched;
+  const int64_t grain = LevelGrain(coarse_rows);
+  const int64_t chunks = util::ThreadPool::NumChunks(0, coarse_rows, grain);
+  std::vector<std::vector<int64_t>> chunk_col(static_cast<size_t>(chunks));
+  std::vector<std::vector<int64_t>> chunk_weight(static_cast<size_t>(chunks));
+  util::ThreadPool::Global().ParallelForChunks(
+      0, coarse_rows, grain, [&](int64_t chunk, int64_t lo, int64_t hi) {
+        std::vector<int64_t>& col = chunk_col[chunk];
+        std::vector<int64_t>& weight = chunk_weight[chunk];
+        std::vector<int64_t> accum(static_cast<size_t>(coarse_rows), 0);
+        std::vector<int64_t> touched;
+        for (int64_t dst = lo; dst < hi; ++dst) {
+          touched.clear();
+          for (int64_t m = members_ptr[dst]; m < members_ptr[dst + 1]; ++m) {
+            const int64_t u = members[m];
+            for (int64_t p = g.row_ptr[u]; p < g.row_ptr[u + 1]; ++p) {
+              const int64_t other = map[g.col[p]];
+              if (other == dst) continue;
+              if (accum[other] == 0) touched.push_back(other);
+              accum[other] += g.weight[p];
+            }
+          }
+          std::sort(touched.begin(), touched.end());
+          for (int64_t other : touched) {
+            col.push_back(other);
+            weight.push_back(accum[other]);
+            accum[other] = 0;
+          }
+          // Row length for now; the prefix sum below turns it into offsets.
+          out.row_ptr[dst + 1] = static_cast<int64_t>(touched.size());
+        }
+      });
   for (int64_t dst = 0; dst < coarse_rows; ++dst) {
-    touched.clear();
-    for (int64_t m = members_ptr[dst]; m < members_ptr[dst + 1]; ++m) {
-      const int64_t u = members[m];
-      for (int64_t p = g.row_ptr[u]; p < g.row_ptr[u + 1]; ++p) {
-        const int64_t other = map[g.col[p]];
-        if (other == dst) continue;
-        if (accum[other] == 0) touched.push_back(other);
-        accum[other] += g.weight[p];
-      }
-    }
-    std::sort(touched.begin(), touched.end());
-    for (int64_t other : touched) {
-      out.col.push_back(other);
-      out.weight.push_back(accum[other]);
-      accum[other] = 0;
-    }
-    out.row_ptr[dst + 1] = static_cast<int64_t>(out.col.size());
+    out.row_ptr[dst + 1] += out.row_ptr[dst];
+  }
+  out.col.reserve(static_cast<size_t>(out.row_ptr[coarse_rows]));
+  out.weight.reserve(static_cast<size_t>(out.row_ptr[coarse_rows]));
+  for (int64_t c = 0; c < chunks; ++c) {
+    out.col.insert(out.col.end(), chunk_col[c].begin(), chunk_col[c].end());
+    out.weight.insert(out.weight.end(), chunk_weight[c].begin(),
+                      chunk_weight[c].end());
   }
   return out;
 }

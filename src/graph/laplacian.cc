@@ -55,25 +55,44 @@ la::CsrMatrix NormalizedAdjacency(const Graph& g) {
 }
 
 la::CsrMatrix NormalizedLaplacian(const Graph& g) {
-  la::CsrMatrix normalized = NormalizedAdjacency(g);
+  const la::CsrMatrix normalized = NormalizedAdjacency(g);
   // L = I - \hat{A}: negate off-diagonal, insert 1 on the diagonal of every
-  // non-isolated node. Rebuild via triplets to keep rows sorted.
-  std::vector<bool> has_degree(static_cast<size_t>(g.num_nodes()), false);
-  std::vector<la::Triplet> entries;
-  entries.reserve(static_cast<size_t>(normalized.nnz()) +
-                  static_cast<size_t>(g.num_nodes()));
+  // non-isolated node. \hat{A}'s rows are already sorted and hold no
+  // diagonal (BuildAdjacency drops self-loops), so the unit diagonal slots
+  // in row by row at its sorted position. Values are stored as 0.0 + value,
+  // exactly what FromTriplets' coalescing sum stores (it turns -0.0 into
+  // +0.0).
+  la::CsrMatrix laplacian;
+  laplacian.rows = normalized.rows;
+  laplacian.cols = normalized.cols;
+  laplacian.row_ptr.assign(static_cast<size_t>(normalized.rows) + 1, 0);
+  const size_t capacity = static_cast<size_t>(normalized.nnz()) +
+                          static_cast<size_t>(normalized.rows);
+  laplacian.col_idx.reserve(capacity);
+  laplacian.values.reserve(capacity);
   for (int64_t r = 0; r < normalized.rows; ++r) {
+    const int64_t begin = normalized.row_ptr[static_cast<size_t>(r)];
     const int64_t end = normalized.row_ptr[static_cast<size_t>(r) + 1];
-    for (int64_t p = normalized.row_ptr[static_cast<size_t>(r)]; p < end; ++p) {
-      has_degree[static_cast<size_t>(r)] = true;
-      entries.push_back({r, normalized.col_idx[static_cast<size_t>(p)],
-                         -normalized.values[static_cast<size_t>(p)]});
+    bool diagonal_pending = begin < end;
+    for (int64_t p = begin; p < end; ++p) {
+      const int64_t col = normalized.col_idx[static_cast<size_t>(p)];
+      if (diagonal_pending && col > r) {
+        laplacian.col_idx.push_back(r);
+        laplacian.values.push_back(1.0);
+        diagonal_pending = false;
+      }
+      const double off_diagonal = -normalized.values[static_cast<size_t>(p)];
+      laplacian.col_idx.push_back(col);
+      laplacian.values.push_back(0.0 + off_diagonal);
     }
+    if (diagonal_pending) {
+      laplacian.col_idx.push_back(r);
+      laplacian.values.push_back(1.0);
+    }
+    laplacian.row_ptr[static_cast<size_t>(r) + 1] =
+        static_cast<int64_t>(laplacian.col_idx.size());
   }
-  for (int64_t i = 0; i < g.num_nodes(); ++i) {
-    if (has_degree[static_cast<size_t>(i)]) entries.push_back({i, i, 1.0});
-  }
-  return la::FromTriplets(g.num_nodes(), g.num_nodes(), std::move(entries));
+  return laplacian;
 }
 
 }  // namespace graph

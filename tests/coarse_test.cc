@@ -1,15 +1,20 @@
 // Tiered-serving tests: coarse plan construction (valid canonical partition,
-// pure function of the sparsity patterns), bit-identity of the plan and of
+// pure function of the sparsity patterns, bit-identical to a serial
+// reference implementation), bit-identity of the plan and of
 // fast-tier solves across SGLA_THREADS x shard counts, the fast tier's NMI
 // gap against exact on an SBM fixture, delta maintenance of the coarse
 // companion (value-only and above-churn pattern deltas must match a fresh
 // re-registration bit for bit; small pattern deltas repair in place), the
 // refined tier's strictly-fewer-Lanczos-iterations contract, and the
 // zero-allocation steady state of the coarse serving kernels.
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,6 +182,212 @@ void ExpectSameViews(const std::vector<la::CsrMatrix>& a,
 }
 
 // ---------------------------------------------------------------------------
+// Serial reference coarsening: the two-pointer affinity and the
+// single-threaded level contraction the library started from. The
+// library's marker-array affinity and chunk-parallel contraction must
+// reproduce its plans bit for bit.
+// ---------------------------------------------------------------------------
+namespace reference {
+
+struct Level {
+  int64_t rows = 0;
+  std::vector<int64_t> row_ptr;
+  std::vector<int64_t> col;
+  std::vector<int64_t> weight;
+};
+
+/// Level 0: the union pattern weighted by how many views hold each slot.
+Level LevelZero(const la::CsrMatrix& pattern,
+                const std::vector<la::CsrMatrix>& views) {
+  Level g;
+  g.rows = pattern.rows;
+  g.row_ptr = pattern.row_ptr;
+  g.col = pattern.col_idx;
+  g.weight.assign(pattern.col_idx.size(), 0);
+  for (int64_t i = 0; i < pattern.rows; ++i) {
+    const int64_t p_end = pattern.row_ptr[i + 1];
+    for (const la::CsrMatrix& view : views) {
+      int64_t p = pattern.row_ptr[i];
+      for (int64_t q = view.row_ptr[i]; q < view.row_ptr[i + 1]; ++q) {
+        while (p < p_end && pattern.col_idx[p] < view.col_idx[q]) ++p;
+        if (p < p_end && pattern.col_idx[p] == view.col_idx[q]) ++g.weight[p];
+      }
+    }
+  }
+  return g;
+}
+
+/// score(u,v) = w(u,v) + sum over shared neighbors t != u, v of
+/// min(w(u,t), w(v,t)), by two-pointer intersection of the sorted rows.
+std::vector<int64_t> EdgeAffinity(const Level& g) {
+  std::vector<int64_t> score(g.col.size(), 0);
+  for (int64_t u = 0; u < g.rows; ++u) {
+    for (int64_t p = g.row_ptr[u]; p < g.row_ptr[u + 1]; ++p) {
+      const int64_t v = g.col[p];
+      if (v == u) continue;
+      int64_t s = g.weight[p];
+      int64_t a = g.row_ptr[u];
+      int64_t b = g.row_ptr[v];
+      while (a < g.row_ptr[u + 1] && b < g.row_ptr[v + 1]) {
+        if (g.col[a] < g.col[b]) {
+          ++a;
+        } else if (g.col[b] < g.col[a]) {
+          ++b;
+        } else {
+          if (g.col[a] != u && g.col[a] != v) {
+            s += std::min(g.weight[a], g.weight[b]);
+          }
+          ++a;
+          ++b;
+        }
+      }
+      score[p] = s;
+    }
+  }
+  return score;
+}
+
+/// Greedy heavy-edge matching in ascending row order among the `eligible`
+/// rows, ties to the smallest neighbor, at most `max_merges` pairs. Returns
+/// match[u] (partner, u for a singleton, -1 if never visited).
+std::vector<int64_t> Match(const Level& g, const std::vector<bool>& eligible,
+                           int64_t max_merges) {
+  const std::vector<int64_t> score = EdgeAffinity(g);
+  std::vector<int64_t> match(static_cast<size_t>(g.rows), -1);
+  int64_t merges = 0;
+  for (int64_t u = 0; u < g.rows && merges < max_merges; ++u) {
+    if (!eligible[u] || match[u] >= 0) continue;
+    int64_t best = -1;
+    int64_t best_w = 0;
+    for (int64_t p = g.row_ptr[u]; p < g.row_ptr[u + 1]; ++p) {
+      const int64_t v = g.col[p];
+      if (v == u || !eligible[v] || match[v] >= 0) continue;
+      if (score[p] > best_w) {
+        best = v;
+        best_w = score[p];
+      }
+    }
+    match[u] = best >= 0 ? best : u;
+    if (best >= 0) {
+      match[best] = u;
+      ++merges;
+    }
+  }
+  return match;
+}
+
+/// Serial contraction: coarse rows ascending, members ascending, slots
+/// ascending; self-edges drop.
+Level Contract(const Level& g, const std::vector<int64_t>& map,
+               int64_t coarse_rows) {
+  std::vector<std::vector<int64_t>> members(static_cast<size_t>(coarse_rows));
+  for (int64_t u = 0; u < g.rows; ++u) members[map[u]].push_back(u);
+  Level out;
+  out.rows = coarse_rows;
+  out.row_ptr.assign(static_cast<size_t>(coarse_rows) + 1, 0);
+  std::vector<int64_t> accum(static_cast<size_t>(coarse_rows), 0);
+  std::vector<int64_t> touched;
+  for (int64_t dst = 0; dst < coarse_rows; ++dst) {
+    touched.clear();
+    for (int64_t u : members[dst]) {
+      for (int64_t p = g.row_ptr[u]; p < g.row_ptr[u + 1]; ++p) {
+        const int64_t other = map[g.col[p]];
+        if (other == dst) continue;
+        if (accum[other] == 0) touched.push_back(other);
+        accum[other] += g.weight[p];
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    for (int64_t other : touched) {
+      out.col.push_back(other);
+      out.weight.push_back(accum[other]);
+      accum[other] = 0;
+    }
+    out.row_ptr[dst + 1] = static_cast<int64_t>(out.col.size());
+  }
+  return out;
+}
+
+void FillClusterSizes(coarse::CoarsePlan* plan) {
+  plan->cluster_size.assign(static_cast<size_t>(plan->coarse_rows), 0);
+  for (int64_t c : plan->fine_to_coarse) ++plan->cluster_size[c];
+}
+
+coarse::CoarsePlan BuildPlan(const la::CsrMatrix& pattern,
+                             const std::vector<la::CsrMatrix>& views,
+                             const coarse::CoarsenOptions& options) {
+  const int64_t n = pattern.rows;
+  coarse::CoarsePlan plan;
+  plan.fine_rows = n;
+  plan.fine_to_coarse.resize(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) plan.fine_to_coarse[i] = i;
+  const int64_t target = std::max<int64_t>(
+      static_cast<int64_t>(std::ceil(options.ratio * static_cast<double>(n))),
+      options.min_coarse_rows);
+  int64_t current = n;
+  Level g = LevelZero(pattern, views);
+  while (current > target) {
+    const std::vector<int64_t> match =
+        Match(g, std::vector<bool>(static_cast<size_t>(g.rows), true),
+              current - target);
+    // Coarse ids by first appearance.
+    std::vector<int64_t> map(static_cast<size_t>(g.rows), -1);
+    int64_t next = 0;
+    for (int64_t u = 0; u < g.rows; ++u) {
+      if (map[u] >= 0) continue;
+      map[u] = next;
+      if (match[u] >= 0 && match[u] != u) map[match[u]] = next;
+      ++next;
+    }
+    if (next * 20 > current * 19) break;
+    for (int64_t i = 0; i < n; ++i) {
+      plan.fine_to_coarse[i] = map[plan.fine_to_coarse[i]];
+    }
+    current = next;
+    if (current <= target) break;
+    g = Contract(g, map, next);
+  }
+  plan.coarse_rows = current;
+  FillClusterSizes(&plan);
+  return plan;
+}
+
+/// Dissolves the clusters holding a changed row, re-matches their members
+/// with one level-0 pass, renumbers every cluster by first appearance.
+void RepairPlan(const la::CsrMatrix& pattern,
+                const std::vector<la::CsrMatrix>& views,
+                const std::vector<bool>& changed, coarse::CoarsePlan* plan) {
+  const int64_t n = plan->fine_rows;
+  std::vector<bool> dirty(static_cast<size_t>(plan->coarse_rows), false);
+  for (int64_t i = 0; i < n; ++i) {
+    if (changed[i]) dirty[plan->fine_to_coarse[i]] = true;
+  }
+  std::vector<bool> candidate(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    candidate[i] = dirty[plan->fine_to_coarse[i]];
+  }
+  if (std::find(candidate.begin(), candidate.end(), true) == candidate.end()) {
+    return;
+  }
+  const std::vector<int64_t> match =
+      Match(LevelZero(pattern, views), candidate,
+            std::numeric_limits<int64_t>::max());
+  std::vector<int64_t> clean_id(static_cast<size_t>(plan->coarse_rows), -1);
+  std::vector<int64_t> pair_id(static_cast<size_t>(n), -1);
+  int64_t next = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    int64_t& id = candidate[i] ? pair_id[std::min(i, match[i])]
+                               : clean_id[plan->fine_to_coarse[i]];
+    if (id < 0) id = next++;
+    plan->fine_to_coarse[i] = id;
+  }
+  plan->coarse_rows = next;
+  FillClusterSizes(plan);
+}
+
+}  // namespace reference
+
+// ---------------------------------------------------------------------------
 // Plan construction
 // ---------------------------------------------------------------------------
 
@@ -263,6 +474,102 @@ TEST(CoarsePlanTest, PlanAndFastSolveBitIdenticalAcrossThreadsAndShards) {
           << "threads=" << threads << " shards=" << shards;
       EXPECT_EQ(reference_labels, fast.labels)
           << "threads=" << threads << " shards=" << shards;
+    }
+  }
+}
+
+struct NamedGraph {
+  std::string name;
+  core::MultiViewGraph mvag;
+};
+
+/// The reference sweep's fixtures: both SBM fixtures above (n = 2570 leaves
+/// ragged chunks), a 3-view graph whose attribute view goes through KNN
+/// (multiplicities 1..3), and a graph whose every ninth row is isolated in
+/// every view (empty union rows).
+std::vector<NamedGraph> ReferenceFixtures() {
+  std::vector<NamedGraph> out;
+  out.push_back({"sbm-600", CoarseFixture::Make(600, 3, 31).mvag});
+  out.push_back({"sbm-2570", CoarseFixture::Make(2570, 3, 51).mvag});
+  {
+    const int64_t n = 900;
+    Rng rng(131);
+    std::vector<int32_t> labels = data::BalancedLabels(n, 3, &rng);
+    core::MultiViewGraph mvag(n, 3);
+    mvag.AddGraphView(data::SbmGraph(labels, 3, 0.04, 0.004, &rng));
+    mvag.AddGraphView(data::SbmGraph(labels, 3, 0.02, 0.008, &rng));
+    mvag.AddAttributeView(
+        data::GaussianAttributes(labels, 3, 8, 3.0, 0.9, &rng));
+    out.push_back({"3-view-knn", std::move(mvag)});
+  }
+  {
+    const int64_t n = 500;
+    Rng rng(141);
+    std::vector<int32_t> labels = data::BalancedLabels(n, 2, &rng);
+    core::MultiViewGraph mvag(n, 2);
+    for (double p_in : {0.05, 0.03}) {
+      const graph::Graph full = data::SbmGraph(labels, 2, p_in, 0.005, &rng);
+      graph::Graph kept(n);
+      for (const graph::Edge& e : full.edges()) {
+        if (e.u % 9 != 4 && e.v % 9 != 4) kept.AddEdge(e.u, e.v, e.weight);
+      }
+      mvag.AddGraphView(std::move(kept));
+    }
+    out.push_back({"isolated-rows", std::move(mvag)});
+  }
+  return out;
+}
+
+TEST(CoarsePlanTest, MatchesSerialReferenceAtEveryThreadCount) {
+  // Comparing thread counts against each other cannot catch a change to the
+  // plan itself; the serial reference can. Covers the repair path too: a
+  // small pattern delta (3 removals, 2 upserts — one onto row n-1, isolated
+  // in the isolated-rows fixture) repaired in place.
+  ThreadCountGuard guard;
+  for (const NamedGraph& fixture : ReferenceFixtures()) {
+    const int64_t n = fixture.mvag.num_nodes();
+    auto views = core::ComputeViewLaplacians(fixture.mvag);
+    ASSERT_TRUE(views.ok()) << fixture.name;
+    core::LaplacianAggregator aggregator(&*views);
+
+    serve::GraphDelta delta = RemovalDelta(fixture.mvag, 3);
+    delta.graph_views[0].upserts.push_back({0, n - 1, 1.0});
+    delta.graph_views[0].upserts.push_back({1, n / 2, 1.0});
+    core::MultiViewGraph edited = fixture.mvag;
+    std::vector<bool> affected;
+    ASSERT_TRUE(serve::ApplyDelta(&edited, delta, &affected).ok());
+    auto edited_views = core::ComputeViewLaplacians(edited);
+    ASSERT_TRUE(edited_views.ok()) << fixture.name;
+    core::LaplacianAggregator edited_aggregator(&*edited_views);
+    std::vector<bool> changed(static_cast<size_t>(n), false);
+    for (const serve::EdgeRemoval& e : delta.graph_views[0].removals) {
+      changed[e.u] = changed[e.v] = true;
+    }
+    for (const serve::EdgeUpsert& e : delta.graph_views[0].upserts) {
+      changed[e.u] = changed[e.v] = true;
+    }
+
+    for (double ratio : {0.05, 0.1, 0.25}) {
+      coarse::CoarsenOptions options;
+      options.ratio = ratio;
+      const coarse::CoarsePlan want =
+          reference::BuildPlan(aggregator.pattern(), *views, options);
+      EXPECT_LT(want.coarse_rows, n) << fixture.name;
+      coarse::CoarsePlan want_repaired = want;
+      reference::RepairPlan(edited_aggregator.pattern(), *edited_views,
+                            changed, &want_repaired);
+      for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(fixture.name + " ratio=" + std::to_string(ratio) +
+                     " threads=" + std::to_string(threads));
+        util::ThreadPool::SetGlobalThreads(threads);
+        const coarse::CoarsePlan got =
+            coarse::BuildCoarsePlan(aggregator.pattern(), *views, options);
+        ExpectSamePlan(want, got);
+        coarse::CoarsePlan repaired = got;
+        coarse::RepairCoarsePlan(edited_aggregator.pattern(), *edited_views,
+                                 changed, &repaired);
+        ExpectSamePlan(want_repaired, repaired);
+      }
     }
   }
 }

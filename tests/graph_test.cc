@@ -1,8 +1,11 @@
 // NormalizedLaplacian invariants: symmetry, PSD-ness, the D^{1/2}1 null
-// vector, unit diagonal, spectrum within [0, 2]; KNN graph sanity on
-// well-separated blobs.
+// vector, unit diagonal, spectrum within [0, 2], bit-identity to triplet
+// assembly; KNN graph sanity on well-separated blobs.
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,6 +34,43 @@ TEST(LaplacianTest, SymmetricWithUnitDiagonal) {
       EXPECT_NEAR(d(i, j), d(j, i), 1e-14);
     }
   }
+}
+
+TEST(LaplacianTest, MatchesTripletAssemblyBitForBit) {
+  // NormalizedLaplacian inserts the unit diagonal into the sorted rows of
+  // NormalizedAdjacency; it must store exactly what assembling I - \hat{A}
+  // through FromTriplets stores, down to the sign of zero. The graph has a
+  // self-loop (dropped), duplicate edges, an isolated node (5: no diagonal),
+  // a zero-weight edge (-0.0 after negation) and a zero-degree pair (6, 7).
+  const graph::Graph g = graph::Graph::FromEdges(
+      9, {{0, 3, 1.0}, {3, 0, 0.5}, {1, 1, 4.0}, {1, 2, 2.0}, {2, 4, 0.0},
+          {4, 0, 1.5}, {8, 2, 0.75}, {6, 7, 0.0}, {3, 8, 3.0}});
+  const la::CsrMatrix adjacency = graph::NormalizedAdjacency(g);
+  std::vector<la::Triplet> entries;
+  for (int64_t r = 0; r < adjacency.rows; ++r) {
+    const int64_t begin = adjacency.row_ptr[static_cast<size_t>(r)];
+    const int64_t end = adjacency.row_ptr[static_cast<size_t>(r) + 1];
+    for (int64_t p = begin; p < end; ++p) {
+      entries.push_back({r, adjacency.col_idx[static_cast<size_t>(p)],
+                         -adjacency.values[static_cast<size_t>(p)]});
+    }
+    if (begin < end) entries.push_back({r, r, 1.0});
+  }
+  const la::CsrMatrix want = la::FromTriplets(9, 9, std::move(entries));
+  const la::CsrMatrix got = graph::NormalizedLaplacian(g);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.cols, want.cols);
+  EXPECT_EQ(got.row_ptr, want.row_ptr);
+  EXPECT_EQ(got.col_idx, want.col_idx);
+  ASSERT_EQ(got.values.size(), want.values.size());
+  for (size_t p = 0; p < got.values.size(); ++p) {
+    uint64_t got_bits = 0;
+    uint64_t want_bits = 0;
+    std::memcpy(&got_bits, &got.values[p], sizeof got_bits);
+    std::memcpy(&want_bits, &want.values[p], sizeof want_bits);
+    EXPECT_EQ(got_bits, want_bits) << "slot " << p;
+  }
+  EXPECT_EQ(got.row_ptr[6] - got.row_ptr[5], 0);  // isolated: empty row
 }
 
 TEST(LaplacianTest, SqrtDegreeVectorIsInNullSpace) {

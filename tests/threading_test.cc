@@ -17,6 +17,7 @@
 #include "cluster/kmeans.h"
 #include "core/aggregator.h"
 #include "core/objective.h"
+#include "core/view_laplacian.h"
 #include "data/generator.h"
 #include "graph/knn.h"
 #include "graph/laplacian.h"
@@ -240,6 +241,42 @@ TEST(DeterminismTest, RpForestKnnBitIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(runs[0].empty());
   EXPECT_EQ(runs[0], runs[1]);
   EXPECT_EQ(runs[0], runs[2]);
+}
+
+/// ComputeViewLaplacians runs each attribute view's KnnGraph at top level,
+/// so the KNN path depends on the pool width. At n = 1500 (exact path) that
+/// is the serial pair loop at <= 2 threads and the row-parallel scan at 4;
+/// at n = 2600 it is the RP forest, one task per tree. The Laplacians must
+/// be bit-identical across all of them.
+TEST(DeterminismTest, ViewLaplaciansBitIdenticalAcrossKnnPaths) {
+  ThreadCountGuard guard;
+  for (int64_t n : {1500, 2600}) {
+    ASSERT_EQ(n <= graph::KnnOptions().exact_threshold, n == 1500);
+    Rng rng(static_cast<uint64_t>(n));
+    const std::vector<int32_t> labels = data::BalancedLabels(n, 3, &rng);
+    core::MultiViewGraph mvag(n, 3);
+    mvag.AddGraphView(data::SbmGraph(labels, 3, 0.01, 0.002, &rng));
+    mvag.AddAttributeView(
+        data::GaussianAttributes(labels, 3, 12, 3.0, 1.0, &rng));
+    std::vector<std::vector<la::CsrMatrix>> runs;
+    for (int threads : {1, 2, 4}) {
+      util::ThreadPool::SetGlobalThreads(threads);
+      auto views = core::ComputeViewLaplacians(mvag);
+      ASSERT_TRUE(views.ok()) << views.status().ToString();
+      ASSERT_EQ(views->size(), 2u);
+      runs.push_back(std::move(*views));
+    }
+    for (size_t r = 1; r < runs.size(); ++r) {
+      for (size_t v = 0; v < runs[0].size(); ++v) {
+        EXPECT_EQ(runs[0][v].row_ptr, runs[r][v].row_ptr)
+            << "n=" << n << " run " << r << " view " << v;
+        EXPECT_EQ(runs[0][v].col_idx, runs[r][v].col_idx)
+            << "n=" << n << " run " << r << " view " << v;
+        EXPECT_EQ(runs[0][v].values, runs[r][v].values)
+            << "n=" << n << " run " << r << " view " << v;
+      }
+    }
+  }
 }
 
 TEST(AggregatorTest, MatchesWeightedSumOnRandomPatterns) {
