@@ -439,39 +439,6 @@ void BM_EngineSolveCluster(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSolveCluster)->Arg(512)->Arg(2000);
 
-void BM_EngineSolveClusterSharded(benchmark::State& state) {
-  const Fixture& f = Fixture::Get(state.range(0));
-  serve::GraphRegistry registry;
-  serve::RegisterOptions options;
-  options.shards = static_cast<int>(state.range(1));
-  auto registered = registry.RegisterViews("bench", f.views, 4, options);
-  if (!registered.ok()) {
-    state.SkipWithError("RegisterViews failed");
-    return;
-  }
-  serve::EngineOptions engine_options;
-  engine_options.num_sessions = 1;
-  serve::Engine engine(&registry, engine_options);
-  serve::SolveRequest request;
-  request.graph_id = "bench";
-  request.algorithm = serve::Algorithm::kSglaPlus;
-  benchmark::DoNotOptimize(engine.Solve(request).ok());  // warm the session
-  const int64_t allocations_before =
-      g_allocations.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    auto response = engine.Solve(request);
-    benchmark::DoNotOptimize(response.ok());
-  }
-  // Recorded for the trajectory, not gated: sharded dispatch enqueues one
-  // task per shard per kernel launch, which allocates by design.
-  state.counters["allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
-                          allocations_before),
-      benchmark::Counter::kAvgIterations);
-  state.SetLabel(la::simd::ActiveIsaName());
-}
-BENCHMARK(BM_EngineSolveClusterSharded)->Args({2000, 2})->Args({2000, 4});
-
 // Fast-tier serving: the whole SGLA+ pipeline on the coarse companion with
 // prolongation back to fine rows. Compare ns against BM_EngineSolveCluster
 // at the same Arg for the tiered-serving speedup the NMI-gap gate holds to.

@@ -33,7 +33,7 @@ be combined with --bench-smoke or --rpc-load: sanitizer timings are 10-50x
 off, and a sanitizer-built BENCH_*.json silently committed as a baseline
 would mask every real regression behind an enormous headroom.
 
-Anything else is passed through to ctest (e.g. -R sharding_test).
+Anything else is passed through to ctest (e.g. -R update_test).
 Environment:
   SGLA_CHECK_BUILD_DIR  override the build directory
 EOF
@@ -145,20 +145,18 @@ fi
 if [[ "${recovery}" == "1" ]]; then
   # Crash-recovery gate: kill -9 a persistent engine at seeded-random points
   # (the seed is logged; SGLA_CRASH_SEED reproduces a red run) and require
-  # the recovered solves to be bit-identical to an uninterrupted run, across
-  # the same threads x shards matrix the determinism gate uses. The workdir
-  # is left behind on failure so CI can upload the WAL + checkpoints.
+  # the recovered solves to be bit-identical to an uninterrupted run, at
+  # the same thread counts the determinism gate uses. The workdir is left
+  # behind on failure so CI can upload the WAL + checkpoints.
   workdir="${build_dir}/crashgen"
   rm -rf "${workdir}"
   status=0
   for threads in 1 4; do
-    for shards in 1 4; do
-      echo "check.sh: crashgen SGLA_THREADS=${threads} shards=${shards}"
-      if ! SGLA_THREADS="${threads}" "${build_dir}/sgla_crashgen" \
-          --dir "${workdir}/t${threads}s${shards}" --shards "${shards}"; then
-        status=1
-      fi
-    done
+    echo "check.sh: crashgen SGLA_THREADS=${threads}"
+    if ! SGLA_THREADS="${threads}" "${build_dir}/sgla_crashgen" \
+        --dir "${workdir}/t${threads}"; then
+      status=1
+    fi
   done
   if [[ "${status}" != "0" ]]; then
     echo "check.sh: crash-recovery gate FAILED (state in ${workdir})" >&2

@@ -2,8 +2,8 @@
 # Cross-ISA determinism gate, registered as the `isa_determinism` ctest (and
 # run standalone by the CI determinism job). For each ISA under test —
 # scalar always, plus the best ISA the host supports when that differs —
-# sgla_bitdump runs at SGLA_THREADS={1,4} x shards={1,4} and every dump must
-# be byte-identical WITHIN that ISA. Dumps are never compared across ISAs:
+# sgla_bitdump runs at SGLA_THREADS={1,4} and every dump must be
+# byte-identical WITHIN that ISA. Dumps are never compared across ISAs:
 # reduction kernels associate differently per path (see src/la/simd_table.h).
 #
 # Usage: isa_determinism.sh <path-to-sgla_bitdump>
@@ -28,26 +28,22 @@ for isa in "${isas[@]}"; do
   for quality in exact fast; do
     reference=""
     for threads in 1 4; do
-      for shards in 1 4; do
-        dump="${workdir}/${isa}-${quality}-t${threads}-s${shards}.txt"
-        SGLA_ISA="${isa}" SGLA_THREADS="${threads}" \
-          "${bitdump}" --quality "${quality}" "${shards}" \
-          > "${dump}" 2> "${dump}.err"
-        if [[ -z "${reference}" ]]; then
-          reference="${dump}"
-          continue
-        fi
-        if ! diff -q "${reference}" "${dump}" > /dev/null; then
-          echo "FAIL: ${isa}/${quality} dump differs at" \
-               "SGLA_THREADS=${threads} shards=${shards} (vs t=1 s=1)" >&2
-          diff "${reference}" "${dump}" | head -20 >&2 || true
-          status=1
-        fi
-      done
+      dump="${workdir}/${isa}-${quality}-t${threads}.txt"
+      SGLA_ISA="${isa}" SGLA_THREADS="${threads}" \
+        "${bitdump}" --quality "${quality}" > "${dump}" 2> "${dump}.err"
+      if [[ -z "${reference}" ]]; then
+        reference="${dump}"
+        continue
+      fi
+      if ! diff -q "${reference}" "${dump}" > /dev/null; then
+        echo "FAIL: ${isa}/${quality} dump differs at" \
+             "SGLA_THREADS=${threads} (vs t=1)" >&2
+        diff "${reference}" "${dump}" | head -20 >&2 || true
+        status=1
+      fi
     done
     if [[ "${status}" == "0" ]]; then
-      echo "OK: ${isa}/${quality} bit-stable across" \
-           "SGLA_THREADS={1,4} x shards={1,4}"
+      echo "OK: ${isa}/${quality} bit-stable across SGLA_THREADS={1,4}"
     fi
   done
 done

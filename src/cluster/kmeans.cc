@@ -16,7 +16,7 @@ namespace cluster {
 namespace {
 
 /// Points per chunk of the fused assignment pass (the unit of the per-chunk
-/// reduction partials). Shard boundaries must be multiples of this.
+/// reduction partials).
 constexpr int64_t kPointGrain = 256;
 
 /// k-means++ seeding: each next center sampled proportional to D^2. Writes
@@ -59,7 +59,7 @@ void PlusPlusInit(const la::DenseMatrix& points, int k, Rng* rng,
 
 void LloydOnce(const la::DenseMatrix& points, int k,
                const KMeansOptions& options, Rng* rng, KMeansWorkspace* ws,
-               KMeansResult* result, const util::ShardContext* shards) {
+               KMeansResult* result) {
   const int64_t n = points.rows();
   const int64_t d = points.cols();
   PlusPlusInit(points, k, rng, &ws->dist2, &result->centers);
@@ -114,20 +114,7 @@ void LloydOnce(const la::DenseMatrix& points, int k,
       ws->inertia_partial[static_cast<size_t>(chunk)] = inertia;
       ws->changed_partial[static_cast<size_t>(chunk)] = changed ? 1 : 0;
     };
-    if (shards != nullptr && shards->num_shards > 1) {
-      // One TaskQueue job per shard, each walking its shard's fixed chunks
-      // in ascending order. Boundaries are grain-aligned (checked in
-      // KMeansInto), so the chunk set — and every per-chunk partial — is
-      // exactly the unsharded partition's; the merge below is unchanged.
-      shards->Run([&assign_chunk](int, int64_t row_lo, int64_t row_hi) {
-        for (int64_t c = row_lo / kPointGrain; c * kPointGrain < row_hi; ++c) {
-          const int64_t lo = c * kPointGrain;
-          assign_chunk(c, lo, std::min(row_hi, lo + kPointGrain));
-        }
-      });
-    } else {
-      pool.ParallelForChunks(0, n, kPointGrain, assign_chunk);
-    }
+    pool.ParallelForChunks(0, n, kPointGrain, assign_chunk);
 
     bool changed = false;
     result->inertia = 0.0;
@@ -174,30 +161,15 @@ void LloydOnce(const la::DenseMatrix& points, int k,
 void KMeansInto(const la::DenseMatrix& points, int k,
                 const KMeansOptions& options, KMeansWorkspace* workspace,
                 KMeansResult* out) {
-  KMeansInto(points, k, options, workspace, out, nullptr);
-}
-
-void KMeansInto(const la::DenseMatrix& points, int k,
-                const KMeansOptions& options, KMeansWorkspace* workspace,
-                KMeansResult* out, const util::ShardContext* shards) {
   SGLA_CHECK(k > 0) << "KMeans needs k > 0";
   SGLA_CHECK(points.rows() >= k) << "KMeans needs at least k points";
-  if (shards != nullptr && shards->num_shards > 1) {
-    SGLA_CHECK(shards->rows() == points.rows())
-        << "k-means shard partition does not cover the points";
-    for (int s = 1; s < shards->num_shards; ++s) {
-      SGLA_CHECK(shards->boundaries[s] % kPointGrain == 0)
-          << "k-means shard boundary " << shards->boundaries[s]
-          << " is not a multiple of the assignment grain " << kPointGrain;
-    }
-  }
   Rng rng(options.seed);
   out->inertia = std::numeric_limits<double>::max();
   bool have_best = false;
   const int restarts = std::max(1, options.num_init);
   for (int attempt = 0; attempt < restarts; ++attempt) {
     KMeansResult& candidate = workspace->candidate;
-    LloydOnce(points, k, options, &rng, workspace, &candidate, shards);
+    LloydOnce(points, k, options, &rng, workspace, &candidate);
     if (!have_best || candidate.inertia < out->inertia) {
       // Buffer exchange instead of copy/move-assign keeps both slots warm.
       std::swap(*out, candidate);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "la/dense.h"
-#include "util/sharding.h"
 
 namespace sgla {
 namespace cluster {
@@ -48,19 +47,6 @@ KMeansResult KMeans(const la::DenseMatrix& points, int k,
 void KMeansInto(const la::DenseMatrix& points, int k,
                 const KMeansOptions& options, KMeansWorkspace* workspace,
                 KMeansResult* out);
-
-/// Sharded form: the fused assignment + accumulation pass runs one TaskQueue
-/// job per row shard instead of chunking through the global ThreadPool; each
-/// job walks its shard's fixed chunks in ascending order and fills the same
-/// per-chunk partials, which are then merged in global chunk order as
-/// always. Interior shard boundaries must be multiples of the assignment
-/// grain (util::kShardAlign guarantees this), making the output bit-identical
-/// to the unsharded call at any shard and thread count. `shards` may be null
-/// or single-shard — that is exactly the unsharded path. Seeding and center
-/// updates stay serial on the caller.
-void KMeansInto(const la::DenseMatrix& points, int k,
-                const KMeansOptions& options, KMeansWorkspace* workspace,
-                KMeansResult* out, const util::ShardContext* shards);
 
 }  // namespace cluster
 }  // namespace sgla

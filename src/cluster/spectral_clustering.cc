@@ -1,27 +1,9 @@
 #include "cluster/spectral_clustering.h"
 
 #include "la/lanczos.h"
-#include "util/logging.h"
 
 namespace sgla {
 namespace cluster {
-namespace {
-
-/// la::SpmvOperator context for the sharded embedding eigensolve: each
-/// application runs one SpmvRows job per shard over the shared Laplacian.
-struct ShardedCsrSpmv {
-  const la::CsrMatrix* matrix;
-  const util::ShardContext* shards;
-};
-
-void ShardedCsrApply(const void* ctx, const double* x, double* y) {
-  const ShardedCsrSpmv& bound = *static_cast<const ShardedCsrSpmv*>(ctx);
-  bound.shards->Run([&bound, x, y](int, int64_t lo, int64_t hi) {
-    la::SpmvRows(*bound.matrix, x, y, lo, hi);
-  });
-}
-
-}  // namespace
 
 Result<la::DenseMatrix> SpectralEmbeddingForClustering(
     const la::CsrMatrix& laplacian, int k,
@@ -48,49 +30,23 @@ Result<std::vector<int32_t>> SpectralClustering(const la::CsrMatrix& laplacian,
 Status SpectralClusteringInto(const la::CsrMatrix& laplacian, int k,
                               const KMeansOptions& kmeans,
                               SpectralWorkspace* workspace,
-                              std::vector<int32_t>* out) {
-  return SpectralClusteringInto(laplacian, k, kmeans, workspace, out,
-                                nullptr);
-}
-
-Status SpectralClusteringInto(const la::CsrMatrix& laplacian, int k,
-                              const KMeansOptions& kmeans,
-                              SpectralWorkspace* workspace,
-                              std::vector<int32_t>* out,
-                              const util::ShardContext* shards,
+                              std::vector<int32_t>* out, std::nullptr_t,
                               const la::DenseMatrix* warm_start,
                               la::DenseMatrix* ritz_out,
                               la::LanczosStats* stats) {
   if (k < 1) return InvalidArgument("spectral embedding needs k >= 1");
-  const bool sharded = shards != nullptr && shards->num_shards > 1;
-  if (sharded) {
-    SGLA_CHECK(shards->rows() == laplacian.rows)
-        << "clustering shard partition does not cover the Laplacian";
-  }
   la::LanczosOptions lanczos;  // defaults match SpectralEmbeddingOptions
   lanczos.warm_start = warm_start;
-  Status solved;
-  if (sharded && !la::UsesDenseFallback(laplacian.rows, k)) {
-    ShardedCsrSpmv ctx{&laplacian, shards};
-    la::SpmvOperator op;
-    op.rows = laplacian.rows;
-    op.apply = &ShardedCsrApply;
-    op.ctx = &ctx;
-    solved = la::SmallestEigenpairsInto(
-        op, k, SpectralEmbeddingOptions().spectrum_upper_bound, lanczos,
-        &workspace->lanczos, &workspace->eigen, stats);
-  } else {
-    solved = la::SmallestEigenpairsInto(
-        laplacian, k, SpectralEmbeddingOptions().spectrum_upper_bound,
-        lanczos, &workspace->lanczos, &workspace->eigen, stats);
-  }
+  Status solved = la::SmallestEigenpairsInto(
+      laplacian, k, SpectralEmbeddingOptions().spectrum_upper_bound, lanczos,
+      &workspace->lanczos, &workspace->eigen, stats);
   if (!solved.ok()) return solved;
   // Banked *before* row normalization: normalizing is irreversible and the
   // normalized rows no longer span the Ritz subspace a warm start needs.
   if (ritz_out != nullptr) *ritz_out = workspace->eigen.vectors;
   la::NormalizeRows(&workspace->eigen.vectors);
   KMeansInto(workspace->eigen.vectors, k, kmeans, &workspace->kmeans,
-             &workspace->kmeans_result, sharded ? shards : nullptr);
+             &workspace->kmeans_result);
   *out = workspace->kmeans_result.labels;  // assign-reuses out's capacity
   return OkStatus();
 }

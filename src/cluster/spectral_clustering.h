@@ -1,6 +1,7 @@
 #ifndef SGLA_CLUSTER_SPECTRAL_CLUSTERING_H_
 #define SGLA_CLUSTER_SPECTRAL_CLUSTERING_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -43,18 +44,9 @@ Result<std::vector<int32_t>> SpectralClustering(
 
 /// Workspace form of SpectralClustering: bit-identical labels, with all
 /// scratch in `workspace` and the labels assign-reused in `out`.
-Status SpectralClusteringInto(const la::CsrMatrix& laplacian, int k,
-                              const KMeansOptions& kmeans,
-                              SpectralWorkspace* workspace,
-                              std::vector<int32_t>* out);
-
-/// Sharded form: the embedding eigensolve applies the Laplacian one
-/// row-shard SpMV job at a time (row-disjoint writes), and the k-means
-/// assignment pass runs sharded too (see the sharded KMeansInto). Labels
-/// are bit-identical to the unsharded call at any shard and thread count.
-/// `shards` must cover laplacian.rows; null or single-shard contexts take
-/// the unsharded path.
 ///
+/// The sixth parameter is the retired row-shard slot: it only accepts
+/// nullptr and is ignored, so existing nine-argument callers keep compiling.
 /// The trailing out/in params serve the engine's warm-start bank:
 /// `warm_start` seeds the embedding eigensolve with banked eigenvectors of a
 /// previous solve (see la::LanczosOptions::warm_start — same caveats: fewer
@@ -66,7 +58,7 @@ Status SpectralClusteringInto(const la::CsrMatrix& laplacian, int k,
                               const KMeansOptions& kmeans,
                               SpectralWorkspace* workspace,
                               std::vector<int32_t>* out,
-                              const util::ShardContext* shards,
+                              std::nullptr_t retired_shards = nullptr,
                               const la::DenseMatrix* warm_start = nullptr,
                               la::DenseMatrix* ritz_out = nullptr,
                               la::LanczosStats* stats = nullptr);

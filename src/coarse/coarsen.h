@@ -26,8 +26,8 @@ struct CoarsenOptions {
 /// sparsity pattern and the per-view *structural* patterns — matching edge
 /// weights are integer pattern multiplicities, never floating-point values —
 /// so value-only graph deltas provably reproduce the identical plan, and the
-/// whole construction is bit-identical across SGLA_THREADS, shard counts,
-/// and dispatched ISAs (no SIMD kernel participates).
+/// whole construction is bit-identical across SGLA_THREADS and dispatched
+/// ISAs (no SIMD kernel participates).
 struct CoarsePlan {
   int64_t fine_rows = 0;
   int64_t coarse_rows = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <utility>
 
 #include "la/simd.h"
 #include "util/logging.h"
@@ -152,227 +151,6 @@ void LaplacianAggregator::AggregateValuesInto(
              out->values.size() == aggregate_.values.size())
       << "AggregateValuesInto on an unbound output buffer";
   FillValues(weights, out->values.data());
-}
-
-ShardedAggregator::ShardedAggregator(const std::vector<la::CsrMatrix>* views,
-                                     std::vector<int64_t> boundaries,
-                                     std::shared_ptr<util::TaskQueue> queue)
-    : views_(views),
-      boundaries_(std::move(boundaries)),
-      queue_(std::move(queue)),
-      pattern_id_(NextPatternId()) {
-  SGLA_CHECK(views != nullptr && !views->empty())
-      << "ShardedAggregator needs at least one view";
-  SGLA_CHECK(boundaries_.size() >= 2 && boundaries_.front() == 0)
-      << "shard boundaries must start at row 0";
-  const int64_t rows = (*views)[0].rows;
-  SGLA_CHECK(boundaries_.back() == rows)
-      << "shard boundaries must end at the row count";
-  for (size_t s = 0; s + 1 < boundaries_.size(); ++s) {
-    SGLA_CHECK(boundaries_[s] < boundaries_[s + 1])
-        << "shard boundaries must be strictly ascending";
-    SGLA_CHECK(s == 0 || boundaries_[s] % util::kShardAlign == 0)
-        << "interior shard boundary " << boundaries_[s]
-        << " is not a multiple of the chunk alignment " << util::kShardAlign;
-  }
-  for (const la::CsrMatrix& v : *views) {
-    SGLA_CHECK(v.rows == rows && v.cols == (*views)[0].cols)
-        << "sharded aggregator view shape mismatch";
-  }
-
-  shards_.resize(boundaries_.size() - 1);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].reset(new Shard());
-    shards_[s]->begin = boundaries_[s];
-    shards_[s]->end = boundaries_[s + 1];
-  }
-  // Slicing + per-shard union-pattern construction is the expensive part of
-  // registration; it shards the same way the hot path does.
-  context().Run([this](int s, int64_t lo, int64_t hi) {
-    Shard& shard = *shards_[static_cast<size_t>(s)];
-    shard.views.reserve(views_->size());
-    for (const la::CsrMatrix& v : *views_) {
-      shard.views.push_back(la::RowSlice(v, lo, hi));
-    }
-    shard.aggregator.reset(new LaplacianAggregator(&shard.views));
-  });
-  nnz_offsets_.assign(shards_.size() + 1, 0);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    nnz_offsets_[s + 1] =
-        nnz_offsets_[s] + shards_[s]->aggregator->pattern().nnz();
-  }
-}
-
-ShardedAggregator::ShardedAggregator(const std::vector<la::CsrMatrix>* views,
-                                     const ShardedAggregator& donor,
-                                     const std::vector<bool>& view_changed)
-    : views_(views), boundaries_(donor.boundaries_), queue_(donor.queue_) {
-  SGLA_CHECK(views != nullptr && views->size() == donor.views_->size() &&
-             view_changed.size() == views->size())
-      << "donor sharded aggregator view count mismatch";
-  const int64_t rows = (*views)[0].rows;
-  SGLA_CHECK(rows == donor.boundaries_.back())
-      << "donor sharded aggregator row count mismatch";
-  for (const la::CsrMatrix& v : *views) {
-    SGLA_CHECK(v.rows == rows && v.cols == (*views)[0].cols)
-        << "sharded aggregator view shape mismatch";
-  }
-
-  shards_.resize(donor.shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].reset(new Shard());
-    shards_[s]->begin = boundaries_[s];
-    shards_[s]->end = boundaries_[s + 1];
-  }
-  // One job per shard, like the from-scratch build: unaffected views' slices
-  // are copied verbatim from the donor shard, affected views are re-sliced,
-  // and the expensive union-pattern merge re-runs only for shards where an
-  // affected slice changed sparsity.
-  std::vector<char> shard_reused(shards_.size(), 0);
-  context().Run([this, &donor, &view_changed, &shard_reused](int s, int64_t lo,
-                                                            int64_t hi) {
-    Shard& shard = *shards_[static_cast<size_t>(s)];
-    const Shard& theirs = *donor.shards_[static_cast<size_t>(s)];
-    shard.views.reserve(views_->size());
-    bool pattern_kept = true;
-    for (size_t v = 0; v < views_->size(); ++v) {
-      if (view_changed[v]) {
-        shard.views.push_back(la::RowSlice((*views_)[v], lo, hi));
-        const la::CsrMatrix& mine = shard.views.back();
-        const la::CsrMatrix& donor_slice = theirs.views[v];
-        pattern_kept = pattern_kept && mine.row_ptr == donor_slice.row_ptr &&
-                       mine.col_idx == donor_slice.col_idx;
-      } else {
-        shard.views.push_back(theirs.views[v]);
-      }
-    }
-    shard.aggregator.reset(
-        pattern_kept ? new LaplacianAggregator(&shard.views, *theirs.aggregator)
-                     : new LaplacianAggregator(&shard.views));
-    shard_reused[static_cast<size_t>(s)] = pattern_kept ? 1 : 0;
-  });
-  bool all_reused = true;
-  for (char reused : shard_reused) all_reused = all_reused && reused != 0;
-  pattern_id_ = all_reused ? donor.pattern_id_ : NextPatternId();
-  nnz_offsets_.assign(shards_.size() + 1, 0);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    nnz_offsets_[s + 1] =
-        nnz_offsets_[s] + shards_[s]->aggregator->pattern().nnz();
-  }
-}
-
-util::ShardContext ShardedAggregator::context() const {
-  util::ShardContext ctx;
-  ctx.boundaries = boundaries_.data();
-  ctx.num_shards = static_cast<int>(boundaries_.size() - 1);
-  ctx.queue = queue_.get();
-  return ctx;
-}
-
-void ShardedAggregator::BindPattern(std::vector<la::CsrMatrix>* out) const {
-  out->resize(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->aggregator->BindPattern(&(*out)[s]);
-  }
-}
-
-void ShardedAggregator::BindSellPattern(
-    std::vector<la::SellMatrix>* out) const {
-  out->resize(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->aggregator->BindSellPattern(&(*out)[s]);
-  }
-}
-
-void ShardedAggregator::FillSellValues(
-    const std::vector<la::CsrMatrix>& shard_values,
-    std::vector<la::SellMatrix>* out) const {
-  SGLA_CHECK(shard_values.size() == shards_.size() &&
-             out->size() == shards_.size())
-      << "sharded FillSellValues on unbound buffers";
-  context().Run([&shard_values, out](int s, int64_t, int64_t) {
-    la::FillSellValues(shard_values[static_cast<size_t>(s)].values,
-                       &(*out)[static_cast<size_t>(s)]);
-  });
-}
-
-void ShardedAggregator::AggregateValuesInto(
-    const std::vector<double>& weights,
-    std::vector<la::CsrMatrix>* out) const {
-  SGLA_CHECK(out->size() == shards_.size())
-      << "sharded AggregateValuesInto on an unbound buffer set";
-  context().Run([this, &weights, out](int s, int64_t, int64_t) {
-    shards_[static_cast<size_t>(s)]->aggregator->AggregateValuesInto(
-        weights, &(*out)[static_cast<size_t>(s)]);
-  });
-}
-
-void ShardedAggregator::BindFullPattern(la::CsrMatrix* out) const {
-  out->rows = rows();
-  out->cols = (*views_)[0].cols;
-  out->row_ptr.resize(static_cast<size_t>(rows()) + 1);
-  out->col_idx.resize(static_cast<size_t>(pattern_nnz()));
-  out->row_ptr[0] = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const la::CsrMatrix& pattern = shards_[s]->aggregator->pattern();
-    const int64_t row_base = shards_[s]->begin;
-    const int64_t slot_base = nnz_offsets_[s];
-    for (int64_t r = 0; r < pattern.rows; ++r) {
-      out->row_ptr[static_cast<size_t>(row_base + r) + 1] =
-          slot_base + pattern.row_ptr[static_cast<size_t>(r) + 1];
-    }
-    std::copy(pattern.col_idx.begin(), pattern.col_idx.end(),
-              out->col_idx.begin() + slot_base);
-  }
-  out->values.assign(static_cast<size_t>(pattern_nnz()), 0.0);
-}
-
-void ShardedAggregator::GatherValues(
-    const std::vector<la::CsrMatrix>& shard_values, la::CsrMatrix* out) const {
-  SGLA_CHECK(shard_values.size() == shards_.size() &&
-             out->nnz() == pattern_nnz())
-      << "GatherValues on unbound buffers";
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::copy(shard_values[s].values.begin(), shard_values[s].values.end(),
-              out->values.begin() + nnz_offsets_[s]);
-  }
-}
-
-void ShardedAggregator::ShardedApply(const void* ctx, const double* x,
-                                     double* y) {
-  const SpmvContext& bound = *static_cast<const SpmvContext*>(ctx);
-  if (bound.shard_sell != nullptr) {
-    // Blocked path: one SELL SpMV job per shard. Shard SELLs are built on
-    // σ windows that never cross shard boundaries, so per row this is the
-    // same slice chain as the unsharded SELL form — and under scalar, the
-    // same bits as the CSR path below.
-    const std::vector<la::SellMatrix>& sells = *bound.shard_sell;
-    bound.aggregator->context().Run(
-        [&sells, x, y](int s, int64_t lo, int64_t) {
-          la::SellSpmv(sells[static_cast<size_t>(s)], x, y + lo);
-        });
-    return;
-  }
-  const std::vector<la::CsrMatrix>& shards = *bound.shard_values;
-  bound.aggregator->context().Run(
-      [&shards, x, y](int s, int64_t lo, int64_t) {
-        la::Spmv(shards[static_cast<size_t>(s)], x, y + lo);
-      });
-}
-
-la::SpmvOperator ShardedAggregator::OperatorOver(const SpmvContext* ctx) {
-  SGLA_CHECK(ctx != nullptr && ctx->aggregator != nullptr &&
-             ctx->shard_values != nullptr &&
-             ctx->shard_values->size() == ctx->aggregator->shards_.size())
-      << "OperatorOver needs a fully bound context";
-  SGLA_CHECK(ctx->shard_sell == nullptr ||
-             ctx->shard_sell->size() == ctx->aggregator->shards_.size())
-      << "OperatorOver SELL buffers do not match the shard count";
-  la::SpmvOperator op;
-  op.rows = ctx->aggregator->rows();
-  op.apply = &ShardedApply;
-  op.ctx = ctx;
-  return op;
 }
 
 }  // namespace core

@@ -2,13 +2,9 @@
 #define SGLA_CORE_AGGREGATOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "la/lanczos.h"
 #include "la/sparse.h"
-#include "util/sharding.h"
-#include "util/task_queue.h"
 
 namespace sgla {
 namespace core {
@@ -83,134 +79,6 @@ class LaplacianAggregator {
   la::CsrMatrix aggregate_;                      ///< union pattern, reused
   la::SellMatrix sell_;                          ///< SELL form of the pattern
   std::vector<std::vector<int64_t>> scatter_;    ///< view nnz -> union nnz
-  uint64_t pattern_id_ = 0;
-};
-
-/// Row-sharded counterpart of LaplacianAggregator for serving very large
-/// MVAGs: the views are row-partitioned at the given boundaries and each
-/// shard owns contiguous CSR slices of every view plus its own
-/// LaplacianAggregator (union pattern + scatter maps over the slice). The
-/// shard patterns concatenated are exactly the full union pattern, and each
-/// per-slot fill sums view contributions in the same ascending-view order,
-/// so sharded aggregation is bit-identical to the unsharded aggregator on
-/// the same views — at any shard count and any thread count.
-///
-/// Aggregation and SpMV dispatch one job per shard on the TaskQueue (see
-/// util::ShardContext): concurrent solves on different graphs interleave
-/// their shard jobs on the shared queue workers instead of serializing whole
-/// kernels through the global ThreadPool. Like LaplacianAggregator, the
-/// object is immutable after construction; any number of threads may
-/// aggregate concurrently into distinct output buffers.
-class ShardedAggregator {
- public:
-  /// `views` must outlive the aggregator (full-size views are kept for the
-  /// SGLA+ node-sampling path). `boundaries` holds num_shards + 1 ascending
-  /// row offsets — boundaries[0] == 0, boundaries.back() == rows — and every
-  /// interior boundary must be a multiple of util::kShardAlign (the rule
-  /// that keeps chunked reductions bit-identical; serve::MakeShardPlan
-  /// produces conforming plans). `queue` may be null: shards then run
-  /// serially on the caller, same bits.
-  ShardedAggregator(const std::vector<la::CsrMatrix>* views,
-                    std::vector<int64_t> boundaries,
-                    std::shared_ptr<util::TaskQueue> queue);
-
-  /// Incremental-update form: rebuilds only what a graph delta touched.
-  /// `views` holds the post-update views (same shapes and boundaries as the
-  /// donor's); `view_changed[v]` marks views the delta affected. Unaffected
-  /// views' shard slices are copied from the donor; affected views are
-  /// re-sliced, and a shard re-runs its union-pattern merge only when one of
-  /// its affected slices actually changed sparsity — otherwise the shard
-  /// aggregator is donor-copied (pattern + scatter, no merge). The outer
-  /// pattern_id is preserved iff every shard kept its pattern, so value-only
-  /// deltas leave bound shard workspaces valid.
-  ShardedAggregator(const std::vector<la::CsrMatrix>* views,
-                    const ShardedAggregator& donor,
-                    const std::vector<bool>& view_changed);
-
-  int num_views() const { return static_cast<int>(views_->size()); }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  int64_t rows() const { return boundaries_.back(); }
-  const std::vector<la::CsrMatrix>& views() const { return *views_; }
-  const std::vector<int64_t>& boundaries() const { return boundaries_; }
-  /// Process-unique pattern id (same stamp-and-rebind contract as
-  /// LaplacianAggregator::pattern_id, covering all shard buffers at once).
-  uint64_t pattern_id() const { return pattern_id_; }
-  int64_t pattern_nnz() const { return nnz_offsets_.back(); }
-  const LaplacianAggregator& shard_aggregator(int shard) const {
-    return *shards_[static_cast<size_t>(shard)]->aggregator;
-  }
-  /// The row partition + queue, for kernels outside the aggregator that
-  /// reuse the same shards (clustering on the final Laplacian).
-  util::ShardContext context() const;
-
-  /// Sizes `out` to one CSR per shard and binds each to its shard's union
-  /// pattern (values zeroed). Reuses the buffers' capacity.
-  void BindPattern(std::vector<la::CsrMatrix>* out) const;
-
-  /// Sizes `out` to one SELL matrix per shard and binds each to the SELL form
-  /// of that shard's union pattern. Shard boundaries are kShardAlign-aligned
-  /// and the SELL sort window equals kShardAlign, so the concatenated shard
-  /// SELLs sort rows exactly like one SELL built over the full pattern.
-  void BindSellPattern(std::vector<la::SellMatrix>* out) const;
-
-  /// Refreshes every shard SELL's values from the matching filled CSR shard
-  /// buffer — one TaskQueue job per shard, allocation-free. Both vectors must
-  /// have been bound against this aggregator's current pattern.
-  void FillSellValues(const std::vector<la::CsrMatrix>& shard_values,
-                      std::vector<la::SellMatrix>* out) const;
-
-  /// Fills every shard buffer with its row slice of sum_i w_i L_i — one
-  /// TaskQueue job per shard. `out` must have been bound with BindPattern().
-  void AggregateValuesInto(const std::vector<double>& weights,
-                           std::vector<la::CsrMatrix>* out) const;
-
-  /// Binds `out` to the full-size union pattern (the shard patterns
-  /// concatenated; bit-identical to LaplacianAggregator::BindPattern on the
-  /// same views). Values zeroed.
-  void BindFullPattern(la::CsrMatrix* out) const;
-
-  /// Copies shard values (filled by AggregateValuesInto) into the matching
-  /// slots of a full-size CSR bound with BindFullPattern().
-  void GatherValues(const std::vector<la::CsrMatrix>& shard_values,
-                    la::CsrMatrix* out) const;
-
-  /// Caller-owned context tying filled shard buffers to their aggregator for
-  /// the matrix-free operator below. Kept by value on the caller's stack or
-  /// in its workspace (the aggregator itself is shared by concurrent solves
-  /// and must not cache per-solve state).
-  struct SpmvContext {
-    const ShardedAggregator* aggregator = nullptr;
-    const std::vector<la::CsrMatrix>* shard_values = nullptr;
-    /// When non-null, applications run the cache-blocked SELL kernel over
-    /// these per-shard matrices (bound with BindSellPattern and refreshed
-    /// with FillSellValues) instead of the CSR slices. Under SGLA_ISA=scalar
-    /// both paths produce the same bits.
-    const std::vector<la::SellMatrix>* shard_sell = nullptr;
-  };
-
-  /// Matrix-free operator over filled shard buffers: each application runs
-  /// one row-shard SpMV job per shard (y writes are row-disjoint, so the
-  /// result equals the unsharded SpMV bit for bit). `ctx` — and everything
-  /// it points at — must outlive the returned operator, and the buffers must
-  /// stay bound to this pattern while it is applied.
-  static la::SpmvOperator OperatorOver(const SpmvContext* ctx);
-
- private:
-  struct Shard {
-    int64_t begin = 0;
-    int64_t end = 0;
-    std::vector<la::CsrMatrix> views;  ///< row slices, full column width
-    /// Built after `views` is in place (it points into the shard).
-    std::unique_ptr<LaplacianAggregator> aggregator;
-  };
-
-  static void ShardedApply(const void* ctx, const double* x, double* y);
-
-  const std::vector<la::CsrMatrix>* views_;
-  std::vector<int64_t> boundaries_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<int64_t> nnz_offsets_;  ///< shard -> first slot in the full CSR
-  std::shared_ptr<util::TaskQueue> queue_;
   uint64_t pattern_id_ = 0;
 };
 

@@ -60,15 +60,6 @@ Result<IntegrationResult> SglaOnAggregator(const LaplacianAggregator& aggregator
                                            int k, const SglaOptions& options,
                                            EvalWorkspace* workspace);
 
-/// Row-sharded session form: every objective evaluation aggregates and
-/// applies the Laplacian shard-by-shard (one TaskQueue job per shard; see
-/// core::ShardedAggregator). Weights, histories, and the final Laplacian
-/// are bit-identical to SglaOnAggregator / Sgla on the same views at any
-/// shard count and any thread count.
-Result<IntegrationResult> SglaOnShards(const ShardedAggregator& aggregator,
-                                       int k, const SglaOptions& options,
-                                       ShardedEvalWorkspace* workspace);
-
 struct SglaPlusOptions {
   SglaOptions base;
   /// Extra weight-vector samples beyond the default r+1 (may be negative;
@@ -95,15 +86,6 @@ Result<IntegrationResult> SglaPlus(const std::vector<la::CsrMatrix>& views,
 Result<IntegrationResult> SglaPlusOnAggregator(
     const LaplacianAggregator& aggregator, int k,
     const SglaPlusOptions& options, EvalWorkspace* workspace);
-
-/// Row-sharded session form of SglaPlus; bit-identical to
-/// SglaPlusOnAggregator on the same views. When node sampling kicks in the
-/// sampled-subgraph evaluations run unsharded (the induced subgraph is small
-/// by construction) — only the final full-size aggregation is sharded.
-Result<IntegrationResult> SglaPlusOnShards(const ShardedAggregator& aggregator,
-                                           int k,
-                                           const SglaPlusOptions& options,
-                                           ShardedEvalWorkspace* workspace);
 
 /// The default SGLA+ sample set for r views: the uniform vector plus r
 /// vertex-leaning vectors (r+1 samples, matching the paper's r+1 default).

@@ -23,44 +23,14 @@ SpectralObjective::SpectralObjective(const LaplacianAggregator* aggregator,
       k_(k),
       options_(options) {}
 
-SpectralObjective::SpectralObjective(const ShardedAggregator* aggregator,
-                                     int k, const ObjectiveOptions& options,
-                                     ShardedEvalWorkspace* workspace)
-    : aggregator_(nullptr),
-      sharded_(aggregator),
-      workspace_(&workspace->base),
-      sharded_workspace_(workspace),
-      k_(k),
-      options_(options) {}
-
 void SpectralObjective::AggregateIntoWorkspace(
     const std::vector<double>& weights) {
-  if (sharded_ != nullptr) {
-    if (sharded_workspace_->bound_pattern != sharded_->pattern_id()) {
-      sharded_->BindPattern(&sharded_workspace_->shard_aggregate);
-      sharded_->BindSellPattern(&sharded_workspace_->shard_sell);
-      sharded_workspace_->bound_pattern = sharded_->pattern_id();
-    }
-    sharded_->AggregateValuesInto(weights,
-                                  &sharded_workspace_->shard_aggregate);
-    return;
-  }
   if (workspace_->bound_pattern != aggregator_->pattern_id()) {
     aggregator_->BindPattern(&workspace_->aggregate);
     aggregator_->BindSellPattern(&workspace_->sell);
     workspace_->bound_pattern = aggregator_->pattern_id();
   }
   aggregator_->AggregateValuesInto(weights, &workspace_->aggregate);
-}
-
-const la::CsrMatrix& SpectralObjective::MaterializeFull() {
-  if (sharded_workspace_->full_bound != sharded_->pattern_id()) {
-    sharded_->BindFullPattern(&sharded_workspace_->full);
-    sharded_workspace_->full_bound = sharded_->pattern_id();
-  }
-  sharded_->GatherValues(sharded_workspace_->shard_aggregate,
-                         &sharded_workspace_->full);
-  return sharded_workspace_->full;
 }
 
 Result<ObjectiveValue> SpectralObjective::Evaluate(
@@ -87,29 +57,7 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
   lanczos.warm_start = options_.warm_start;
   la::LanczosStats stats;
   Status solved;
-  if (sharded_ != nullptr &&
-      !la::UsesDenseFallback(sharded_->rows(), k_ + 1)) {
-    // Each Lanczos mat-vec runs one SELL SpMV job per shard; everything else
-    // in the iteration (dots, panels, Rayleigh-Ritz) is the same code on the
-    // same full-length vectors, so under scalar the solve matches the CSR
-    // path bit for bit. The SELL value refresh is a pure permutation of the
-    // filled CSR values, allocation-free on a bound workspace.
-    sharded_->FillSellValues(sharded_workspace_->shard_aggregate,
-                             &sharded_workspace_->shard_sell);
-    ShardedAggregator::SpmvContext ctx{sharded_,
-                                       &sharded_workspace_->shard_aggregate,
-                                       &sharded_workspace_->shard_sell};
-    solved = la::SmallestEigenpairsInto(ShardedAggregator::OperatorOver(&ctx),
-                                        k_ + 1, 2.0, lanczos,
-                                        &workspace_->lanczos,
-                                        &workspace_->eigen, &stats);
-  } else if (sharded_ != nullptr) {
-    // Problem small enough for the dense fallback: materialize the full
-    // aggregate and take the CSR path (identical to the unsharded solve).
-    solved = la::SmallestEigenpairsInto(MaterializeFull(), k_ + 1, 2.0,
-                                        lanczos, &workspace_->lanczos,
-                                        &workspace_->eigen, &stats);
-  } else if (!la::UsesDenseFallback(workspace_->aggregate.rows, k_ + 1)) {
+  if (!la::UsesDenseFallback(workspace_->aggregate.rows, k_ + 1)) {
     // Lanczos-sized problem: route mat-vecs through the SELL form of the
     // aggregate (scalar-bit-identical to the CSR form; see la/sparse.h).
     la::FillSellValues(workspace_->aggregate.values, &workspace_->sell);
@@ -148,8 +96,7 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
     // SpmvDense is row-parallel with a fixed grain and Dot is a single
     // contiguous pass, so the penalty is bit-deterministic across thread
     // counts — the serving determinism contract survives robust mode.
-    const std::vector<la::CsrMatrix>& views =
-        sharded_ != nullptr ? sharded_->views() : aggregator_->views();
+    const std::vector<la::CsrMatrix>& views = aggregator_->views();
     const la::DenseMatrix& u = workspace_->eigen.vectors;
     const int64_t cols = u.cols();
     workspace_->robust_r.resize(views.size());
@@ -182,7 +129,6 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
 const la::CsrMatrix& SpectralObjective::AggregateAt(
     const std::vector<double>& weights) {
   AggregateIntoWorkspace(weights);
-  if (sharded_ != nullptr) return MaterializeFull();
   return workspace_->aggregate;
 }
 

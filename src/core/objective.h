@@ -77,23 +77,6 @@ struct EvalWorkspace {
   std::vector<double> robust_sorted;
 };
 
-/// Workspace of a sharded objective-evaluation session: the per-shard
-/// aggregate buffers (bound to one ShardedAggregator's patterns), the shared
-/// Lanczos/eigenpair scratch in `base`, and the full-size CSR scratch
-/// AggregateAt materializes final results into. `base.aggregate` doubles as
-/// the plain buffer the SGLA+ node-sampling path rebinds to its sampled
-/// aggregator. Same reuse contract as EvalWorkspace: steady-state sharded
-/// evaluations reuse every buffer, and a workspace must not be shared by
-/// two concurrent evaluations.
-struct ShardedEvalWorkspace {
-  EvalWorkspace base;
-  std::vector<la::CsrMatrix> shard_aggregate;  ///< per-shard bound buffers
-  std::vector<la::SellMatrix> shard_sell;      ///< SELL forms (eigensolves)
-  uint64_t bound_pattern = 0;  ///< pattern_id the shard buffers are bound to
-  la::CsrMatrix full;          ///< full-size aggregate scratch (AggregateAt)
-  uint64_t full_bound = 0;     ///< pattern_id `full` is bound to
-};
-
 /// h(w) = g_k(L_w) - lambda_2(L_w) + gamma * ||w||^2, evaluated through one
 /// Lanczos solve on the aggregated Laplacian. The aggregator pattern is
 /// computed once (or borrowed, already built, from a registry entry) and
@@ -113,20 +96,7 @@ class SpectralObjective {
   SpectralObjective(const LaplacianAggregator* aggregator, int k,
                     const ObjectiveOptions& options, EvalWorkspace* workspace);
 
-  /// Sharded form: aggregation fills per-shard buffers (one TaskQueue job
-  /// per shard) and the eigensolve applies the Laplacian through the
-  /// sharded matrix-free operator. Values, histories, and the AggregateAt
-  /// result are bit-identical to the unsharded forms on the same views at
-  /// any shard and thread count. Same sharing rule: one workspace per
-  /// concurrent evaluation.
-  SpectralObjective(const ShardedAggregator* aggregator, int k,
-                    const ObjectiveOptions& options,
-                    ShardedEvalWorkspace* workspace);
-
-  int num_views() const {
-    return sharded_ != nullptr ? sharded_->num_views()
-                               : aggregator_->num_views();
-  }
+  int num_views() const { return aggregator_->num_views(); }
   int k() const { return k_; }
   const ObjectiveOptions& options() const { return options_; }
 
@@ -146,20 +116,14 @@ class SpectralObjective {
   int64_t total_lanczos_iterations() const { return lanczos_iterations_; }
 
  private:
-  /// Rebinds the workspace buffer(s) to this aggregator's pattern if they
+  /// Rebinds the workspace buffers to this aggregator's pattern if they
   /// were last used against a different one, then fills the values.
   void AggregateIntoWorkspace(const std::vector<double>& weights);
 
-  /// Sharded mode only: gathers the filled shard buffers into the full-size
-  /// CSR scratch (rebinding it on pattern change) and returns it.
-  const la::CsrMatrix& MaterializeFull();
-
   std::unique_ptr<LaplacianAggregator> owned_aggregator_;
   const LaplacianAggregator* aggregator_;
-  const ShardedAggregator* sharded_ = nullptr;
   std::unique_ptr<EvalWorkspace> owned_workspace_;
   EvalWorkspace* workspace_;
-  ShardedEvalWorkspace* sharded_workspace_ = nullptr;
   int k_;
   ObjectiveOptions options_;
   int64_t evaluations_ = 0;

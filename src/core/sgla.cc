@@ -5,14 +5,12 @@
 
 namespace sgla {
 namespace core {
-namespace {
 
-/// The optimizer driver shared by the plain and sharded entry points: the
-/// backends differ only in how `objective` aggregates and applies the
-/// Laplacian, so one driver guarantees the two paths take identical
-/// decisions on identical objective values.
-Result<IntegrationResult> RunWeightSearch(SpectralObjective& objective, int r,
-                                          const SglaOptions& options) {
+Result<IntegrationResult> SglaOnAggregator(const LaplacianAggregator& aggregator,
+                                           int k, const SglaOptions& options,
+                                           EvalWorkspace* workspace) {
+  if (k < 2) return InvalidArgument("SGLA needs k >= 2");
+  SpectralObjective objective(&aggregator, k, options.objective, workspace);
   auto h = [&objective](const la::Vector& w) {
     auto value = objective.Evaluate(w);
     // Infeasible/failed evaluations repel the optimizer instead of aborting;
@@ -27,7 +25,7 @@ Result<IntegrationResult> RunWeightSearch(SpectralObjective& objective, int r,
   simplex.epsilon = options.epsilon;
   simplex.max_evaluations = options.max_evaluations;
   simplex.initial_point = options.initial_weights;
-  auto trace = opt::MinimizeOnSimplex(r, h, simplex);
+  auto trace = opt::MinimizeOnSimplex(aggregator.num_views(), h, simplex);
   if (!trace.ok()) return trace.status();
 
   IntegrationResult result;
@@ -37,24 +35,6 @@ Result<IntegrationResult> RunWeightSearch(SpectralObjective& objective, int r,
   result.laplacian = objective.AggregateAt(result.weights);
   result.lanczos_iterations = objective.total_lanczos_iterations();
   return result;
-}
-
-}  // namespace
-
-Result<IntegrationResult> SglaOnAggregator(const LaplacianAggregator& aggregator,
-                                           int k, const SglaOptions& options,
-                                           EvalWorkspace* workspace) {
-  if (k < 2) return InvalidArgument("SGLA needs k >= 2");
-  SpectralObjective objective(&aggregator, k, options.objective, workspace);
-  return RunWeightSearch(objective, aggregator.num_views(), options);
-}
-
-Result<IntegrationResult> SglaOnShards(const ShardedAggregator& aggregator,
-                                       int k, const SglaOptions& options,
-                                       ShardedEvalWorkspace* workspace) {
-  if (k < 2) return InvalidArgument("SGLA needs k >= 2");
-  SpectralObjective objective(&aggregator, k, options.objective, workspace);
-  return RunWeightSearch(objective, aggregator.num_views(), options);
 }
 
 Result<IntegrationResult> Sgla(const std::vector<la::CsrMatrix>& views, int k,

@@ -23,31 +23,11 @@ std::vector<la::Vector> SglaPlusSamples(int r) {
   return samples;
 }
 
-namespace {
-
-/// The full-size aggregate backing one SGLA+ call: exactly one of
-/// plain/sharded is set, with the matching workspace. The sampled-subgraph
-/// objective (when node sampling kicks in) always runs unsharded and uses
-/// the plain EvalWorkspace — `base` of the sharded workspace in sharded
-/// mode.
-struct FullAggregate {
-  const LaplacianAggregator* plain = nullptr;
-  const ShardedAggregator* sharded = nullptr;
-  EvalWorkspace* eval = nullptr;
-  ShardedEvalWorkspace* sharded_eval = nullptr;
-
-  const std::vector<la::CsrMatrix>& views() const {
-    return plain != nullptr ? plain->views() : sharded->views();
-  }
-  EvalWorkspace* plain_workspace() const {
-    return eval != nullptr ? eval : &sharded_eval->base;
-  }
-};
-
-Result<IntegrationResult> SglaPlusImpl(const FullAggregate& full, int k,
-                                       const SglaPlusOptions& options) {
+Result<IntegrationResult> SglaPlusOnAggregator(
+    const LaplacianAggregator& aggregator, int k,
+    const SglaPlusOptions& options, EvalWorkspace* workspace) {
   if (k < 2) return InvalidArgument("SGLA+ needs k >= 2");
-  const std::vector<la::CsrMatrix>& views = full.views();
+  const std::vector<la::CsrMatrix>& views = aggregator.views();
   const int r = static_cast<int>(views.size());
   const int64_t n = views[0].rows;
 
@@ -87,15 +67,10 @@ Result<IntegrationResult> SglaPlusImpl(const FullAggregate& full, int k,
     sampled_aggregator.reset(new LaplacianAggregator(&sampled_views));
   }
 
-  SpectralObjective objective =
-      sampled_aggregator != nullptr
-          ? SpectralObjective(sampled_aggregator.get(), k,
-                              options.base.objective, full.plain_workspace())
-          : (full.sharded != nullptr
-                 ? SpectralObjective(full.sharded, k, options.base.objective,
-                                     full.sharded_eval)
-                 : SpectralObjective(full.plain, k, options.base.objective,
-                                     full.eval));
+  SpectralObjective objective(sampled_aggregator != nullptr
+                                  ? sampled_aggregator.get()
+                                  : &aggregator,
+                              k, options.base.objective, workspace);
   IntegrationResult result;
   la::Vector values;
   values.reserve(samples.size());
@@ -131,47 +106,14 @@ Result<IntegrationResult> SglaPlusImpl(const FullAggregate& full, int k,
   result.lanczos_iterations = objective.total_lanczos_iterations();
   if (sampled_aggregator == nullptr) {
     // No node sampling: the objective evaluated on the full union pattern
-    // (plain or sharded) and can materialize the final aggregate itself.
+    // and can materialize the final aggregate itself.
     result.laplacian = objective.AggregateAt(result.weights);
-  } else if (full.sharded != nullptr) {
-    // The final aggregation always uses the full views — shard jobs fill the
-    // per-shard buffers, then the slices gather into the full-size result
-    // (bit-identical to the unsharded fill).
-    ShardedEvalWorkspace* sws = full.sharded_eval;
-    if (sws->bound_pattern != full.sharded->pattern_id()) {
-      full.sharded->BindPattern(&sws->shard_aggregate);
-      sws->bound_pattern = full.sharded->pattern_id();
-    }
-    full.sharded->AggregateValuesInto(result.weights, &sws->shard_aggregate);
-    full.sharded->BindFullPattern(&result.laplacian);
-    full.sharded->GatherValues(sws->shard_aggregate, &result.laplacian);
   } else {
     // The final aggregation always uses the full views.
-    full.plain->BindPattern(&result.laplacian);
-    full.plain->AggregateValuesInto(result.weights, &result.laplacian);
+    aggregator.BindPattern(&result.laplacian);
+    aggregator.AggregateValuesInto(result.weights, &result.laplacian);
   }
   return result;
-}
-
-}  // namespace
-
-Result<IntegrationResult> SglaPlusOnAggregator(
-    const LaplacianAggregator& aggregator, int k,
-    const SglaPlusOptions& options, EvalWorkspace* workspace) {
-  FullAggregate full;
-  full.plain = &aggregator;
-  full.eval = workspace;
-  return SglaPlusImpl(full, k, options);
-}
-
-Result<IntegrationResult> SglaPlusOnShards(const ShardedAggregator& aggregator,
-                                           int k,
-                                           const SglaPlusOptions& options,
-                                           ShardedEvalWorkspace* workspace) {
-  FullAggregate full;
-  full.sharded = &aggregator;
-  full.sharded_eval = workspace;
-  return SglaPlusImpl(full, k, options);
 }
 
 Result<IntegrationResult> SglaPlus(const std::vector<la::CsrMatrix>& views,

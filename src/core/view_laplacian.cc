@@ -1,25 +1,84 @@
 #include "core/view_laplacian.h"
 
+#include <cmath>
+#include <string>
+
 #include "graph/laplacian.h"
 #include "util/thread_pool.h"
 
 namespace sgla {
 namespace core {
+namespace {
+
+/// Shape and content checks of one view (global index: graph views first).
+Status CheckView(const MultiViewGraph& mvag, int view) {
+  const int num_graphs = static_cast<int>(mvag.graph_views().size());
+  const int64_t n = mvag.num_nodes();
+  if (view < num_graphs) {
+    const graph::Graph& g = mvag.graph_views()[static_cast<size_t>(view)];
+    if (g.num_nodes() != n) {
+      return InvalidArgument("graph view node count mismatch");
+    }
+    for (const graph::Edge& e : g.edges()) {
+      Status valid = ValidateEdge(e.u, e.v, e.weight, n);
+      if (!valid.ok()) {
+        return InvalidArgument("graph view " + std::to_string(view) + ": " +
+                               valid.message());
+      }
+    }
+    return OkStatus();
+  }
+  const la::DenseMatrix& x =
+      mvag.attribute_views()[static_cast<size_t>(view - num_graphs)];
+  if (x.rows() != n) {
+    return InvalidArgument("attribute view row count mismatch");
+  }
+  Status valid = ValidateAttributeValues(
+      x.data().data(), static_cast<int64_t>(x.data().size()));
+  if (!valid.ok()) {
+    return InvalidArgument("attribute view " +
+                           std::to_string(view - num_graphs) + ": " +
+                           valid.message());
+  }
+  return OkStatus();
+}
+
+}  // namespace
+
+Status ValidateEdge(int64_t u, int64_t v, double weight, int64_t n) {
+  if (u < 0 || u >= n || v < 0 || v >= n) {
+    return InvalidArgument("edge (" + std::to_string(u) + ", " +
+                           std::to_string(v) + ") endpoint out of range [0, " +
+                           std::to_string(n) + ")");
+  }
+  if (!std::isfinite(weight) || weight < 0.0) {
+    return InvalidArgument("edge (" + std::to_string(u) + ", " +
+                           std::to_string(v) + ") weight " +
+                           std::to_string(weight) +
+                           " is not finite and non-negative");
+  }
+  return OkStatus();
+}
+
+Status ValidateAttributeValues(const double* values, int64_t count) {
+  for (int64_t i = 0; i < count; ++i) {
+    if (!std::isfinite(values[i])) {
+      return InvalidArgument("attribute value " + std::to_string(values[i]) +
+                             " at offset " + std::to_string(i) +
+                             " is not finite");
+    }
+  }
+  return OkStatus();
+}
 
 Result<std::vector<la::CsrMatrix>> ComputeViewLaplacians(
     const MultiViewGraph& mvag, const graph::KnnOptions& knn) {
   if (mvag.num_views() == 0) {
     return InvalidArgument("multi-view graph has no views");
   }
-  for (const graph::Graph& g : mvag.graph_views()) {
-    if (g.num_nodes() != mvag.num_nodes()) {
-      return InvalidArgument("graph view node count mismatch");
-    }
-  }
-  for (const la::DenseMatrix& x : mvag.attribute_views()) {
-    if (x.rows() != mvag.num_nodes()) {
-      return InvalidArgument("attribute view row count mismatch");
-    }
+  for (int v = 0; v < mvag.num_views(); ++v) {
+    Status valid = CheckView(mvag, v);
+    if (!valid.ok()) return valid;
   }
 
   // Attribute views' KNN graphs first, one after another at top level: each
@@ -58,19 +117,14 @@ Result<la::CsrMatrix> ComputeViewLaplacian(const MultiViewGraph& mvag,
   if (view < 0 || view >= mvag.num_views()) {
     return InvalidArgument("view index out of range");
   }
+  Status valid = CheckView(mvag, view);
+  if (!valid.ok()) return valid;
   if (view < num_graphs) {
-    const graph::Graph& g = mvag.graph_views()[static_cast<size_t>(view)];
-    if (g.num_nodes() != mvag.num_nodes()) {
-      return InvalidArgument("graph view node count mismatch");
-    }
-    return graph::NormalizedLaplacian(g);
+    return graph::NormalizedLaplacian(
+        mvag.graph_views()[static_cast<size_t>(view)]);
   }
-  const la::DenseMatrix& x =
-      mvag.attribute_views()[static_cast<size_t>(view - num_graphs)];
-  if (x.rows() != mvag.num_nodes()) {
-    return InvalidArgument("attribute view row count mismatch");
-  }
-  return graph::NormalizedLaplacian(graph::KnnGraph(x, knn));
+  return graph::NormalizedLaplacian(graph::KnnGraph(
+      mvag.attribute_views()[static_cast<size_t>(view - num_graphs)], knn));
 }
 
 }  // namespace core

@@ -73,10 +73,8 @@ struct LanczosWorkspace {
 /// Matrix-free symmetric operator: apply(ctx, x, y) must overwrite all
 /// `rows` entries of y with M x (x is full-length, size rows) and must be
 /// deterministic — the Lanczos trajectory reproduces bit for bit only if
-/// every application does. CSR matrices wrap themselves via
-/// CsrSpmvOperator(); the sharded serving path implements apply by running
-/// one row-shard SpMV job per shard on a TaskQueue (row-disjoint writes, so
-/// the result equals the unsharded SpMV exactly).
+/// every application does. CSR and SELL matrices wrap themselves via
+/// CsrSpmvOperator() and SellSpmvOperator().
 struct SpmvOperator {
   int64_t rows = 0;
   void (*apply)(const void* ctx, const double* x, double* y) = nullptr;

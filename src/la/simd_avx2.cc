@@ -6,7 +6,7 @@
 // vfmadd would silently break that. Reduction kernels use FMA explicitly —
 // their bits legitimately differ from scalar, but the lane layout,
 // horizontal-sum order, and scalar remainder below are fixed, so each
-// result is a pure function of the operands (never of threads or shards).
+// result is a pure function of the operands (never of the thread count).
 
 #include <immintrin.h>
 

@@ -27,8 +27,8 @@ namespace simd {
 /// nearest_center) use a fixed lane layout, a fixed-order horizontal sum
 /// and a separate scalar remainder loop. Their bits differ between ISA
 /// paths (different association order), but within one ISA they are a pure
-/// function of the operands — no thread count, shard split or row batching
-/// may change the per-row/per-element association order.
+/// function of the operands — no thread count or row batching may change
+/// the per-row/per-element association order.
 struct KernelTable {
   double (*dot)(const double* x, const double* y, int64_t n);
   double (*squared_distance)(const double* x, const double* y, int64_t n);

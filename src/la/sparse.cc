@@ -5,16 +5,11 @@
 
 #include "la/simd.h"
 #include "util/logging.h"
-#include "util/sharding.h"
 #include "util/thread_pool.h"
 
 namespace sgla {
 namespace la {
 
-// The σ window must coincide with the shard alignment so no SELL slice ever
-// crosses a shard boundary (see SellMatrix).
-static_assert(kSellSortWindow == util::kShardAlign,
-              "SELL sort window must equal the shard alignment");
 static_assert(kSellSortWindow % kSellLanes == 0,
               "slices must tile the sort window exactly");
 
@@ -103,23 +98,14 @@ CsrMatrix FromTriplets(int64_t rows, int64_t cols,
 
 void Spmv(const CsrMatrix& m, const double* x, double* y) {
   // Each chunk hands its row range to the active ISA's row kernel; every
-  // row's dot product is self-contained, so any row partition — threads,
-  // shards, or both — reproduces the same bits within one ISA path.
+  // row's dot product is self-contained, so any row partition reproduces
+  // the same bits within one ISA path.
   const simd::KernelTable* table = simd::ActiveTable();
   util::ThreadPool::Global().ParallelFor(
       0, m.rows, kSpmvGrain, [&m, x, y, table](int64_t lo, int64_t hi) {
         table->spmv_rows(m.row_ptr.data(), m.col_idx.data(), m.values.data(),
                          x, y + lo, lo, hi);
       });
-}
-
-void SpmvRows(const CsrMatrix& m, const double* x, double* y,
-              int64_t row_begin, int64_t row_end) {
-  SGLA_CHECK(row_begin >= 0 && row_begin <= row_end && row_end <= m.rows)
-      << "SpmvRows range out of bounds";
-  simd::ActiveTable()->spmv_rows(m.row_ptr.data(), m.col_idx.data(),
-                                 m.values.data(), x, y + row_begin, row_begin,
-                                 row_end);
 }
 
 void BuildSellPattern(const CsrMatrix& m, SellMatrix* out) {
@@ -131,8 +117,7 @@ void BuildSellPattern(const CsrMatrix& m, SellMatrix* out) {
   // Row permutation: descending nnz within each σ window, ascending row
   // index among equals, windows in natural order. The index tie-break makes
   // plain std::sort (in-place, no temporary buffer) produce exactly the
-  // stable order. Shard boundaries are multiples of the window size, so a
-  // shard slice's permutation is the matching sub-range of the full one.
+  // stable order.
   out->perm.assign(static_cast<size_t>(num_slots), -1);
   std::iota(out->perm.begin(), out->perm.begin() + m.rows, int64_t{0});
   const auto nnz_of = [&m](int64_t r) {
@@ -208,24 +193,6 @@ void SellSpmv(const SellMatrix& m, const double* x, double* y) {
                          m.values.data(), m.row_len.data(), m.perm.data(), x,
                          y, lo, hi);
       });
-}
-
-CsrMatrix RowSlice(const CsrMatrix& m, int64_t row_begin, int64_t row_end) {
-  SGLA_CHECK(row_begin >= 0 && row_begin <= row_end && row_end <= m.rows)
-      << "RowSlice range out of bounds";
-  CsrMatrix out;
-  out.rows = row_end - row_begin;
-  out.cols = m.cols;
-  out.row_ptr.resize(static_cast<size_t>(out.rows) + 1);
-  const int64_t base = m.row_ptr[static_cast<size_t>(row_begin)];
-  for (int64_t r = 0; r <= out.rows; ++r) {
-    out.row_ptr[static_cast<size_t>(r)] =
-        m.row_ptr[static_cast<size_t>(row_begin + r)] - base;
-  }
-  const int64_t nnz = m.row_ptr[static_cast<size_t>(row_end)] - base;
-  out.col_idx.assign(m.col_idx.begin() + base, m.col_idx.begin() + base + nnz);
-  out.values.assign(m.values.begin() + base, m.values.begin() + base + nnz);
-  return out;
 }
 
 void SpmvDense(const CsrMatrix& m, const DenseMatrix& x, DenseMatrix* y) {

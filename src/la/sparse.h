@@ -32,11 +32,11 @@ struct Triplet {
 /// register / two AVX2 registers per column step.
 constexpr int64_t kSellLanes = 8;
 /// The σ sort window: rows are sorted by descending nnz only *within*
-/// windows of this many rows, which must equal util::kShardAlign
-/// (static_asserted in sparse.cc). Windows therefore never straddle a shard
-/// boundary, so the SELL form of a row-sharded matrix is exactly the
-/// concatenation of its shards' SELL forms — the property that keeps
-/// sharded and unsharded SELL SpMV bit-identical.
+/// windows of this many rows. 512 is a multiple of every row-kernel chunk
+/// grain (512 rows for CSR SpMV, aggregation and the SELL kernel's 64-slice
+/// chunks, 256 for k-means, 128 for dense SpMV), so each SELL chunk covers
+/// exactly one window. Changing it changes the SELL layout (slot order and
+/// padding) of every serving matrix.
 constexpr int64_t kSellSortWindow = 512;
 
 /// SELL-C-σ companion layout of a CsrMatrix: rows are permuted by
@@ -84,19 +84,6 @@ CsrMatrix FromTriplets(int64_t rows, int64_t cols, std::vector<Triplet> entries)
 
 /// y = M * x. x has m.cols entries, y has m.rows entries (overwritten).
 void Spmv(const CsrMatrix& m, const double* x, double* y);
-
-/// y[r] = (M x)[r] for r in [row_begin, row_end) only — the same serial
-/// inner loop as Spmv, restricted to a row range and never dispatching to
-/// the pool. Shard jobs call this on their row slice of a shared matrix;
-/// because each row's dot product is unchanged, any row partition of calls
-/// reproduces Spmv bit for bit.
-void SpmvRows(const CsrMatrix& m, const double* x, double* y,
-              int64_t row_begin, int64_t row_end);
-
-/// Rows [row_begin, row_end) of m as their own CSR: row_ptr rebased to 0,
-/// column space unchanged (slices of a square matrix stay multipliable by
-/// full-length vectors). Values and columns are copied in row order.
-CsrMatrix RowSlice(const CsrMatrix& m, int64_t row_begin, int64_t row_end);
 
 /// Y = M * X for a dense block X (n x d), written into Y (rows x d).
 void SpmvDense(const CsrMatrix& m, const DenseMatrix& x, DenseMatrix* y);

@@ -89,7 +89,7 @@ void EncodeCheckpoint(const CheckpointData& data, std::vector<uint8_t>* out) {
   w.Str(data.id);
   w.U64(data.reg_uid);
   w.I64(data.epoch);
-  w.I32(data.options.shards);
+  w.I32(data.options.shards);  // retired: kept in the layout, ignored
   w.U8(data.options.updatable ? 1 : 0);
   w.U8(data.options.robust_views ? 1 : 0);
   w.F64(data.options.coarsen_ratio);

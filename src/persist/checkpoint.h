@@ -13,9 +13,10 @@ namespace sgla {
 namespace persist {
 
 /// Everything a per-graph checkpoint captures: the source graph, the
-/// registration options a recovered Restore() must repeat verbatim (shard
-/// count, KNN options, coarsen ratio — a recovered solve is bit-identical
-/// only if the serving state is rebuilt with the same knobs), and the
+/// registration options a recovered Restore() must repeat verbatim (KNN
+/// options, coarsen ratio — a recovered solve is bit-identical only if the
+/// serving state is rebuilt with the same knobs; the retired shard count
+/// keeps its slot and is ignored), and the
 /// mutable state the epochs accumulated (epoch counter, view uids, activity
 /// mask, uid allocator).
 struct CheckpointData {

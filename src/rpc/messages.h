@@ -35,6 +35,7 @@ struct HelloRequest {
 struct RegisterRequest {
   std::string id;
   core::MultiViewGraph mvag;  ///< ground-truth labels do not travel
+  /// Retired row-shard count: still on the wire, accepted and ignored.
   int32_t shards = 1;
   bool updatable = true;
   /// KNN neighbor count for attribute views; 0 = server default.

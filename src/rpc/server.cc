@@ -446,7 +446,6 @@ void Server::DispatchControl(Connection* conn, const FrameHeader& header,
           break;
         }
         serve::RegisterOptions options;
-        options.shards = std::max(1, static_cast<int>(request.shards));
         options.updatable = request.updatable;
         if (request.knn_k > 0) options.knn.k = request.knn_k;
         options.robust_views = request.robust_views;

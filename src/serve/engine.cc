@@ -334,30 +334,15 @@ Result<SolveResponse> Engine::Run(const SolveRequest& request,
     }
   }
 
-  // Sharded entries run every hot kernel (aggregation, Lanczos mat-vecs,
-  // k-means assignment) as per-shard TaskQueue jobs; the two paths are
-  // bit-identical by construction and asserted so in tests. The fast tier
-  // never shards — coarse companions are small by construction — and runs
-  // in the coarse-sized workspace so tiered and exact solves on one session
-  // don't evict each other's bound patterns.
-  const bool sharded = !fast && entry.sharded != nullptr;
+  // The fast tier runs in the coarse-sized workspace so tiered and exact
+  // solves on one session don't evict each other's bound patterns.
+  const core::LaplacianAggregator& aggregator =
+      fast ? *coarse->aggregator : *entry.aggregator;
+  core::EvalWorkspace* eval = fast ? &ws->coarse_eval : &ws->eval;
   Result<core::IntegrationResult> integration =
-      fast ? (request.algorithm == Algorithm::kSgla
-                  ? core::SglaOnAggregator(*coarse->aggregator, k,
-                                           options.base, &ws->coarse_eval)
-                  : core::SglaPlusOnAggregator(*coarse->aggregator, k,
-                                               options, &ws->coarse_eval))
-      : sharded
-          ? (request.algorithm == Algorithm::kSgla
-                 ? core::SglaOnShards(entry.sharded->aggregator, k,
-                                      options.base, &ws->sharded_eval)
-                 : core::SglaPlusOnShards(entry.sharded->aggregator, k,
-                                          options, &ws->sharded_eval))
-          : (request.algorithm == Algorithm::kSgla
-                 ? core::SglaOnAggregator(*entry.aggregator, k,
-                                          options.base, &ws->eval)
-                 : core::SglaPlusOnAggregator(*entry.aggregator, k,
-                                              options, &ws->eval));
+      request.algorithm == Algorithm::kSgla
+          ? core::SglaOnAggregator(aggregator, k, options.base, eval)
+          : core::SglaPlusOnAggregator(aggregator, k, options, eval);
   if (!integration.ok()) return integration.status();
 
   SolveResponse response;
@@ -384,9 +369,7 @@ Result<SolveResponse> Engine::Run(const SolveRequest& request,
   // overwritten by the replacement's next solve. The entry is assembled
   // here but stored after the output stage, so the clustering eigensolve's
   // un-normalized eigenvectors bank alongside the objective Ritz pairs.
-  const la::Eigenpairs& eigen =
-      fast ? ws->coarse_eval.eigen
-           : (sharded ? ws->sharded_eval.base.eigen : ws->eval.eigen);
+  const la::Eigenpairs& eigen = eval->eigen;
   const std::shared_ptr<const GraphEntry> current =
       registry_->Find(request.graph_id);
   const bool bankable =
@@ -421,12 +404,9 @@ Result<SolveResponse> Engine::Run(const SolveRequest& request,
       coarse::ProlongateLabels(coarse->plan, ws->coarse_labels,
                                &response.labels);
     } else {
-      const util::ShardContext shards =
-          sharded ? entry.sharded->aggregator.context() : util::ShardContext();
       Status clustered = cluster::SpectralClusteringInto(
           response.integration.laplacian, k, request.kmeans, &ws->cluster,
-          &response.labels, sharded ? &shards : nullptr, warm_embedding,
-          ritz_out, &embed_stats);
+          &response.labels, nullptr, warm_embedding, ritz_out, &embed_stats);
       if (!clustered.ok()) return clustered;
     }
     response.stats.embedding_lanczos_iterations = embed_stats.iterations;

@@ -39,7 +39,7 @@ enum class Algorithm {
 /// Serving tier of a solve (see DESIGN.md "Tiered serving").
 enum class Quality {
   /// Full-resolution solve on the registered views — today's exact path,
-  /// bit-identical at any thread/shard count.
+  /// bit-identical at any thread count.
   kExact,
   /// The whole pipeline (weight search + clustering/embedding) runs on the
   /// graph's coarse companion and the result prolongates back to fine rows:
@@ -197,12 +197,8 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Registers a graph on the underlying registry. `options.shards` is the
-  /// row-shard knob: 1 (default) is today's unsharded path; K > 1 serves
-  /// every solve on this graph shard-by-shard through the registry's shard
-  /// queue — bit-identical responses (asserted in tests), but one large
-  /// solve no longer monopolizes the kernel pool, so many big graphs can be
-  /// served concurrently.
+  /// Registers a graph on the underlying registry (`options.shards` is
+  /// accepted and ignored).
   Result<std::shared_ptr<const GraphEntry>> RegisterGraph(
       const std::string& id, const core::MultiViewGraph& mvag,
       const RegisterOptions& options = {});
@@ -303,18 +299,16 @@ class Engine {
   }
 
  private:
-  /// Per-session reusable state; index = session worker id. The sharded
-  /// workspace carries the per-shard aggregate buffers — per session, not
-  /// per graph: like `eval`, it is stamped with the pattern it was bound to
-  /// and rebound when the session hops to a different sharded graph.
+  /// Per-session reusable state; index = session worker id. Per session,
+  /// not per graph: `eval` is stamped with the pattern it was bound to and
+  /// rebound when the session hops to a different graph.
   struct SessionWorkspace {
     core::EvalWorkspace eval;
-    core::ShardedEvalWorkspace sharded_eval;
     cluster::SpectralWorkspace cluster;
     /// Coarse-tier scratch, sized by the coarse companion (~ratio * n): the
     /// fast tier's whole pipeline and the refined tier's pre-solve run here,
     /// so tiered and exact solves never fight over one workspace's bound
-    /// pattern. Coarse solves are never sharded — companions are small.
+    /// pattern.
     core::EvalWorkspace coarse_eval;
     cluster::SpectralWorkspace coarse_cluster;
     std::vector<int32_t> coarse_labels;  ///< pre-prolongation labels

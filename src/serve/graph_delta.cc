@@ -5,6 +5,8 @@
 #include <set>
 #include <utility>
 
+#include "core/view_laplacian.h"
+
 namespace sgla {
 namespace serve {
 namespace {
@@ -27,14 +29,16 @@ Status ApplyDelta(core::MultiViewGraph* mvag, const GraphDelta& delta,
   // Validate everything first so a rejected delta leaves the source graph
   // untouched (UpdateGraph re-applies on retry; a half-applied delta would
   // silently skew every later epoch). Edits and lifecycle index lists all
-  // address the PRE-delta view set.
+  // address the PRE-delta view set. New content obeys the registration
+  // rules (core::ValidateEdge / ValidateAttributeValues).
   for (const GraphViewDelta& d : delta.graph_views) {
     if (d.view < 0 || d.view >= num_graphs) {
       return InvalidArgument("graph-view delta: view index out of range");
     }
     for (const EdgeUpsert& e : d.upserts) {
-      if (e.u < 0 || e.u >= n || e.v < 0 || e.v >= n) {
-        return InvalidArgument("graph-view delta: edge endpoint out of range");
+      Status valid = core::ValidateEdge(e.u, e.v, e.weight, n);
+      if (!valid.ok()) {
+        return InvalidArgument("graph-view delta: " + valid.message());
       }
     }
     for (const EdgeRemoval& e : d.removals) {
@@ -54,6 +58,11 @@ Status ApplyDelta(core::MultiViewGraph* mvag, const GraphDelta& delta,
         mvag->attribute_views()[static_cast<size_t>(d.view)];
     if (static_cast<int64_t>(d.values.size()) != x.cols()) {
       return InvalidArgument("attribute delta: row width mismatch");
+    }
+    Status valid = core::ValidateAttributeValues(
+        d.values.data(), static_cast<int64_t>(d.values.size()));
+    if (!valid.ok()) {
+      return InvalidArgument("attribute delta: " + valid.message());
     }
   }
   for (int v : delta.remove_views) {
@@ -84,14 +93,17 @@ Status ApplyDelta(core::MultiViewGraph* mvag, const GraphDelta& delta,
       if (a.attributes.cols() < 1) {
         return InvalidArgument("AddView: attribute view needs >= 1 column");
       }
+      Status valid = core::ValidateAttributeValues(
+          a.attributes.data().data(),
+          static_cast<int64_t>(a.attributes.data().size()));
+      if (!valid.ok()) return InvalidArgument("AddView: " + valid.message());
     } else {
       if (a.graph.num_nodes() != n) {
         return InvalidArgument("AddView: graph node count != num_nodes");
       }
       for (const graph::Edge& e : a.graph.edges()) {
-        if (e.u < 0 || e.u >= n || e.v < 0 || e.v >= n) {
-          return InvalidArgument("AddView: edge endpoint out of range");
-        }
+        Status valid = core::ValidateEdge(e.u, e.v, e.weight, n);
+        if (!valid.ok()) return InvalidArgument("AddView: " + valid.message());
       }
     }
   }

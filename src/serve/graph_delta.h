@@ -23,8 +23,8 @@ struct EdgeUpsert {
 };
 
 /// Remove every (u, v) edge, both orientations. Removals (and upserts that
-/// insert) change the view's sparsity pattern and trigger a pattern rebuild
-/// of the affected shards.
+/// insert) change the view's sparsity pattern and trigger a rebuild of the
+/// union pattern.
 struct EdgeRemoval {
   int64_t u = 0;
   int64_t v = 0;
@@ -105,8 +105,10 @@ struct DeltaEffects {
 };
 
 /// Validates `delta` against `mvag` (view indices, endpoints, row bounds,
-/// attribute widths, lifecycle invariants) and only then applies every edit
-/// and lifecycle op in place — a failed validation mutates nothing.
+/// attribute widths, lifecycle invariants, and the registration content
+/// rules of core::ValidateEdge / ValidateAttributeValues for upserts,
+/// attribute rows and added views) and only then applies every edit and
+/// lifecycle op in place — a failed validation mutates nothing.
 /// `active_before` is the pre-delta activity mask (empty = all active);
 /// `effects` reports the post-delta view set.
 Status ApplyDelta(core::MultiViewGraph* mvag, const GraphDelta& delta,

@@ -3,8 +3,6 @@
 #include <atomic>
 #include <utility>
 
-#include "util/thread_pool.h"
-
 namespace sgla {
 namespace serve {
 namespace {
@@ -124,16 +122,6 @@ std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
 
 }  // namespace
 
-std::shared_ptr<util::TaskQueue> GraphRegistry::ShardQueue() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (shard_queue_ == nullptr) {
-    // Same sizing rule as the kernel pool (SGLA_THREADS override included),
-    // so sanitizer gates that pin the pool width pin the shard width too.
-    shard_queue_.reset(new util::TaskQueue(util::ThreadPool::DefaultThreads()));
-  }
-  return shard_queue_;
-}
-
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
     std::shared_ptr<GraphEntry> entry, const RegisterOptions& options,
     std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,
@@ -186,18 +174,6 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
   const std::vector<la::CsrMatrix>* serving =
       entry->active_views.empty() ? &entry->views : &entry->active_views;
   entry->aggregator.reset(new core::LaplacianAggregator(serving));
-  if (options.shards > 1 && entry->num_nodes > 0) {
-    ShardPlan plan = MakeShardPlan(entry->num_nodes, options.shards);
-    // A plan that collapsed to one shard is exactly the unsharded path;
-    // don't pay for slices that would add nothing.
-    if (plan.num_shards() > 1) {
-      std::vector<int64_t> boundaries = plan.boundaries;
-      entry->sharded.reset(new ShardedGraphEntry{
-          std::move(plan), core::ShardedAggregator(serving,
-                                                   std::move(boundaries),
-                                                   ShardQueue())});
-    }
-  }
   entry->coarsen_ratio = options.coarsen_ratio > 0.0 ? options.coarsen_ratio
                                                      : 0.0;
   entry->coarse = BuildCoarseEntry(*entry, mvag, options.knn,
@@ -218,9 +194,8 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Register(
     const std::string& id, const core::MultiViewGraph& mvag,
     const RegisterOptions& options) {
-  // The expensive part (KNN construction, Laplacians, union pattern, shard
-  // slices) runs before the lock, so registration never stalls concurrent
-  // Find/Evict.
+  // The expensive part (KNN construction, Laplacians, union pattern) runs
+  // before the lock, so registration never stalls concurrent Find/Evict.
   auto views = core::ComputeViewLaplacians(mvag, options.knn);
   if (!views.ok()) return views.status();
   auto entry = std::make_shared<GraphEntry>();
@@ -431,16 +406,6 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
     const std::vector<la::CsrMatrix>* serving =
         entry->active_views.empty() ? &entry->views : &entry->active_views;
     entry->aggregator.reset(new core::LaplacianAggregator(serving));
-    if (old->sharded != nullptr) {
-      // Same node count, same shard option: the carried plan is exactly what
-      // MakeShardPlan would rebuild, so fresh-registration bit-identity holds.
-      ShardPlan plan = old->sharded->plan;
-      std::vector<int64_t> boundaries = plan.boundaries;
-      entry->sharded.reset(new ShardedGraphEntry{
-          std::move(plan), core::ShardedAggregator(serving,
-                                                   std::move(boundaries),
-                                                   ShardQueue())});
-    }
     entry->coarse = BuildCoarseEntry(*entry, &source->mvag, source->knn,
                                      entry->coarsen_ratio);
 
@@ -505,19 +470,11 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   // Value-only deltas donor-copy the union pattern + scatter maps under the
   // *same* pattern_id, so session workspaces bound to the previous epoch
   // re-scatter values without any rebinding. Pattern-changing deltas re-run
-  // the full union merge for the unsharded aggregator, but the sharded one
-  // re-merges only the shards whose slices changed.
+  // the union merge.
   entry->aggregator.reset(
       value_only ? new core::LaplacianAggregator(&entry->views,
                                                  *old->aggregator)
                  : new core::LaplacianAggregator(&entry->views));
-  if (old->sharded != nullptr) {
-    ShardPlan plan = old->sharded->plan;
-    entry->sharded.reset(new ShardedGraphEntry{
-        std::move(plan),
-        core::ShardedAggregator(&entry->views, old->sharded->aggregator,
-                                affected)});
-  }
 
   // Coarse companion maintenance (DESIGN.md "Tiered serving"). Value-only
   // deltas provably preserve the plan, so only the touched views re-contract

@@ -15,9 +15,7 @@
 #include "graph/knn.h"
 #include "la/sparse.h"
 #include "serve/graph_delta.h"
-#include "serve/shard_plan.h"
 #include "util/status.h"
-#include "util/task_queue.h"
 
 namespace sgla {
 namespace serve {
@@ -25,12 +23,10 @@ namespace serve {
 /// Registration-time knobs.
 struct RegisterOptions {
   graph::KnnOptions knn;  ///< attribute-view KNN construction
-  /// Row shards to partition the graph into. 1 (default) serves the graph
-  /// through the unsharded path; K > 1 row-partitions the view Laplacians
-  /// and every hot kernel of its solves into K contiguous shards that run as
-  /// independent TaskQueue jobs — bit-identical output, but no single large
-  /// solve monopolizes the kernel pool. Clamped to the chunk count, so small
-  /// graphs quietly stay unsharded.
+  /// Retired row-shard count: accepted and ignored. Kept so old callers,
+  /// wire peers and checkpoints that carry it still load; every graph is
+  /// served through the one unsharded path (DESIGN.md "Row sharding
+  /// (removed)").
   int shards = 1;
   /// Keep a working copy of the MultiViewGraph so UpdateGraph can apply
   /// deltas (default). Costs roughly the registration-time graph footprint
@@ -53,25 +49,13 @@ struct RegisterOptions {
   bool robust_views = false;
 };
 
-/// Row-sharded serving state of a registered graph: the deterministic shard
-/// plan plus the sharded aggregator owning per-shard CSR slices of every
-/// view Laplacian and a per-shard union pattern. Immutable and shared by
-/// concurrent solves exactly like the entry that owns it; the per-shard
-/// *workspaces* (mutable aggregate buffers) live in the engine's session
-/// workspaces, one set per concurrent solve.
-struct ShardedGraphEntry {
-  ShardPlan plan;
-  core::ShardedAggregator aggregator;
-};
-
 /// Coarse serving companion of a registered graph: the prolongation plan
 /// (multilevel heavy-edge matching over the union pattern), the contracted
 /// per-view Laplacians on the coarse node set, and an aggregator over them.
 /// Immutable and shared exactly like the entry that owns it; quality=fast
 /// solves run the unmodified SGLA pipeline against `aggregator` in a
 /// coarse-sized workspace and prolongate the result, quality=refined seeds
-/// the exact solve from it. Coarse graphs are never sharded — they are small
-/// by construction.
+/// the exact solve from it.
 struct CoarseGraphEntry {
   coarse::CoarsePlan plan;
   std::vector<la::CsrMatrix> views;
@@ -145,9 +129,6 @@ struct GraphEntry {
   /// entries are therefore handed out only behind shared_ptr and never moved.
   /// Aggregates serving_views() — the compacted subset when masked.
   std::unique_ptr<core::LaplacianAggregator> aggregator;
-  /// Present iff the graph was registered with shards > 1 (and is large
-  /// enough to split); solves then run shard-by-shard.
-  std::unique_ptr<const ShardedGraphEntry> sharded;
   /// The ratio the entry was registered with, carried across epochs so
   /// UpdateGraph can rebuild the companion consistently. 0 when disabled.
   double coarsen_ratio = 0.0;
@@ -192,8 +173,9 @@ struct SourceSnapshot {
 class GraphRegistry {
  public:
   /// Precomputes view Laplacians (attribute views through `knn`) and the
-  /// union pattern — sharded per `options.shards` — then publishes the
-  /// entry. Fails on duplicate id.
+  /// union pattern, then publishes the entry. Fails on duplicate id, and
+  /// with InvalidArgument on a malformed graph (see
+  /// core::ComputeViewLaplacians).
   Result<std::shared_ptr<const GraphEntry>> Register(
       const std::string& id, const core::MultiViewGraph& mvag,
       const RegisterOptions& options);
@@ -220,17 +202,16 @@ class GraphRegistry {
   /// Laplacians are recomputed (attribute rows re-run that view's KNN), and
   /// when no view changes sparsity the new epoch's aggregators donor-copy
   /// the previous pattern/scatter state — same pattern_id, so bound solve
-  /// workspaces skip rebinding entirely. Pattern-changing deltas re-merge
-  /// only the shards whose slices changed (the unsharded union pattern, used
-  /// by unsharded solves, is rebuilt whole). An empty delta returns the
-  /// current entry without bumping the epoch.
+  /// workspaces skip rebinding entirely. Pattern-changing deltas rebuild the
+  /// union pattern. An empty delta returns the current entry without bumping
+  /// the epoch.
   ///
   /// Lifecycle deltas (AddView/RemoveView/MaskView/UnmaskView), and any
   /// delta applied while some view is masked, rebuild the serving state
-  /// (aggregators, shard slices, coarse companion) from scratch over the
-  /// active view subset — exactly what registering that subset fresh would
-  /// build, so masked/removed-view solves are bit-identical to a fresh
-  /// registration of the subset. AddView precomputes the Laplacian (and,
+  /// (aggregator, coarse companion) from scratch over the active view
+  /// subset — exactly what registering that subset fresh would build, so
+  /// masked/removed-view solves are bit-identical to a fresh registration
+  /// of the subset. AddView precomputes the Laplacian (and,
   /// for attribute views, the KNN graph) of just the new view; MaskView
   /// keeps the view's Laplacian so a later UnmaskView recomputes nothing.
   Result<std::shared_ptr<const GraphEntry>> UpdateGraph(
@@ -239,11 +220,12 @@ class GraphRegistry {
   /// Register() with the checkpointed mutable state installed instead of the
   /// registration defaults: the entry comes back at `state.epoch` with the
   /// checkpointed view uids, activity mask and uid allocator, and the serving
-  /// state (aggregators, shard slices, coarse companion) is rebuilt from
-  /// scratch over the active subset — exactly what the lifecycle-update path
-  /// builds, so recovered solves are bit-identical to the pre-crash process.
-  /// Fails on duplicate id or on state that contradicts the graph (uid count
-  /// vs view count, empty active set, signature mismatch).
+  /// state (aggregator, coarse companion) is rebuilt from scratch over the
+  /// active subset — exactly what the lifecycle-update path builds, so
+  /// recovered solves are bit-identical to the pre-crash process. Fails on
+  /// duplicate id, on a malformed graph (like Register), or on state that
+  /// contradicts the graph (uid count vs view count, empty active set,
+  /// signature mismatch).
   Result<std::shared_ptr<const GraphEntry>> Restore(
       const std::string& id, const core::MultiViewGraph& mvag,
       const RegisterOptions& options, const RestoreState& state);
@@ -288,18 +270,12 @@ class GraphRegistry {
       std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,
       const RestoreState* restore = nullptr);
 
-  /// The queue shard jobs run on, created lazily at the first sharded
-  /// registration and shared by every sharded entry (entries hold the
-  /// shared_ptr, so snapshots outliving the registry keep a live queue).
-  std::shared_ptr<util::TaskQueue> ShardQueue();
-
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::shared_ptr<const GraphEntry>> graphs_;
   /// Update sources, same keys as graphs_ (absent for RegisterViews
   /// entries); under mutex_. Values are shared so UpdateGraph can work on a
   /// source after dropping the map lock.
   std::unordered_map<std::string, std::shared_ptr<GraphSource>> sources_;
-  std::shared_ptr<util::TaskQueue> shard_queue_;  ///< under mutex_
 };
 
 }  // namespace serve

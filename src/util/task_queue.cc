@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <iostream>
-#include <memory>
 #include <utility>
 
 #include "util/logging.h"
@@ -36,52 +35,6 @@ void TaskQueue::Submit(Task task) {
     queue_.push_back(std::move(task));
   }
   wake_cv_.notify_one();
-}
-
-void TaskQueue::RunBatch(int64_t count,
-                         const std::function<void(int64_t)>& fn) {
-  if (count <= 0) return;
-  // Shared between the caller and the helper tasks it spawns. Helpers that
-  // wake after the batch finished only touch this block (never `fn`, which
-  // is not referenced once every job < count has completed), so shared_ptr
-  // lifetime covers the stragglers.
-  struct State {
-    const std::function<void(int64_t)>* fn = nullptr;
-    int64_t count = 0;
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    int64_t next = 0;  ///< next job index to claim (under mutex)
-    int64_t done = 0;  ///< jobs finished (under mutex)
-  };
-  auto state = std::make_shared<State>();
-  state->fn = &fn;
-  state->count = count;
-
-  const auto drain = [](const std::shared_ptr<State>& s) {
-    for (;;) {
-      int64_t job;
-      {
-        std::lock_guard<std::mutex> lock(s->mutex);
-        if (s->next >= s->count) return;
-        job = s->next++;
-      }
-      (*s->fn)(job);
-      std::lock_guard<std::mutex> lock(s->mutex);
-      if (++s->done == s->count) s->done_cv.notify_all();
-    }
-  };
-
-  // One helper per remaining job, capped by the worker count; the caller is
-  // the +1. Helpers that find the batch already drained exit immediately.
-  const int64_t helpers =
-      std::min<int64_t>(count - 1, static_cast<int64_t>(workers_.size()));
-  for (int64_t h = 0; h < helpers; ++h) {
-    Submit([state, drain](int) { drain(state); });
-  }
-  drain(state);
-
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->done_cv.wait(lock, [&state] { return state->done == state->count; });
 }
 
 size_t TaskQueue::pending() const {

@@ -53,17 +53,6 @@ class TaskQueue {
   /// introspection.
   size_t pending() const;
 
-  /// Runs fn(0) .. fn(count - 1) across the queue workers, with the caller
-  /// claiming jobs alongside them, and returns once all `count` jobs have
-  /// finished. Jobs are claimed in ascending index order from a shared
-  /// counter, so concurrent RunBatch calls (e.g. several solves sharding
-  /// through one queue) interleave their jobs fairly instead of one batch
-  /// monopolizing the workers. The caller's participation guarantees
-  /// progress even when every worker is busy with other batches, so nested
-  /// RunBatch calls cannot deadlock. `fn` may run on any worker thread
-  /// concurrently with itself at distinct indices.
-  void RunBatch(int64_t count, const std::function<void(int64_t job)>& fn);
-
   /// Blocks until the queue is empty and every worker is idle.
   void Drain();
 

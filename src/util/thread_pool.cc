@@ -121,12 +121,6 @@ void ThreadPool::WorkerLoop() {
 
 bool ThreadPool::InParallelRegion() { return tls_in_parallel; }
 
-ThreadPool::InlineScope::InlineScope() : was_inside_(tls_in_parallel) {
-  tls_in_parallel = true;
-}
-
-ThreadPool::InlineScope::~InlineScope() { tls_in_parallel = was_inside_; }
-
 int ThreadPool::DefaultThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   const int fallback = hw == 0 ? 1 : static_cast<int>(hw);

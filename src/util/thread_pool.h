@@ -77,22 +77,6 @@ class ThreadPool {
   /// a ParallelFor issued now would run inline (serially).
   static bool InParallelRegion();
 
-  /// RAII: marks the current thread as being inside a parallel region for the
-  /// scope's lifetime, so every ParallelFor(Chunks) it issues runs inline —
-  /// serial, ascending chunk order, same partition. Shard jobs wrap their
-  /// body in this: the shard is the unit of parallelism, and the kernels
-  /// inside it must not re-enter (and contend on) the shared pool.
-  class InlineScope {
-   public:
-    InlineScope();
-    ~InlineScope();
-    InlineScope(const InlineScope&) = delete;
-    InlineScope& operator=(const InlineScope&) = delete;
-
-   private:
-    const bool was_inside_;
-  };
-
   /// Process-wide pool. Sized by the SGLA_THREADS environment variable when
   /// set to a valid positive integer, else by
   /// std::thread::hardware_concurrency(); malformed values (non-numeric,

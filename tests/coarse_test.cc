@@ -1,7 +1,7 @@
 // Tiered-serving tests: coarse plan construction (valid canonical partition,
 // pure function of the sparsity patterns, bit-identical to a serial
 // reference implementation), bit-identity of the plan and of
-// fast-tier solves across SGLA_THREADS x shard counts, the fast tier's NMI
+// fast-tier solves across SGLA_THREADS, the fast tier's NMI
 // gap against exact on an SBM fixture, delta maintenance of the coarse
 // companion (value-only and above-churn pattern deltas must match a fresh
 // re-registration bit for bit; small pattern deltas repair in place), the
@@ -428,11 +428,10 @@ TEST(CoarsePlanTest, PlanIsAPureFunctionOfThePatterns) {
   ExpectSamePlan(plan, replay);
 }
 
-TEST(CoarsePlanTest, PlanAndFastSolveBitIdenticalAcrossThreadsAndShards) {
-  // n large enough that a 4-shard registration is real (>= 4 fixed 512-row
-  // chunks). The reference is threads=1/shards=1; every other combination
-  // must reproduce the plan, the contracted views, and the fast-tier solve
-  // bit for bit.
+TEST(CoarsePlanTest, PlanAndFastSolveBitIdenticalAcrossThreadCounts) {
+  // n spans several 512-row kernel chunks with a ragged tail. The reference
+  // is threads=1; threads=4 must reproduce the plan, the contracted views,
+  // and the fast-tier solve bit for bit.
   const CoarseFixture f = CoarseFixture::Make(2570, 3, 51);
 
   coarse::CoarsePlan reference_plan;
@@ -443,38 +442,33 @@ TEST(CoarsePlanTest, PlanAndFastSolveBitIdenticalAcrossThreadsAndShards) {
   ThreadCountGuard guard;
   bool first = true;
   for (int threads : {1, 4}) {
-    for (int shards : {1, 4}) {
-      util::ThreadPool::SetGlobalThreads(threads);
-      serve::GraphRegistry registry;
-      serve::RegisterOptions options;
-      options.shards = shards;
-      auto entry = registry.Register("g", f.mvag, options);
-      ASSERT_TRUE(entry.ok()) << entry.status().ToString();
-      ASSERT_NE((*entry)->coarse, nullptr);
-      const serve::CoarseGraphEntry& coarse = *(*entry)->coarse;
+    util::ThreadPool::SetGlobalThreads(threads);
+    serve::GraphRegistry registry;
+    auto entry = registry.Register("g", f.mvag);
+    ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+    ASSERT_NE((*entry)->coarse, nullptr);
+    const serve::CoarseGraphEntry& coarse = *(*entry)->coarse;
 
-      serve::Engine engine(&registry);
-      const serve::SolveResponse fast =
-          SolveTier(&engine, "g", serve::Quality::kFast);
-      EXPECT_EQ(fast.stats.tier_served, serve::Quality::kFast);
-      ASSERT_EQ(fast.labels.size(), static_cast<size_t>(2570));
+    serve::Engine engine(&registry);
+    const serve::SolveResponse fast =
+        SolveTier(&engine, "g", serve::Quality::kFast);
+    EXPECT_EQ(fast.stats.tier_served, serve::Quality::kFast);
+    ASSERT_EQ(fast.labels.size(), static_cast<size_t>(2570));
 
-      if (first) {
-        first = false;
-        ExpectValidCanonicalPlan(coarse.plan);
-        reference_plan = coarse.plan;
-        reference_views = coarse.views;
-        reference_weights = fast.integration.weights;
-        reference_labels = fast.labels;
-        continue;
-      }
-      ExpectSamePlan(reference_plan, coarse.plan);
-      ExpectSameViews(reference_views, coarse.views);
-      EXPECT_EQ(reference_weights, fast.integration.weights)
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(reference_labels, fast.labels)
-          << "threads=" << threads << " shards=" << shards;
+    if (first) {
+      first = false;
+      ExpectValidCanonicalPlan(coarse.plan);
+      reference_plan = coarse.plan;
+      reference_views = coarse.views;
+      reference_weights = fast.integration.weights;
+      reference_labels = fast.labels;
+      continue;
     }
+    ExpectSamePlan(reference_plan, coarse.plan);
+    ExpectSameViews(reference_views, coarse.views);
+    EXPECT_EQ(reference_weights, fast.integration.weights)
+        << "threads=" << threads;
+    EXPECT_EQ(reference_labels, fast.labels) << "threads=" << threads;
   }
 }
 

@@ -36,7 +36,7 @@ class ScopedIsa {
 
 /// The vector-width edge cases every per-ISA kernel test sweeps: below one
 /// lane, around the 8-lane SELL slice, around the 512-row sort window /
-/// shard alignment, and the ragged bitdump fixture size.
+/// kernel chunk grain, and the ragged bitdump fixture size.
 const int64_t kLaneSizes[] = {1, 7, 8, 9, 511, 512, 513, 2570};
 
 la::CsrMatrix RandomSparse(int64_t rows, int64_t cols, double density,

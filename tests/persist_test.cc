@@ -560,6 +560,46 @@ TEST(StoreTest, RecoversAcrossReopenBitIdentically) {
   EXPECT_EQ((*updated)->epoch, 8);
 }
 
+TEST(StoreTest, CheckpointWithRetiredShardsRecoversBitIdentically) {
+  // Spans three 512-row chunks, so shards = 4 would have split the rows when
+  // the option still meant something; it now rides along in the checkpoint
+  // and is ignored.
+  const core::MultiViewGraph mvag = TestFixture(1100);
+  serve::RegisterOptions register_options;
+  register_options.shards = 4;
+  register_options.coarsen_ratio = 0.0;
+
+  uint64_t reference = 0;
+  {
+    serve::GraphRegistry registry;
+    serve::Engine engine(&registry);
+    ASSERT_TRUE(engine.RegisterGraph("g", mvag, register_options).ok());
+    reference = SolveHash(&engine, "g");
+  }
+
+  const std::string dir = MakeTempDir();
+  serve::EngineOptions options;
+  options.data_dir = dir;
+  options.persist_fsync = false;
+  {
+    serve::GraphRegistry registry;
+    serve::Engine engine(&registry, options);
+    ASSERT_TRUE(engine.recovery_status().ok())
+        << engine.recovery_status().ToString();
+    ASSERT_TRUE(engine.RegisterGraph("g", mvag, register_options).ok());
+  }
+  auto checkpoint = persist::LoadCheckpoint(FindCheckpointFile(dir));
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  EXPECT_EQ(checkpoint->options.shards, 4);
+
+  serve::GraphRegistry registry;
+  serve::Engine engine(&registry, options);
+  ASSERT_TRUE(engine.recovery_status().ok())
+      << engine.recovery_status().ToString();
+  EXPECT_EQ(engine.recovery_stats().graphs_recovered, 1u);
+  EXPECT_EQ(SolveHash(&engine, "g"), reference);
+}
+
 TEST(StoreTest, DuplicateGapAndForeignRecords) {
   const std::string dir = MakeTempDir();
   persist::WalRecord record;

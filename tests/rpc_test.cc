@@ -4,8 +4,10 @@
 // provable request coalescing (physical solve count < request count),
 // typed RESOURCE_EXHAUSTED rejections from both admission layers (tenant
 // quota and engine max_pending), the error/exception serving path (a failed
-// or throwing solve produces a typed reply and the worker survives), and
-// graceful drain (every accepted request is answered across Shutdown).
+// or throwing solve produces a typed reply and the worker survives),
+// malformed payloads and graphs (a typed reply, not a dead server), the
+// retired `shards` field (accepted and ignored), and graceful drain (every
+// accepted request is answered across Shutdown).
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
@@ -653,6 +655,40 @@ TEST_F(RpcServingTest, FastTierSolvesOverTheWireEchoTierServed) {
             static_cast<uint8_t>(serve::Quality::kExact));
 }
 
+TEST_F(RpcServingTest, RetiredShardsFieldIsAcceptedAndIgnored) {
+  StartServing({});
+  // Spans three 512-row chunks, so shards=4 would have split the rows when
+  // the field still meant something.
+  const core::MultiViewGraph mvag = MakeMvag(1100, 3, 11);
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  for (int32_t shards : {1, 4}) {
+    RegisterRequest request;
+    request.id = "g" + std::to_string(shards);
+    request.mvag = mvag;
+    request.shards = shards;
+    auto registered = client.Register(request);
+    ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+  }
+
+  for (serve::Quality quality : {serve::Quality::kExact, serve::Quality::kFast}) {
+    SolveWireRequest request;
+    request.quality = quality;
+    request.coalesce = false;
+    request.graph_id = "g1";
+    auto one = client.Solve(request);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    request.graph_id = "g4";
+    auto four = client.Solve(request);
+    ASSERT_TRUE(four.ok()) << four.status().ToString();
+    EXPECT_EQ(one->tier_served, static_cast<uint8_t>(quality));
+    EXPECT_EQ(four->tier_served, one->tier_served);
+    EXPECT_EQ(four->weights, one->weights);
+    EXPECT_EQ(four->labels, one->labels);
+    EXPECT_EQ(four->lanczos_iterations, one->lanczos_iterations);
+  }
+}
+
 TEST_F(RpcServingTest, IdenticalInflightSolvesCoalesceIntoOnePhysicalSolve) {
   serve::EngineOptions engine_options;
   engine_options.num_sessions = 1;
@@ -925,6 +961,21 @@ TEST_F(RpcServingTest, MalformedPayloadGetsTypedErrorMalformedHeaderCloses) {
   StartServing({});
   int fd = RawConnect(server_->port());
   ASSERT_GE(fd, 0);
+  // Reads one reply frame; expects a typed INVALID_ARGUMENT error for it.
+  const auto expect_invalid_argument = [fd](uint64_t request_id) {
+    uint8_t reply_header_bytes[kFrameHeaderBytes];
+    ASSERT_TRUE(ReadExactly(fd, reply_header_bytes, kFrameHeaderBytes));
+    FrameHeader reply_header;
+    ASSERT_TRUE(DecodeFrameHeader(reply_header_bytes, &reply_header));
+    EXPECT_EQ(reply_header.type, FrameType::kError);
+    EXPECT_EQ(reply_header.request_id, request_id);
+    std::vector<uint8_t> payload(reply_header.payload_length);
+    ASSERT_TRUE(ReadExactly(fd, payload.data(), payload.size()));
+    WireReader r(payload.data(), payload.size());
+    ErrorReply error;
+    ASSERT_TRUE(DecodeErrorReply(&r, &error));
+    EXPECT_EQ(error.code, StatusCode::kInvalidArgument) << error.message;
+  };
 
   {  // valid header, garbage Solve payload -> typed INVALID_ARGUMENT reply
     FrameHeader header;
@@ -935,19 +986,35 @@ TEST_F(RpcServingTest, MalformedPayloadGetsTypedErrorMalformedHeaderCloses) {
     EncodeFrameHeader(header, frame);
     ASSERT_EQ(write(fd, frame, sizeof(frame)),
               static_cast<ssize_t>(sizeof(frame)));
+    expect_invalid_argument(7);
+  }
+  {  // decodable Register whose graph names node 600 of 600 -> typed
+     // INVALID_ARGUMENT, no registration, and the server keeps serving
+    RegisterRequest request;
+    request.id = "bad";
+    request.mvag = core::MultiViewGraph(600, 3);
+    graph::Graph g0(600);
+    g0.AddEdge(0, 1);
+    g0.AddEdge(0, 600);
+    request.mvag.AddGraphView(std::move(g0));
+    graph::Graph g1(600);
+    g1.AddEdge(1, 2);
+    request.mvag.AddGraphView(std::move(g1));
+    WireWriter w;
+    EncodeRegisterRequest(request, &w);
+    const std::vector<uint8_t> frame =
+        BuildFrame(FrameType::kRegister, 5, std::move(w));
+    ASSERT_TRUE(SendAll(fd, frame.data(), frame.size()));
+    expect_invalid_argument(5);
+    EXPECT_EQ(registry_->Find("bad"), nullptr);
 
-    uint8_t reply_header_bytes[kFrameHeaderBytes];
-    ASSERT_TRUE(ReadExactly(fd, reply_header_bytes, kFrameHeaderBytes));
-    FrameHeader reply_header;
-    ASSERT_TRUE(DecodeFrameHeader(reply_header_bytes, &reply_header));
-    EXPECT_EQ(reply_header.type, FrameType::kError);
-    EXPECT_EQ(reply_header.request_id, 7u);
-    std::vector<uint8_t> payload(reply_header.payload_length);
-    ASSERT_TRUE(ReadExactly(fd, payload.data(), payload.size()));
-    WireReader r(payload.data(), payload.size());
-    ErrorReply error;
-    ASSERT_TRUE(DecodeErrorReply(&r, &error));
-    EXPECT_EQ(error.code, StatusCode::kInvalidArgument);
+    const std::vector<uint8_t> ping = PingBurst(1);
+    ASSERT_TRUE(SendAll(fd, ping.data(), ping.size()));
+    uint8_t pong_bytes[kFrameHeaderBytes];
+    ASSERT_TRUE(ReadExactly(fd, pong_bytes, kFrameHeaderBytes));
+    FrameHeader pong;
+    ASSERT_TRUE(DecodeFrameHeader(pong_bytes, &pong));
+    EXPECT_EQ(pong.type, FrameType::kPong);
   }
   {  // unknown frame type: framing is lost, the server hangs up
     uint8_t garbage[kFrameHeaderBytes] = {};

@@ -16,6 +16,7 @@
 
 #include "cluster/kmeans.h"
 #include "core/aggregator.h"
+#include "core/integration.h"
 #include "core/objective.h"
 #include "core/view_laplacian.h"
 #include "data/generator.h"
@@ -358,6 +359,43 @@ TEST(DeterminismTest, ObjectiveBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(lambda2_values[0], lambda2_values[2]);
   EXPECT_EQ(eigengap_values[0], eigengap_values[1]);
   EXPECT_EQ(eigengap_values[0], eigengap_values[2]);
+}
+
+/// SGLA+ on a ragged n (2570 is not a multiple of the 512-row kernel
+/// chunk), both on the full views and with node-sampled objective
+/// evaluations: weights, histories and the final Laplacian are
+/// bit-identical at SGLA_THREADS=1 and 4.
+TEST(DeterminismTest, SglaPlusBitIdenticalRaggedAndSampled) {
+  Rng rng(61);
+  const std::vector<int32_t> labels = data::BalancedLabels(2570, 4, &rng);
+  const graph::Graph g1 = data::SbmGraph(labels, 4, 0.04, 0.004, &rng);
+  const graph::Graph g2 = data::SbmGraph(labels, 4, 0.02, 0.010, &rng);
+  const std::vector<la::CsrMatrix> views = {graph::NormalizedLaplacian(g1),
+                                            graph::NormalizedLaplacian(g2)};
+  // No node sampling kicks in below 4096 nodes unless the cap is lowered.
+  core::SglaPlusOptions sampled_options;
+  sampled_options.max_objective_nodes = 700;
+
+  ThreadCountGuard guard;
+  std::vector<core::IntegrationResult> full_runs, sampled_runs;
+  for (int threads : {1, 4}) {
+    util::ThreadPool::SetGlobalThreads(threads);
+    auto full = core::SglaPlus(views, 4);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    full_runs.push_back(std::move(*full));
+    auto sampled = core::SglaPlus(views, 4, sampled_options);
+    ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+    sampled_runs.push_back(std::move(*sampled));
+  }
+  for (const auto* runs : {&full_runs, &sampled_runs}) {
+    const core::IntegrationResult& a = (*runs)[0];
+    const core::IntegrationResult& b = (*runs)[1];
+    EXPECT_EQ(a.weights, b.weights);
+    EXPECT_EQ(a.objective_history, b.objective_history);
+    EXPECT_EQ(a.laplacian.row_ptr, b.laplacian.row_ptr);
+    EXPECT_EQ(a.laplacian.col_idx, b.laplacian.col_idx);
+    EXPECT_EQ(a.laplacian.values, b.laplacian.values);
+  }
 }
 
 TEST(DeterminismTest, KernelsBitIdenticalAcrossThreadCounts) {

@@ -1,14 +1,16 @@
 // Incremental-update tests: GraphDelta application, copy-on-write epochs,
-// value-only vs pattern-changing delta handling (pattern_id stamp reuse,
-// per-shard selective rebuild), warm-started eigensolves (strictly fewer
-// Lanczos iterations, same eigenpairs within tolerance, at SGLA_THREADS=1,4
-// x shards=1,4), the zero-allocation hot path of a value-only update +
-// warm re-solve, and UpdateGraph racing evict/re-register (TSAN-clean).
+// value-only vs pattern-changing delta handling (pattern_id stamp reuse),
+// warm-started eigensolves (strictly fewer Lanczos iterations, same
+// eigenpairs within tolerance, at SGLA_THREADS=1,4), the zero-allocation
+// hot path of a value-only update + warm re-solve, and UpdateGraph racing
+// evict/re-register (TSAN-clean).
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,7 +26,6 @@
 #include "serve/engine.h"
 #include "serve/graph_delta.h"
 #include "serve/graph_registry.h"
-#include "serve/shard_plan.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -74,8 +75,8 @@ class ThreadCountGuard {
   }
 };
 
-/// Two-SBM-view fixture sized so MakeShardPlan(n, 4) really yields 4 shards
-/// (4 fixed 512-row chunks, ragged tail) without dragging test time up.
+/// Two-SBM-view fixture; the tests below size it to span several 512-row
+/// kernel chunks with a ragged tail without dragging test time up.
 struct UpdateFixture {
   core::MultiViewGraph mvag;
 
@@ -227,27 +228,109 @@ TEST(UpdateGraphTest, UnknownIdAndViewOnlyEntriesFail) {
 }
 
 // ---------------------------------------------------------------------------
-// Value-only vs pattern-changing deltas, at SGLA_THREADS=1,4 x shards=1,4.
+// Input validation: malformed content is rejected with InvalidArgument at
+// registration and in updates, and leaves the published epoch untouched.
+// ---------------------------------------------------------------------------
+
+serve::GraphDelta UpsertDelta(int64_t u, int64_t v, double weight) {
+  serve::GraphDelta delta;
+  serve::GraphViewDelta edits;
+  edits.view = 0;
+  edits.upserts.push_back({u, v, weight});
+  delta.graph_views.push_back(std::move(edits));
+  return delta;
+}
+
+TEST(ValidationTest, NonFiniteOrNegativeWeightsRejectedAtRegisterAndUpdate) {
+  const UpdateFixture f = UpdateFixture::Make(600, 3, 43);
+  serve::GraphRegistry registry;
+  serve::Engine engine(&registry);
+  ASSERT_TRUE(engine.RegisterGraph("g", f.mvag).ok());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -1.0}) {
+    SCOPED_TRACE("weight=" + std::to_string(bad));
+    core::MultiViewGraph poisoned = f.mvag;
+    (*poisoned.mutable_graph_view(0)->mutable_edges())[0].weight = bad;
+    auto registered = engine.RegisterGraph("bad", poisoned);
+    ASSERT_FALSE(registered.ok());
+    EXPECT_EQ(registered.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(registry.Find("bad"), nullptr);
+
+    auto updated = engine.UpdateGraph("g", UpsertDelta(0, 1, bad));
+    ASSERT_FALSE(updated.ok());
+    EXPECT_EQ(updated.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(registry.Find("g")->epoch, 0);
+  }
+  // Zero stays a legal weight.
+  auto zero = engine.UpdateGraph("g", UpsertDelta(0, 1, 0.0));
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  EXPECT_EQ((*zero)->epoch, 1);
+}
+
+TEST(ValidationTest, MalformedAttributesAndAddedViewsRejected) {
+  UpdateFixture f = UpdateFixture::Make(300, 2, 47);
+  Rng rng(47);
+  f.mvag.AddAttributeView(
+      data::GaussianAttributes(f.mvag.labels(), 2, 4, 3.0, 0.9, &rng));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  serve::GraphRegistry registry;
+  serve::Engine engine(&registry);
+
+  core::MultiViewGraph poisoned = f.mvag;
+  poisoned.mutable_attribute_view(0)->data()[5] = nan;
+  auto registered = engine.RegisterGraph("bad", poisoned);
+  ASSERT_FALSE(registered.ok());
+  EXPECT_EQ(registered.status().code(), StatusCode::kInvalidArgument);
+
+  // An out-of-range endpoint is a typed error too, not an abort.
+  poisoned = f.mvag;
+  poisoned.mutable_graph_view(1)->AddEdge(0, 300);
+  registered = engine.RegisterGraph("bad", poisoned);
+  ASSERT_FALSE(registered.ok());
+  EXPECT_EQ(registered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.Find("bad"), nullptr);
+
+  ASSERT_TRUE(engine.RegisterGraph("g", f.mvag).ok());
+  std::vector<serve::GraphDelta> bad_deltas(3);
+  serve::AttributeRowUpdate row;
+  row.view = 0;
+  row.row = 7;
+  row.values = {0.0, std::numeric_limits<double>::infinity(), 0.0, 0.0};
+  bad_deltas[0].attribute_rows.push_back(row);
+  serve::ViewAddition attributes;
+  attributes.attribute = true;
+  attributes.attributes = f.mvag.attribute_views()[0];
+  attributes.attributes.data()[0] = nan;
+  bad_deltas[1].add_views.push_back(std::move(attributes));
+  serve::ViewAddition graph_view;
+  graph_view.graph = f.mvag.graph_views()[0];
+  graph_view.graph.AddEdge(2, 3, -0.5);
+  bad_deltas[2].add_views.push_back(std::move(graph_view));
+  for (size_t d = 0; d < bad_deltas.size(); ++d) {
+    SCOPED_TRACE("delta " + std::to_string(d));
+    auto updated = engine.UpdateGraph("g", bad_deltas[d]);
+    ASSERT_FALSE(updated.ok());
+    EXPECT_EQ(updated.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(registry.Find("g")->epoch, 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Value-only vs pattern-changing deltas, at SGLA_THREADS=1,4.
 // The updated entry's cold solve must be bit-identical to registering the
 // post-delta graph from scratch — the copy-on-write epoch is just a faster
 // way to the same state.
 // ---------------------------------------------------------------------------
 
-class UpdateSolveTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+class UpdateSolveTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(UpdateSolveTest, ValueOnlyDeltaReusesPatternAndMatchesScratch) {
-  const int threads = std::get<0>(GetParam());
-  const int shards = std::get<1>(GetParam());
   ThreadCountGuard guard;
-  util::ThreadPool::SetGlobalThreads(threads);
+  util::ThreadPool::SetGlobalThreads(GetParam());
 
   UpdateFixture f = UpdateFixture::Make(1800, 3, 17);
-  serve::RegisterOptions options;
-  options.shards = shards;
-
   serve::GraphRegistry registry;
-  auto before = registry.Register("g", f.mvag, options);
+  auto before = registry.Register("g", f.mvag);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   const uint64_t pattern_before = (*before)->aggregator->pattern_id();
 
@@ -258,14 +341,8 @@ TEST_P(UpdateSolveTest, ValueOnlyDeltaReusesPatternAndMatchesScratch) {
   EXPECT_NE(after->get(), before->get());
 
   // The pattern_id stamp is the value-only contract: bound workspaces must
-  // not rebind, so the donor aggregators keep the previous epoch's id.
+  // not rebind, so the donor aggregator keeps the previous epoch's id.
   EXPECT_EQ((*after)->aggregator->pattern_id(), pattern_before);
-  if (shards > 1) {
-    ASSERT_NE((*before)->sharded, nullptr);
-    ASSERT_NE((*after)->sharded, nullptr);
-    EXPECT_EQ((*after)->sharded->aggregator.pattern_id(),
-              (*before)->sharded->aggregator.pattern_id());
-  }
   // Views: affected view re-valued on the same pattern, the other carried.
   EXPECT_EQ((*after)->views[0].col_idx, (*before)->views[0].col_idx);
   EXPECT_NE((*after)->views[0].values, (*before)->views[0].values);
@@ -276,7 +353,7 @@ TEST_P(UpdateSolveTest, ValueOnlyDeltaReusesPatternAndMatchesScratch) {
   std::vector<bool> affected;
   ASSERT_TRUE(serve::ApplyDelta(&scratch_mvag, delta, &affected).ok());
   serve::GraphRegistry scratch_registry;
-  ASSERT_TRUE(scratch_registry.Register("g", scratch_mvag, options).ok());
+  ASSERT_TRUE(scratch_registry.Register("g", scratch_mvag).ok());
 
   serve::Engine updated_engine(&registry);
   serve::Engine scratch_engine(&scratch_registry);
@@ -288,17 +365,12 @@ TEST_P(UpdateSolveTest, ValueOnlyDeltaReusesPatternAndMatchesScratch) {
 }
 
 TEST_P(UpdateSolveTest, PatternChangingDeltaRebuildsAndMatchesScratch) {
-  const int threads = std::get<0>(GetParam());
-  const int shards = std::get<1>(GetParam());
   ThreadCountGuard guard;
-  util::ThreadPool::SetGlobalThreads(threads);
+  util::ThreadPool::SetGlobalThreads(GetParam());
 
   UpdateFixture f = UpdateFixture::Make(1800, 3, 19);
-  serve::RegisterOptions options;
-  options.shards = shards;
-
   serve::GraphRegistry registry;
-  auto before = registry.Register("g", f.mvag, options);
+  auto before = registry.Register("g", f.mvag);
   ASSERT_TRUE(before.ok());
   const uint64_t pattern_before = (*before)->aggregator->pattern_id();
 
@@ -314,7 +386,7 @@ TEST_P(UpdateSolveTest, PatternChangingDeltaRebuildsAndMatchesScratch) {
   std::vector<bool> affected;
   ASSERT_TRUE(serve::ApplyDelta(&scratch_mvag, delta, &affected).ok());
   serve::GraphRegistry scratch_registry;
-  ASSERT_TRUE(scratch_registry.Register("g", scratch_mvag, options).ok());
+  ASSERT_TRUE(scratch_registry.Register("g", scratch_mvag).ok());
 
   serve::Engine updated_engine(&registry);
   serve::Engine scratch_engine(&scratch_registry);
@@ -324,57 +396,7 @@ TEST_P(UpdateSolveTest, PatternChangingDeltaRebuildsAndMatchesScratch) {
   EXPECT_EQ(updated.labels, scratch.labels);
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadsByShards, UpdateSolveTest,
-                         ::testing::Combine(::testing::Values(1, 4),
-                                            ::testing::Values(1, 4)));
-
-TEST(UpdateGraphTest, DeletingAViewsLastEdgeInAShardRebuildsOnlyThatShard) {
-  // A third view whose few edges all live in shard 0 of a 4-shard plan
-  // (rows < 512): deleting them empties that view's slice in shard 0 while
-  // shards 1..3 (already empty for this view) keep their patterns.
-  UpdateFixture f = UpdateFixture::Make(1800, 3, 23);
-  graph::Graph sparse_view(1800);
-  for (int64_t i = 0; i < 6; ++i) sparse_view.AddEdge(i, i + 1, 1.0);
-  f.mvag.AddGraphView(std::move(sparse_view));
-
-  serve::RegisterOptions options;
-  options.shards = 4;
-  serve::GraphRegistry registry;
-  auto before = registry.Register("g", f.mvag, options);
-  ASSERT_TRUE(before.ok());
-  ASSERT_NE((*before)->sharded, nullptr);
-
-  serve::GraphDelta delta;
-  serve::GraphViewDelta view_delta;
-  view_delta.view = 2;  // the sparse extra view
-  for (int64_t i = 0; i < 6; ++i) view_delta.removals.push_back({i, i + 1});
-  delta.graph_views.push_back(std::move(view_delta));
-
-  auto after = registry.UpdateGraph("g", delta);
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ((*after)->views[2].nnz(), 0);  // the view is now empty
-  // Shard 0's pattern changed, so the sharded aggregator takes a fresh id…
-  EXPECT_NE((*after)->sharded->aggregator.pattern_id(),
-            (*before)->sharded->aggregator.pattern_id());
-  // …but shards 1..3 donor-copied: their slice patterns are unchanged.
-  for (int s = 1; s < 4; ++s) {
-    EXPECT_EQ(
-        (*after)->sharded->aggregator.shard_aggregator(s).pattern().col_idx,
-        (*before)->sharded->aggregator.shard_aggregator(s).pattern().col_idx);
-  }
-
-  core::MultiViewGraph scratch_mvag = f.mvag;
-  std::vector<bool> affected;
-  ASSERT_TRUE(serve::ApplyDelta(&scratch_mvag, delta, &affected).ok());
-  serve::GraphRegistry scratch_registry;
-  ASSERT_TRUE(scratch_registry.Register("g", scratch_mvag, options).ok());
-  serve::Engine updated_engine(&registry);
-  serve::Engine scratch_engine(&scratch_registry);
-  const serve::SolveResponse updated = Solve(&updated_engine, "g");
-  const serve::SolveResponse scratch = Solve(&scratch_engine, "g");
-  ExpectSameIntegration(updated.integration, scratch.integration);
-  EXPECT_EQ(updated.labels, scratch.labels);
-}
+INSTANTIATE_TEST_SUITE_P(Threads, UpdateSolveTest, ::testing::Values(1, 4));
 
 TEST(UpdateGraphTest, AttributeRowUpdateRecomputesOnlyThatView) {
   UpdateFixture f = UpdateFixture::Make(300, 2, 29);
@@ -414,12 +436,11 @@ TEST(UpdateGraphTest, AttributeRowUpdateRecomputesOnlyThatView) {
 // ---------------------------------------------------------------------------
 // Warm-started eigensolves: after a <=1% edge delta a warm solve must build
 // strictly fewer Lanczos basis vectors than a cold solve on the same updated
-// graph and land on the same eigenpairs within tolerance — at every
-// (threads, shards) combination, with the warm result itself bit-identical
-// across the combinations.
+// graph and land on the same eigenpairs within tolerance — at every thread
+// count, with the warm result itself bit-identical across thread counts.
 // ---------------------------------------------------------------------------
 
-TEST(WarmStartTest, FewerIterationsSameEigenpairsAcrossThreadsAndShards) {
+TEST(WarmStartTest, FewerIterationsSameEigenpairsAcrossThreadCounts) {
   const int64_t n = 1800;
   const int k = 3;
   UpdateFixture f = UpdateFixture::Make(n, k, 37);
@@ -442,87 +463,67 @@ TEST(WarmStartTest, FewerIterationsSameEigenpairsAcrossThreadsAndShards) {
   ThreadCountGuard guard;
   for (int threads : {1, 4}) {
     util::ThreadPool::SetGlobalThreads(threads);
-    for (int shards : {1, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " shards=" + std::to_string(shards));
-      serve::ShardPlan plan = serve::MakeShardPlan(n, shards);
-      const bool sharded = plan.num_shards() > 1;
+    SCOPED_TRACE("threads=" + std::to_string(threads));
 
-      // Pre-update solve supplies the warm seed.
-      core::EvalWorkspace seed_ws;
-      core::LaplacianAggregator seed_aggregator(&*views_before);
-      core::SpectralObjective seed_objective(&seed_aggregator, k,
-                                             core::ObjectiveOptions(),
-                                             &seed_ws);
-      ASSERT_TRUE(seed_objective.Evaluate(weights).ok());
-      const la::DenseMatrix seed_vectors = seed_ws.eigen.vectors;
+    // Pre-update solve supplies the warm seed.
+    core::EvalWorkspace seed_ws;
+    core::LaplacianAggregator seed_aggregator(&*views_before);
+    core::SpectralObjective seed_objective(&seed_aggregator, k,
+                                           core::ObjectiveOptions(), &seed_ws);
+    ASSERT_TRUE(seed_objective.Evaluate(weights).ok());
+    const la::DenseMatrix seed_vectors = seed_ws.eigen.vectors;
 
-      // Post-update cold evaluation (the baseline the warm one must beat).
-      core::LaplacianAggregator aggregator(&*views_after);
-      core::ShardedAggregator sharded_aggregator(
-          &*views_after,
-          sharded ? plan.boundaries : std::vector<int64_t>{0, n}, nullptr);
-      core::EvalWorkspace cold_ws;
-      core::ShardedEvalWorkspace cold_shard_ws;
-      core::ObjectiveOptions cold_options;
-      core::SpectralObjective cold_objective =
-          sharded ? core::SpectralObjective(&sharded_aggregator, k,
-                                            cold_options, &cold_shard_ws)
-                  : core::SpectralObjective(&aggregator, k, cold_options,
-                                            &cold_ws);
-      auto cold = cold_objective.Evaluate(weights);
-      ASSERT_TRUE(cold.ok());
-      ASSERT_GT(cold->lanczos_iterations, 0);
-      const la::Eigenpairs cold_eigen =
-          sharded ? cold_shard_ws.base.eigen : cold_ws.eigen;
+    // Post-update cold evaluation (the baseline the warm one must beat).
+    core::LaplacianAggregator aggregator(&*views_after);
+    core::EvalWorkspace cold_ws;
+    core::SpectralObjective cold_objective(&aggregator, k,
+                                           core::ObjectiveOptions(), &cold_ws);
+    auto cold = cold_objective.Evaluate(weights);
+    ASSERT_TRUE(cold.ok());
+    ASSERT_GT(cold->lanczos_iterations, 0);
+    const la::Eigenpairs& cold_eigen = cold_ws.eigen;
 
-      // Post-update warm evaluation.
-      core::EvalWorkspace warm_ws;
-      core::ShardedEvalWorkspace warm_shard_ws;
-      core::ObjectiveOptions warm_options;
-      warm_options.warm_start = &seed_vectors;
-      core::SpectralObjective warm_objective =
-          sharded ? core::SpectralObjective(&sharded_aggregator, k,
-                                            warm_options, &warm_shard_ws)
-                  : core::SpectralObjective(&aggregator, k, warm_options,
-                                            &warm_ws);
-      auto warm = warm_objective.Evaluate(weights);
-      ASSERT_TRUE(warm.ok());
-      const la::Eigenpairs& warm_eigen =
-          sharded ? warm_shard_ws.base.eigen : warm_ws.eigen;
+    // Post-update warm evaluation.
+    core::EvalWorkspace warm_ws;
+    core::ObjectiveOptions warm_options;
+    warm_options.warm_start = &seed_vectors;
+    core::SpectralObjective warm_objective(&aggregator, k, warm_options,
+                                           &warm_ws);
+    auto warm = warm_objective.Evaluate(weights);
+    ASSERT_TRUE(warm.ok());
+    const la::Eigenpairs& warm_eigen = warm_ws.eigen;
 
-      // Strictly fewer basis vectors, same spectrum within tolerance. The
-      // first k pairs (what the pipeline consumes as vectors) must agree
-      // tightly in value and direction. The k+1-th pair sits at the edge of
-      // the spectral bulk, where the solver by design serves a subspace-
-      // size-accurate approximation instead of iterating to convergence
-      // (see DESIGN.md "Eigensolver early exit"): its value only feeds the
-      // eigengap denominator, so it is compared at the optimizer's epsilon
-      // scale and its direction not at all.
-      EXPECT_LT(warm->lanczos_iterations, cold->lanczos_iterations);
-      ASSERT_EQ(warm_eigen.values.size(), cold_eigen.values.size());
-      for (size_t j = 0; j < cold_eigen.values.size(); ++j) {
-        const bool tail = j + 1 == cold_eigen.values.size();
-        EXPECT_NEAR(warm_eigen.values[j], cold_eigen.values[j],
-                    tail ? 1e-3 : 1e-6);
-        if (tail) continue;
-        double dot = 0.0;
-        for (int64_t i = 0; i < n; ++i) {
-          dot += warm_eigen.vectors(i, static_cast<int64_t>(j)) *
-                 cold_eigen.vectors(i, static_cast<int64_t>(j));
-        }
-        EXPECT_GT(std::fabs(dot), 1.0 - 1e-4)
-            << "eigenvector " << j << " diverged";
+    // Strictly fewer basis vectors, same spectrum within tolerance. The
+    // first k pairs (what the pipeline consumes as vectors) must agree
+    // tightly in value and direction. The k+1-th pair sits at the edge of
+    // the spectral bulk, where the solver by design serves a subspace-
+    // size-accurate approximation instead of iterating to convergence
+    // (see DESIGN.md "Eigensolver early exit"): its value only feeds the
+    // eigengap denominator, so it is compared at the optimizer's epsilon
+    // scale and its direction not at all.
+    EXPECT_LT(warm->lanczos_iterations, cold->lanczos_iterations);
+    ASSERT_EQ(warm_eigen.values.size(), cold_eigen.values.size());
+    for (size_t j = 0; j < cold_eigen.values.size(); ++j) {
+      const bool tail = j + 1 == cold_eigen.values.size();
+      EXPECT_NEAR(warm_eigen.values[j], cold_eigen.values[j],
+                  tail ? 1e-3 : 1e-6);
+      if (tail) continue;
+      double dot = 0.0;
+      for (int64_t i = 0; i < n; ++i) {
+        dot += warm_eigen.vectors(i, static_cast<int64_t>(j)) *
+               cold_eigen.vectors(i, static_cast<int64_t>(j));
       }
+      EXPECT_GT(std::fabs(dot), 1.0 - 1e-4)
+          << "eigenvector " << j << " diverged";
+    }
 
-      // The warm result is itself deterministic: identical bits at every
-      // (threads, shards) combination.
-      if (!have_reference) {
-        warm_values_reference = warm_eigen.values;
-        have_reference = true;
-      } else {
-        EXPECT_EQ(warm_eigen.values, warm_values_reference);
-      }
+    // The warm result is itself deterministic: identical bits at every
+    // thread count.
+    if (!have_reference) {
+      warm_values_reference = warm_eigen.values;
+      have_reference = true;
+    } else {
+      EXPECT_EQ(warm_eigen.values, warm_values_reference);
     }
   }
 }

@@ -1,7 +1,7 @@
 // View-lifecycle and robust-mode tests: AddView/RemoveView/MaskView/
 // UnmaskView delta validation and re-indexing, the bit-identity contract
 // (masked/removed/added-view solves equal registering that view subset from
-// scratch, at SGLA_THREADS=1,4 x shards=1,4), edits landing on masked views,
+// scratch, at SGLA_THREADS=1,4), edits landing on masked views,
 // lifecycle ops racing Solve/UpdateGraph/Evict (TSAN-clean), the robust
 // cross-view agreement penalty, and SolveCache TTL expiry under an injected
 // monotonic clock.
@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,24 +165,19 @@ TEST(LifecycleDeltaTest, RemoveAddAndMaskReportPostDeltaEffects) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity with fresh subset registration, threads x shards
+// Bit-identity with fresh subset registration, across thread counts
 // ---------------------------------------------------------------------------
 
-class LifecycleSolveTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+class LifecycleSolveTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LifecycleSolveTest, MaskedSolveMatchesFreshSubsetRegistration) {
-  const int threads = std::get<0>(GetParam());
-  const int shards = std::get<1>(GetParam());
   ThreadCountGuard guard;
-  util::ThreadPool::SetGlobalThreads(threads);
+  util::ThreadPool::SetGlobalThreads(GetParam());
 
   LifecycleFixture f = LifecycleFixture::Make(1800, 3, 17);
-  serve::RegisterOptions options;
-  options.shards = shards;
 
   serve::GraphRegistry registry;
-  ASSERT_TRUE(registry.Register("g", f.mvag, options).ok());
+  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
   serve::GraphDelta mask;
   mask.mask_views = {1};
   auto masked = registry.UpdateGraph("g", mask);
@@ -196,7 +190,7 @@ TEST_P(LifecycleSolveTest, MaskedSolveMatchesFreshSubsetRegistration) {
   subset.AddGraphView(f.mvag.graph_views()[0]);
   subset.AddAttributeView(f.mvag.attribute_views()[0]);
   serve::GraphRegistry subset_registry;
-  ASSERT_TRUE(subset_registry.Register("g", subset, options).ok());
+  ASSERT_TRUE(subset_registry.Register("g", subset).ok());
 
   serve::Engine masked_engine(&registry);
   serve::Engine subset_engine(&subset_registry);
@@ -211,17 +205,13 @@ TEST_P(LifecycleSolveTest, MaskedSolveMatchesFreshSubsetRegistration) {
 }
 
 TEST_P(LifecycleSolveTest, RemovedViewSolveMatchesFreshSubsetRegistration) {
-  const int threads = std::get<0>(GetParam());
-  const int shards = std::get<1>(GetParam());
   ThreadCountGuard guard;
-  util::ThreadPool::SetGlobalThreads(threads);
+  util::ThreadPool::SetGlobalThreads(GetParam());
 
   LifecycleFixture f = LifecycleFixture::Make(1800, 3, 19);
-  serve::RegisterOptions options;
-  options.shards = shards;
 
   serve::GraphRegistry registry;
-  ASSERT_TRUE(registry.Register("g", f.mvag, options).ok());
+  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
   serve::GraphDelta remove;
   remove.remove_views = {1};
   auto removed = registry.UpdateGraph("g", remove);
@@ -232,7 +222,7 @@ TEST_P(LifecycleSolveTest, RemovedViewSolveMatchesFreshSubsetRegistration) {
   subset.AddGraphView(f.mvag.graph_views()[0]);
   subset.AddAttributeView(f.mvag.attribute_views()[0]);
   serve::GraphRegistry subset_registry;
-  ASSERT_TRUE(subset_registry.Register("g", subset, options).ok());
+  ASSERT_TRUE(subset_registry.Register("g", subset).ok());
 
   serve::Engine removed_engine(&registry);
   serve::Engine subset_engine(&subset_registry);
@@ -243,18 +233,14 @@ TEST_P(LifecycleSolveTest, RemovedViewSolveMatchesFreshSubsetRegistration) {
 }
 
 TEST_P(LifecycleSolveTest, AddedViewSolveMatchesFreshFullRegistration) {
-  const int threads = std::get<0>(GetParam());
-  const int shards = std::get<1>(GetParam());
   ThreadCountGuard guard;
-  util::ThreadPool::SetGlobalThreads(threads);
+  util::ThreadPool::SetGlobalThreads(GetParam());
 
   LifecycleFixture f = LifecycleFixture::Make(1800, 3, 23);
-  serve::RegisterOptions options;
-  options.shards = shards;
   const graph::Graph extra = LifecycleFixture::ExtraView(f.labels, 3, 101);
 
   serve::GraphRegistry registry;
-  ASSERT_TRUE(registry.Register("g", f.mvag, options).ok());
+  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
   serve::GraphDelta add;
   serve::ViewAddition addition;
   addition.graph = extra;
@@ -272,7 +258,7 @@ TEST_P(LifecycleSolveTest, AddedViewSolveMatchesFreshFullRegistration) {
   full.AddGraphView(extra);
   full.AddAttributeView(f.mvag.attribute_views()[0]);
   serve::GraphRegistry full_registry;
-  ASSERT_TRUE(full_registry.Register("g", full, options).ok());
+  ASSERT_TRUE(full_registry.Register("g", full).ok());
 
   serve::Engine added_engine(&registry);
   serve::Engine full_engine(&full_registry);
@@ -282,9 +268,7 @@ TEST_P(LifecycleSolveTest, AddedViewSolveMatchesFreshFullRegistration) {
   EXPECT_EQ(a.labels, b.labels);
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadsByShards, LifecycleSolveTest,
-                         ::testing::Combine(::testing::Values(1, 4),
-                                            ::testing::Values(1, 4)));
+INSTANTIATE_TEST_SUITE_P(Threads, LifecycleSolveTest, ::testing::Values(1, 4));
 
 // ---------------------------------------------------------------------------
 // Mask round-trips and edits on masked views

@@ -1,10 +1,10 @@
 // Determinism bit-dump: runs the objective / Sgla / SglaPlus / clustering
 // pipeline on a fixed synthetic MVAG and prints an FNV-1a hash (plus a few
 // raw hex-encoded doubles) of every result array. The CI determinism job
-// runs this binary at SGLA_THREADS={1,4} x shards={1,4} per compiler and
-// fails on ANY output difference — threads and shards must never change
-// bits. Cross-compiler dumps are archived as artifacts for inspection
-// (different FP codegen may legitimately differ across compilers).
+// runs this binary at SGLA_THREADS={1,4} per compiler and fails on ANY
+// output difference — the thread count must never change bits.
+// Cross-compiler dumps are archived as artifacts for inspection (different
+// FP codegen may legitimately differ across compilers).
 //
 // Hashes are compared only within one ISA path: reduction kernels associate
 // differently per ISA, so the job pins SGLA_ISA (or passes --isa) and diffs
@@ -12,13 +12,13 @@
 // ISA the host can actually run.
 //
 // Usage: sgla_bitdump [--isa <name>] [--quality exact|fast]
-//                     [--print-best-isa] [shards]
+//                     [--print-best-isa]
 //        (thread count comes from SGLA_THREADS)
 //
 // --quality fast covers the coarse serving tier: the dump adds the coarse
 // plan fingerprint (matching + contracted views) and the engine solves run
 // at Quality::kFast, so the determinism matrix also proves coarsening and
-// the coarse-solve path are bit-stable across threads/shards/ISAs.
+// the coarse-solve path are bit-stable across threads within each ISA.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -66,10 +66,10 @@ uint64_t DoubleBits(double x) {
   return bits;
 }
 
-int Run(int shards, serve::Quality quality) {
-  // Fixed fixture: big enough that a 4-shard plan is real (>= 4 fixed
-  // 512-row chunks) and ragged (n % 512 != 0) so boundary arithmetic is
-  // exercised, small enough to finish in CI seconds.
+int Run(serve::Quality quality) {
+  // Fixed fixture: spans several 512-row kernel chunks and is ragged
+  // (n % 512 != 0) so the partial final chunk is exercised, small enough to
+  // finish in CI seconds.
   const int64_t n = 2570;
   const int k = 3;
   Rng rng(20250715);
@@ -80,20 +80,16 @@ int Run(int shards, serve::Quality quality) {
   mvag.set_labels(std::move(labels));
 
   serve::GraphRegistry registry;
-  serve::RegisterOptions options;
-  options.shards = shards;
-  auto entry = registry.Register("bitdump", mvag, options);
+  auto entry = registry.Register("bitdump", mvag);
   if (!entry.ok()) {
     std::fprintf(stderr, "register failed: %s\n",
                  entry.status().ToString().c_str());
     return 1;
   }
-  // Config goes to stderr: stdout must be byte-identical across every
-  // (SGLA_THREADS, shards) combination within one ISA, so the CI job can
-  // plain `diff` it.
-  std::fprintf(stderr, "fixture n=%" PRId64 " k=%d views=%zu shards=%d isa=%s\n",
-               n, k, (*entry)->views.size(), shards,
-               la::simd::ActiveIsaName());
+  // Config goes to stderr: stdout must be byte-identical across SGLA_THREADS
+  // within one ISA, so the CI job can plain `diff` it.
+  std::fprintf(stderr, "fixture n=%" PRId64 " k=%d views=%zu isa=%s\n", n, k,
+               (*entry)->views.size(), la::simd::ActiveIsaName());
   for (size_t v = 0; v < (*entry)->views.size(); ++v) {
     std::printf("view[%zu] hash=%016" PRIx64 "\n", v,
                 HashCsr((*entry)->views[v]));
@@ -117,17 +113,11 @@ int Run(int shards, serve::Quality quality) {
   }
 
   // Objective evaluations at fixed weights, through the registered entry's
-  // (possibly sharded) serving path.
+  // serving aggregator.
   {
     core::EvalWorkspace eval_ws;
-    core::ShardedEvalWorkspace sharded_ws;
-    const bool sharded = (*entry)->sharded != nullptr;
-    core::SpectralObjective objective =
-        sharded ? core::SpectralObjective(&(*entry)->sharded->aggregator, k,
-                                          core::ObjectiveOptions(),
-                                          &sharded_ws)
-                : core::SpectralObjective((*entry)->aggregator.get(), k,
-                                          core::ObjectiveOptions(), &eval_ws);
+    core::SpectralObjective objective((*entry)->aggregator.get(), k,
+                                      core::ObjectiveOptions(), &eval_ws);
     const std::vector<std::vector<double>> probes = {
         {0.5, 0.5}, {0.8, 0.2}, {0.35, 0.65}};
     for (const std::vector<double>& w : probes) {
@@ -178,8 +168,8 @@ int Run(int shards, serve::Quality quality) {
 
   // View-lifecycle fingerprints: the active-set signature of the full entry,
   // then a MaskView epoch and a solve on the compacted serving subset. The
-  // lifecycle rebuild path must be exactly as bit-stable across the
-  // threads/shards matrix as registration is — the signature lines also pin
+  // lifecycle rebuild path must be exactly as bit-stable across thread
+  // counts as registration is — the signature lines also pin
   // the FNV-1a uid fold itself.
   {
     std::printf("signature full=%016" PRIx64 " uids=%016" PRIx64 "\n",
@@ -219,7 +209,6 @@ int Run(int shards, serve::Quality quality) {
 }  // namespace sgla
 
 int main(int argc, char** argv) {
-  int shards = 1;
   sgla::serve::Quality quality = sgla::serve::Quality::kExact;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--print-best-isa") == 0) {
@@ -246,13 +235,10 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    shards = std::atoi(argv[i]);
-  }
-  if (shards < 1) {
     std::fprintf(stderr,
                  "usage: sgla_bitdump [--isa <name>] [--quality exact|fast] "
-                 "[--print-best-isa] [shards>=1]\n");
+                 "[--print-best-isa]\n");
     return 2;
   }
-  return sgla::Run(shards, quality);
+  return sgla::Run(quality);
 }

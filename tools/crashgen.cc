@@ -18,8 +18,7 @@
 // processes via fork+execv of /proc/self/exe: a plain fork would duplicate
 // the global kernel ThreadPool mid-flight, exec starts each child clean.
 //
-// Usage: sgla_crashgen --dir <workdir> [--trials T] [--deltas N]
-//                      [--shards S] [--seed X]
+// Usage: sgla_crashgen --dir <workdir> [--trials T] [--deltas N] [--seed X]
 //        (thread count comes from SGLA_THREADS, like sgla_bitdump)
 #include <errno.h>
 #include <signal.h>
@@ -174,7 +173,7 @@ bool WriteFileAtomic(const std::string& path, const std::string& content) {
 // ---------------------------------------------------------------------------
 
 int RunChild(const std::string& data_dir, const std::string& fingerprint_path,
-             int64_t deltas, int shards) {
+             int64_t deltas) {
   serve::GraphRegistry registry;
   serve::EngineOptions engine_options;
   engine_options.data_dir = data_dir;
@@ -201,7 +200,6 @@ int RunChild(const std::string& data_dir, const std::string& fingerprint_path,
                  stats.wal_tail_truncated ? 1 : 0);
   } else {
     serve::RegisterOptions options;
-    options.shards = shards;
     // Exact-tier fingerprints only: the coarse companion's post-delta repair
     // drift is legitimate (see DESIGN.md "Tiered serving"), so the bit-
     // identity contract under test is the exact path's.
@@ -303,10 +301,9 @@ pid_t Spawn(const std::vector<std::string>& args) {
 
 std::vector<std::string> ChildArgs(const std::string& data_dir,
                                    const std::string& fingerprint,
-                                   int64_t deltas, int shards) {
+                                   int64_t deltas) {
   std::vector<std::string> args = {"sgla_crashgen", "--child", "--deltas",
-                                   std::to_string(deltas), "--shards",
-                                   std::to_string(shards), "--fingerprint",
+                                   std::to_string(deltas), "--fingerprint",
                                    fingerprint};
   if (!data_dir.empty()) {
     args.push_back("--data-dir");
@@ -325,7 +322,7 @@ bool ReadFile(const std::string& path, std::string* out) {
 }
 
 int RunParent(const std::string& workdir, int trials, int64_t deltas,
-              int shards, uint64_t seed) {
+              uint64_t seed) {
   // mkdir -p: check.sh points --dir at a nested per-matrix-cell path.
   for (size_t i = 1; i <= workdir.size(); ++i) {
     if (i != workdir.size() && workdir[i] != '/') continue;
@@ -338,15 +335,15 @@ int RunParent(const std::string& workdir, int trials, int64_t deltas,
   }
   std::fprintf(stderr,
                "crashgen seed=%" PRIu64 " trials=%d deltas=%" PRId64
-               " shards=%d (reproduce with SGLA_CRASH_SEED=%" PRIu64 ")\n",
-               seed, trials, deltas, shards, seed);
+               " (reproduce with SGLA_CRASH_SEED=%" PRIu64 ")\n",
+               seed, trials, deltas, seed);
 
   // Reference: the same pipeline, no persistence, never killed.
   const std::string reference_path = workdir + "/reference.fp";
   const int64_t reference_start = NowMicros();
   {
     const pid_t pid =
-        Spawn(ChildArgs("", reference_path, deltas, shards));
+        Spawn(ChildArgs("", reference_path, deltas));
     int status = 0;
     waitpid(pid, &status, 0);
     if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
@@ -370,7 +367,7 @@ int RunParent(const std::string& workdir, int trials, int64_t deltas,
     const std::string fingerprint = workdir + "/trial" +
                                     std::to_string(t) + ".fp";
     const std::vector<std::string> args =
-        ChildArgs(trial_dir, fingerprint, deltas, shards);
+        ChildArgs(trial_dir, fingerprint, deltas);
     // 1-2 kills per trial, each at a uniform instant over the reference
     // duration: early hits registration / checkpoint-0, the bulk hits WAL
     // appends and auto-checkpoints, late hits the solve (all state durable).
@@ -431,7 +428,6 @@ int main(int argc, char** argv) {
   std::string fingerprint;
   int trials = 4;
   int64_t deltas = 14;
-  int shards = 1;
   uint64_t seed = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -447,14 +443,12 @@ int main(int argc, char** argv) {
       trials = std::atoi(argv[++i]);
     } else if (arg == "--deltas" && i + 1 < argc) {
       deltas = std::atoll(argv[++i]);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
     } else if (arg == "--seed" && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     } else {
       std::fprintf(stderr,
                    "usage: sgla_crashgen --dir <workdir> [--trials T] "
-                   "[--deltas N] [--shards S] [--seed X]\n");
+                   "[--deltas N] [--seed X]\n");
       return 2;
     }
   }
@@ -463,17 +457,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "child needs --fingerprint and --deltas\n");
       return 2;
     }
-    return sgla::RunChild(data_dir, fingerprint, deltas, shards);
+    return sgla::RunChild(data_dir, fingerprint, deltas);
   }
-  if (workdir.empty() || trials < 1 || deltas < 1 || shards < 1) {
+  if (workdir.empty() || trials < 1 || deltas < 1) {
     std::fprintf(stderr,
                  "usage: sgla_crashgen --dir <workdir> [--trials T] "
-                 "[--deltas N] [--shards S] [--seed X]\n");
+                 "[--deltas N] [--seed X]\n");
     return 2;
   }
   if (seed == 0) {
     const char* env = std::getenv("SGLA_CRASH_SEED");
     seed = env != nullptr ? std::strtoull(env, nullptr, 10) : 20250807ull;
   }
-  return sgla::RunParent(workdir, trials, deltas, shards, seed);
+  return sgla::RunParent(workdir, trials, deltas, seed);
 }

@@ -149,9 +149,9 @@ int CatCheckpoint(const std::string& path) {
               data->id.c_str(), data->reg_uid, data->epoch,
               data->mvag.num_nodes(), data->view_uids.size(), active,
               data->next_view_uid, data->views_signature);
-  std::printf("   options: shards=%d coarsen_ratio=%g robust=%d knn{k=%d "
+  std::printf("   options: coarsen_ratio=%g robust=%d knn{k=%d "
               "seed=%" PRIu64 "}\n",
-              data->options.shards, data->options.coarsen_ratio,
+              data->options.coarsen_ratio,
               data->options.robust_views ? 1 : 0, data->options.knn.k,
               static_cast<uint64_t>(data->options.knn.seed));
   return 0;
