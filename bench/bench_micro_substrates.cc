@@ -410,6 +410,9 @@ void BM_EngineAggregateSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineAggregateSteadyState)->Arg(512)->Arg(2000);
 
+// End-to-end solve latency. The solve runs on a session worker, so the
+// caller's cpu_time is only submit/wait overhead: timed in wall-clock, like
+// BM_CoarsenGraph (and likewise for the fast-tier and warm-resolve benches).
 void BM_EngineSolveCluster(benchmark::State& state) {
   const Fixture& f = Fixture::Get(state.range(0));
   serve::GraphRegistry registry;
@@ -437,7 +440,7 @@ void BM_EngineSolveCluster(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
   state.SetLabel(la::simd::ActiveIsaName());
 }
-BENCHMARK(BM_EngineSolveCluster)->Arg(512)->Arg(2000);
+BENCHMARK(BM_EngineSolveCluster)->Arg(512)->Arg(2000)->UseRealTime();
 
 // Fast-tier serving: the whole SGLA+ pipeline on the coarse companion with
 // prolongation back to fine rows. Compare ns against BM_EngineSolveCluster
@@ -474,7 +477,7 @@ void BM_EngineSolveFastTier(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
   state.SetLabel(la::simd::ActiveIsaName());
 }
-BENCHMARK(BM_EngineSolveFastTier)->Arg(512)->Arg(2000);
+BENCHMARK(BM_EngineSolveFastTier)->Arg(512)->Arg(2000)->UseRealTime();
 
 // Registration-time cost of the coarse companion: the multilevel heavy-edge
 // matching over the union pattern plus the Galerkin contraction of one view.
@@ -593,7 +596,7 @@ void BM_EngineWarmResolveAfterUpdate(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
   state.SetLabel(la::simd::ActiveIsaName());
 }
-BENCHMARK(BM_EngineWarmResolveAfterUpdate)->Arg(2000);
+BENCHMARK(BM_EngineWarmResolveAfterUpdate)->Arg(2000)->UseRealTime();
 
 void BM_SglaCobyla(benchmark::State& state) {
   const Fixture& f = Fixture::Get(2000);

@@ -12,14 +12,12 @@ Microbench mode — three checks:
    report `allocs_per_iter == 0` in CURRENT. Full-solve and update benches
    legitimately allocate and are recorded, not gated.
 
-2. **Normalized timing ratio gate.** For every *compute-bound* bench present
-   in both files (TIMING_GATED prefixes — the async full-solve benches report
-   microsecond main-thread submit/wait cpu_time while the work runs on pool
-   threads, which is pure scheduler noise; they are printed informationally,
+2. **Normalized timing ratio gate.** For every gated bench present in both
+   files (TIMING_GATED prefixes; the rest are printed informationally,
    never gated), compute ratio = current_ns / baseline_ns — cpu_time, or
    real_time for benches registered with UseRealTime() (google-benchmark
-   appends "/real_time" to their names; their work runs on pool workers,
-   so the caller's cpu_time would under-report it) — then
+   appends "/real_time" to their names; their work runs on pool or session
+   workers, so the caller's cpu_time would under-report it) — then
    divide by the **median ratio across the gated benches** — the median
    absorbs machine-speed differences between the baseline machine and the
    runner, so the gate flags benches that regressed *relative to the rest of
@@ -69,24 +67,24 @@ RAW_FAIL_RATIO = 3.0
 P99_FAIL_RATIO = 4.0
 P99_WARN_RATIO = 2.0
 ALLOC_GATED = ("BM_EngineObjectiveSteadyState", "BM_EngineAggregateSteadyState")
-# Compute-bound benches whose cpu_time measures real work on the calling
-# thread, or (BM_CoarsenGraph, registered with UseRealTime()) whose
-# real_time does. BM_EngineSolveCluster*, BM_EngineSolveFastTier and
-# BM_EngineWarmResolveAfterUpdate are deliberately absent: their solves run
-# on session workers, so caller-thread cpu_time is submit/wait overhead
-# (scheduler noise on shared runners).
+# Benches whose cpu_time measures real work on the calling thread, or
+# (those registered with UseRealTime(): coarsening and the end-to-end
+# solves, whose work runs on pool or session workers) whose real_time does.
 TIMING_GATED = (
     "BM_EngineObjectiveSteadyState",
     "BM_EngineAggregateSteadyState",
     "BM_EngineUpdateGraphValueOnly",
     "BM_CoarsenGraph",
+    "BM_EngineSolveCluster",
+    "BM_EngineSolveFastTier",
+    "BM_EngineWarmResolveAfterUpdate",
 )
 
 
 def timed_field(name):
     """The time a bench is gated on: wall-clock for UseRealTime() benches
-    (their work runs on pool workers), the calling thread's cpu_time
-    otherwise."""
+    (their work runs on pool or session workers), the calling thread's
+    cpu_time otherwise."""
     return "real_time" if name.endswith("/real_time") else "cpu_time"
 
 
@@ -170,8 +168,7 @@ def microbench_gate(baseline_path, current_path):
             print(f"  [{marker}] {name}: raw {ratio:.2f} "
                   f"normalized {normalized:.2f}")
         for name, ratio in sorted(informational.items()):
-            print(f"  [i] {name}: raw {ratio:.2f} (not gated: async/submit "
-                  f"overhead timing)")
+            print(f"  [i] {name}: raw {ratio:.2f} (not gated)")
     else:
         warnings.append("no gated benches shared between baseline and current")
 

@@ -11,11 +11,14 @@ Result<IntegrationResult> SglaOnAggregator(const LaplacianAggregator& aggregator
                                            EvalWorkspace* workspace) {
   if (k < 2) return InvalidArgument("SGLA needs k >= 2");
   SpectralObjective objective(&aggregator, k, options.objective, workspace);
-  auto h = [&objective](const la::Vector& w) {
+  Status first_failure;
+  auto h = [&objective, &first_failure](const la::Vector& w) {
     auto value = objective.Evaluate(w);
-    // Infeasible/failed evaluations repel the optimizer instead of aborting;
-    // projection keeps this path effectively unreachable.
-    return value.ok() ? value->h : 1e30;
+    if (value.ok()) return value->h;
+    // An isolated failed evaluation repels the optimizer instead of
+    // aborting; the first failure is kept in case none succeeds.
+    if (first_failure.ok()) first_failure = value.status();
+    return 1e30;
   };
 
   opt::SimplexOptions simplex;
@@ -27,6 +30,11 @@ Result<IntegrationResult> SglaOnAggregator(const LaplacianAggregator& aggregator
   simplex.initial_point = options.initial_weights;
   auto trace = opt::MinimizeOnSimplex(aggregator.num_views(), h, simplex);
   if (!trace.ok()) return trace.status();
+  // With every evaluation failed the optimizer just returns its start
+  // point: report why instead of serving those weights.
+  if (objective.evaluations() == 0 && !first_failure.ok()) {
+    return first_failure;
+  }
 
   IntegrationResult result;
   result.weights = trace->best_point;

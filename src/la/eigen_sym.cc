@@ -2,12 +2,41 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "util/logging.h"
 
 namespace sgla {
 namespace la {
+namespace {
+
+/// sqrt(a^2 + b^2) without destructive overflow or underflow.
+double Pythag(double a, double b) {
+  const double abs_a = std::fabs(a);
+  const double abs_b = std::fabs(b);
+  if (abs_a > abs_b) {
+    const double ratio = abs_b / abs_a;
+    return abs_a * std::sqrt(1.0 + ratio * ratio);
+  }
+  if (abs_b == 0.0) return 0.0;
+  const double ratio = abs_a / abs_b;
+  return abs_b * std::sqrt(1.0 + ratio * ratio);
+}
+
+/// Applies the plane rotation (c, s) to rows i and i+1 of z, every column.
+void RotateRows(DenseMatrix* z, int i, double c, double s) {
+  const int64_t cols = z->cols();
+  double* zi = z->Row(i);
+  double* zn = z->Row(i + 1);
+  for (int64_t k = 0; k < cols; ++k) {
+    const double f = zn[k];
+    zn[k] = s * zi[k] + c * f;
+    zi[k] = c * zi[k] - s * f;
+  }
+}
+
+}  // namespace
 
 void JacobiEigenSymmetric(const DenseMatrix& matrix, Vector* eigenvalues,
                           DenseMatrix* eigenvectors_out) {
@@ -77,6 +106,109 @@ void JacobiEigenSymmetric(const DenseMatrix& matrix, Vector* eigenvalues,
     (*eigenvalues)[static_cast<size_t>(j)] = a(src, src);
     for (int64_t i = 0; i < n; ++i) (*eigenvectors_out)(i, j) = v(i, src);
   }
+}
+
+Status TridiagonalEigenInto(const double* diag, const double* offdiag, int m,
+                            TridiagonalWorkspace* workspace, Vector* values,
+                            DenseMatrix* vectors, Vector* last_row) {
+  SGLA_CHECK(m >= 0) << "TridiagonalEigenInto needs m >= 0";
+  workspace->d.assign(diag, diag + m);
+  // e[m-1] stays zero: the sentinel that ends every split search below.
+  workspace->e.assign(static_cast<size_t>(m), 0.0);
+  double* d = workspace->d.data();
+  double* e = workspace->e.data();
+  for (int i = 0; i + 1 < m; ++i) e[i] = offdiag[i];
+  for (int i = 0; i < m; ++i) {
+    if (!std::isfinite(d[i]) || !std::isfinite(e[i])) {
+      return Internal("non-finite tridiagonal entry");
+    }
+  }
+
+  // Row i of z accumulates the transpose of eigenvector column i: all m
+  // components for `vectors`, only component m-1 for `last_row` alone.
+  // Starting from the matching columns of the identity, each column evolves
+  // independently under RotateRows, so the one-column run is the full run's
+  // last column bit for bit.
+  DenseMatrix* z = nullptr;
+  if (vectors != nullptr || last_row != nullptr) {
+    z = &workspace->z;
+    const int cols = vectors != nullptr ? m : 1;
+    z->Reshape(m, cols);
+    for (int c = 0; c < cols && m > 0; ++c) (*z)(m - cols + c, c) = 1.0;
+  }
+
+  // Implicit QL with Wilkinson shifts: each sweep chases a bulge up the
+  // unreduced block [l, split] and converges d[l]; negligible off-diagonals
+  // split the matrix (Lanczos writes an exact zero on a breakdown restart).
+  const double eps = std::numeric_limits<double>::epsilon();
+  const int64_t max_iterations = 30 * static_cast<int64_t>(m);
+  int64_t iterations = 0;
+  for (int l = 0; l < m; ++l) {
+    while (true) {
+      int split = l;
+      for (; split < m - 1; ++split) {
+        const double dd = std::fabs(d[split]) + std::fabs(d[split + 1]);
+        if (std::fabs(e[split]) <= eps * dd) break;
+      }
+      if (split == l) break;
+      if (++iterations > max_iterations) {
+        return Internal("tridiagonal QL did not converge");
+      }
+      double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+      double r = Pythag(g, 1.0);
+      g = d[split] - d[l] + e[l] / (g + (g >= 0.0 ? r : -r));
+      double s = 1.0;
+      double c = 1.0;
+      double p = 0.0;
+      int i = split - 1;
+      for (; i >= l; --i) {
+        const double f = s * e[i];
+        const double b = c * e[i];
+        r = Pythag(f, g);
+        e[i + 1] = r;
+        if (r == 0.0) {
+          // Underflow: the block split at i + 1; deflate and sweep again.
+          d[i + 1] -= p;
+          e[split] = 0.0;
+          break;
+        }
+        s = f / r;
+        c = g / r;
+        g = d[i + 1] - p;
+        r = (d[i] - g) * s + 2.0 * c * b;
+        p = s * r;
+        d[i + 1] = g + p;
+        g = c * r - b;
+        if (z != nullptr) RotateRows(z, i, c, s);
+      }
+      if (r == 0.0 && i >= l) continue;
+      d[l] -= p;
+      e[l] = g;
+      e[split] = 0.0;
+    }
+  }
+
+  std::vector<int>& order = workspace->order;
+  order.resize(static_cast<size_t>(m));
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [d](int x, int y) {
+    return d[x] < d[y] || (d[x] == d[y] && x < y);
+  });
+
+  values->resize(static_cast<size_t>(m));
+  if (vectors != nullptr) vectors->Reshape(m, m);
+  if (last_row != nullptr) last_row->resize(static_cast<size_t>(m));
+  for (int j = 0; j < m; ++j) {
+    const int src = order[static_cast<size_t>(j)];
+    (*values)[static_cast<size_t>(j)] = d[src];
+    if (vectors != nullptr) {
+      for (int k = 0; k < m; ++k) (*vectors)(k, j) = (*z)(src, k);
+    }
+    if (last_row != nullptr) {
+      (*last_row)[static_cast<size_t>(j)] = (*z)(src, z->cols() - 1);
+    }
+  }
+  return OkStatus();
 }
 
 }  // namespace la

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "la/dense.h"
+#include "util/status.h"
 
 namespace sgla {
 namespace la {
@@ -20,8 +21,9 @@ struct JacobiWorkspace {
 
 /// Full eigendecomposition of a small dense symmetric matrix via cyclic
 /// Jacobi rotations. Eigenvalues ascending; eigenvectors_out columns match.
-/// Intended for matrices up to a few hundred rows (Lanczos tridiagonals,
-/// Gram matrices, surrogate Hessians) — O(n^3) with a small constant.
+/// Intended for genuinely dense matrices up to a few hundred rows (the
+/// Lanczos dense fallback, Gram matrices, surrogate Hessians) — O(n^3) per
+/// sweep over many sweeps. Tridiagonals go to TridiagonalEigenInto.
 void JacobiEigenSymmetric(const DenseMatrix& matrix, Vector* eigenvalues,
                           DenseMatrix* eigenvectors_out);
 
@@ -31,6 +33,39 @@ void JacobiEigenSymmetric(const DenseMatrix& matrix, Vector* eigenvalues,
 void JacobiEigenSymmetric(const DenseMatrix& matrix, Vector* eigenvalues,
                           DenseMatrix* eigenvectors_out,
                           JacobiWorkspace* workspace);
+
+/// Reusable scratch for TridiagonalEigenInto. A default-constructed instance
+/// grows on first use; afterwards repeated solves at the same (or smaller)
+/// size perform zero heap allocations.
+struct TridiagonalWorkspace {
+  Vector d;                ///< diagonal, iterated down to the eigenvalues
+  Vector e;                ///< off-diagonal, iterated down to zero
+  DenseMatrix z;           ///< accumulated rotations, row per eigenvector
+  std::vector<int> order;  ///< ascending-eigenvalue permutation
+};
+
+/// Eigendecomposition of the m x m symmetric tridiagonal with diagonal
+/// `diag[0..m)` and off-diagonal `offdiag[0..m-1)` (offdiag[i] couples rows
+/// i and i+1; an exact zero splits the matrix) by implicit QL with
+/// Wilkinson shifts (the tqli / LAPACK dsteqr scheme): O(m^2) for the
+/// values, O(m^3) with a small constant when eigenvectors are accumulated.
+///
+/// `values` receives the eigenvalues ascending, ties broken by index. When
+/// `vectors` is non-null it is reshaped to m x m and column j holds the unit
+/// eigenvector of values[j] (JacobiEigenSymmetric's layout). When
+/// `last_row` is non-null it receives row m-1 of that eigenvector matrix —
+/// the Lanczos residual estimates read nothing else. Without `vectors` only
+/// that one row is rotated (O(m^2) total); every rotation updates each
+/// row from that row alone, so the result is bit-identical to the last row
+/// of the full decomposition. Eigenvalues do not depend on which outputs
+/// are requested.
+///
+/// Non-finite input, or an eigenvalue that fails to converge within 30 QL
+/// iterations per row on average, returns kInternal and leaves the outputs
+/// unspecified.
+Status TridiagonalEigenInto(const double* diag, const double* offdiag, int m,
+                            TridiagonalWorkspace* workspace, Vector* values,
+                            DenseMatrix* vectors, Vector* last_row);
 
 }  // namespace la
 }  // namespace sgla

@@ -72,7 +72,7 @@ Status DenseSmallestInto(const CsrMatrix& matrix, int k,
 /// deflated against the locked bank rows [0, num_locked) (every Krylov
 /// vector is kept orthogonal to the already-converged eigenvectors). Writes
 /// up to `want` Ritz pairs — ascending in M, with exact residuals — into
-/// bank rows [pass_base, pass_base + produced) and returns `produced`.
+/// bank rows [pass_base, pass_base + produced) and reports `produced`.
 ///
 /// `seed` (when non-null, length n) replaces the random start direction —
 /// warm solves pass a combination of a previous solve's Ritz vectors. A
@@ -82,13 +82,16 @@ Status DenseSmallestInto(const CsrMatrix& matrix, int k,
 /// uses exact residuals, so an optimistic estimate can only cost another
 /// pass, never a wrong pair. Cold solves pass seed=null / tolerance<=0 and
 /// take exactly the historical trajectory. `built_out` reports the basis
-/// vectors built (the solve's iteration count).
-int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
-                    int num_locked, int pass_base, const double* seed,
-                    double early_exit_tolerance, int early_want, Rng* rng,
-                    LanczosWorkspace* ws, int* built_out) {
+/// vectors built (the solve's iteration count). A Rayleigh-Ritz step that
+/// fails to converge returns kInternal.
+Status LanczosPassInto(const SpmvOperator& matrix, double sigma, int m,
+                       int want, int num_locked, int pass_base,
+                       const double* seed, double early_exit_tolerance,
+                       int early_want, Rng* rng, LanczosWorkspace* ws,
+                       int* produced_out, int* built_out) {
   const int64_t n = matrix.rows;
-  if (built_out != nullptr) *built_out = 0;
+  *produced_out = 0;
+  *built_out = 0;
 
   DenseMatrix& basis = ws->basis;  // row-per-basis-vector, contiguous axpys
   basis.Reshape(m, n);
@@ -121,39 +124,28 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
   deflate(v.data(), 0);
   {
     const double norm = Norm2(v.data(), n);
-    if (norm < 1e-12) return 0;  // locked set spans everything reachable
+    // The locked set spans everything reachable.
+    if (norm < 1e-12) return OkStatus();
     Scale(1.0 / norm, v.data(), n);
   }
   std::copy(v.begin(), v.end(), basis.Row(0));
 
-  // Rayleigh-Ritz state: the tridiagonal size the ritz buffers currently
-  // hold, so an early-exited pass reuses the decomposition its last
-  // estimate check just computed instead of re-running Jacobi on the same
-  // inputs.
-  int ritz_steps = 0;
-
   // True when the current (j+1)-step tridiagonal's residual estimates for
   // the top `early_want` pairs of B all clear the tolerance — the signal
   // that extending the basis further would not change which pairs lock.
-  const auto estimates_converged = [&](int steps) {
-    DenseMatrix& tri = ws->tri;
-    tri.Reshape(steps, steps);
-    for (int t = 0; t < steps; ++t) {
-      tri(t, t) = alpha[static_cast<size_t>(t)];
-      if (t + 1 < steps) {
-        tri(t, t + 1) = beta[static_cast<size_t>(t)];
-        tri(t + 1, t) = beta[static_cast<size_t>(t)];
-      }
-    }
-    JacobiEigenSymmetric(tri, &ws->ritz_values, &ws->ritz_vectors,
-                         &ws->jacobi);
-    ritz_steps = steps;
+  // The estimates read only the last eigenvector row, so the QL rotates
+  // that one row: O(steps^2) per check.
+  const auto estimates_converged = [&](int steps) -> Result<bool> {
+    Status solved = TridiagonalEigenInto(
+        alpha.data(), beta.data(), steps, &ws->tridiagonal, &ws->ritz_values,
+        nullptr, &ws->ritz_last_row);
+    if (!solved.ok()) return solved;
     const double coupling = beta[static_cast<size_t>(steps - 1)];
     const int count = std::min(early_want, steps);
     for (int i = 0; i < count; ++i) {
       const int src = steps - 1 - i;  // largest of B sit at the end
-      const double estimate =
-          std::fabs(coupling * ws->ritz_vectors(steps - 1, src));
+      const double estimate = std::fabs(
+          coupling * ws->ritz_last_row[static_cast<size_t>(src)]);
       if (estimate > early_exit_tolerance) return false;
     }
     return count >= early_want;
@@ -200,32 +192,23 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
         // and stop extending the basis as soon as they all clear the
         // tolerance. Cold solves (tolerance <= 0) never take this branch.
         if (early_exit_tolerance > 0.0 && j + 1 >= early_want + 2 &&
-            (j + 1) % 2 == 0 && estimates_converged(j + 1)) {
-          break;
+            (j + 1) % 2 == 0) {
+          Result<bool> converged = estimates_converged(j + 1);
+          if (!converged.ok()) return converged.status();
+          if (*converged) break;
         }
       }
       std::copy(w.begin(), w.end(), basis.Row(j + 1));
     }
   }
 
-  if (built_out != nullptr) *built_out = built;
+  *built_out = built;
 
-  // Rayleigh-Ritz on the tridiagonal (dense Jacobi is fine at these sizes).
-  // An early-exited pass already decomposed exactly this tridiagonal in its
-  // last estimate check; reuse it instead of re-running Jacobi.
-  if (ritz_steps != built) {
-    DenseMatrix& tri = ws->tri;
-    tri.Reshape(built, built);
-    for (int j = 0; j < built; ++j) {
-      tri(j, j) = alpha[static_cast<size_t>(j)];
-      if (j + 1 < built) {
-        tri(j, j + 1) = beta[static_cast<size_t>(j)];
-        tri(j + 1, j) = beta[static_cast<size_t>(j)];
-      }
-    }
-    JacobiEigenSymmetric(tri, &ws->ritz_values, &ws->ritz_vectors,
-                         &ws->jacobi);
-  }
+  // Rayleigh-Ritz on the tridiagonal.
+  Status solved =
+      TridiagonalEigenInto(alpha.data(), beta.data(), built, &ws->tridiagonal,
+                           &ws->ritz_values, &ws->ritz_vectors, nullptr);
+  if (!solved.ok()) return solved;
 
   // Largest of B == smallest of M; they sit at the end of the ascending list.
   int produced = 0;
@@ -265,7 +248,8 @@ int LanczosPassInto(const SpmvOperator& matrix, double sigma, int m, int want,
         Norm2(mv.data(), n);
     ++produced;
   }
-  return produced;
+  *produced_out = produced;
+  return OkStatus();
 }
 
 void CsrApply(const void* ctx, const double* x, double* y) {
@@ -426,10 +410,13 @@ Status SmallestEigenpairsInto(const SpmvOperator& matrix, int k,
     // A warm refinement pass targets one pair (plus one spare candidate);
     // cold passes keep the historical want of missing + 1.
     const int want = warm_active ? std::min(missing + 1, 2) : missing + 1;
+    int produced = 0;
     int built = 0;
-    const int produced = LanczosPassInto(
+    Status pass_status = LanczosPassInto(
         matrix, sigma, m, want, num_locked, pass_base, seed,
-        warm_active ? tolerance : 0.0, /*early_want=*/1, &rng, ws, &built);
+        warm_active ? tolerance : 0.0, /*early_want=*/1, &rng, ws, &produced,
+        &built);
+    if (!pass_status.ok()) return pass_status;
     if (stats != nullptr) {
       stats->iterations += built;
       ++stats->passes;

@@ -42,9 +42,9 @@ struct LanczosStats {
 };
 
 /// Reusable scratch for SmallestEigenpairsInto: Krylov basis and panel
-/// buffers, the Rayleigh-Ritz tridiagonal + Jacobi scratch, and a bank of
-/// candidate/locked Ritz vectors. A default-constructed workspace grows on
-/// first use; afterwards repeated solves at the same (n, k, subspace) —
+/// buffers, the Rayleigh-Ritz QL scratch, and a bank of candidate/locked
+/// Ritz vectors. A default-constructed workspace grows on first use;
+/// afterwards repeated solves at the same (n, k, subspace) —
 /// e.g. the per-evaluation eigensolve of the SGLA weight search — perform
 /// zero heap allocations. Contents carry no state between calls beyond
 /// capacity; any call fully re-initializes what it reads.
@@ -52,10 +52,11 @@ struct LanczosWorkspace {
   DenseMatrix basis;       ///< m x n, row per Krylov vector
   Vector alpha, beta;      ///< tridiagonal entries, size m
   Vector v, w, mv;         ///< length-n iteration / residual vectors
-  DenseMatrix tri;         ///< Rayleigh-Ritz tridiagonal (built x built)
-  Vector ritz_values;      ///< Jacobi outputs, reused
+  Vector ritz_values;      ///< Rayleigh-Ritz (or dense fallback) outputs
   DenseMatrix ritz_vectors;
-  JacobiWorkspace jacobi;
+  Vector ritz_last_row;    ///< warm estimate check: last eigenvector row
+  TridiagonalWorkspace tridiagonal;
+  JacobiWorkspace jacobi;  ///< dense fallback only
   /// Ritz-vector bank, one row per vector: rows [0, k) hold locked
   /// (converged) vectors in locking order; rows [k, 3k+2) hold the current
   /// and previous pass's candidates in two alternating regions of k+1 rows,
@@ -107,7 +108,9 @@ Result<Eigenpairs> SmallestEigenpairs(const CsrMatrix& matrix, int k,
 /// Workspace form of SmallestEigenpairs: bit-identical results, but all
 /// scratch lives in `workspace` and the outputs reuse `out`'s buffers, so
 /// steady-state calls at a fixed problem size are allocation-free. The
-/// convenience overload above is a thin wrapper over this.
+/// convenience overload above is a thin wrapper over this. A Rayleigh-Ritz
+/// tridiagonal that fails to converge (see TridiagonalEigenInto) returns
+/// kInternal rather than unconverged pairs.
 Status SmallestEigenpairsInto(const CsrMatrix& matrix, int k,
                               double spectrum_upper_bound,
                               const LanczosOptions& options,

@@ -258,10 +258,14 @@ Result<SolveResponse> Engine::Run(const SolveRequest& request,
                                   SessionWorkspace* ws) {
   const int k = request.k > 0 ? request.k : entry.num_clusters;
 
-  // Tier resolution: fast/refined need the coarse companion; entries
-  // without one (coarsening disabled, tiny graph, matching achieved no
-  // reduction) quietly serve exact.
+  // Tier resolution: fast/refined need a coarse companion with room for
+  // the k + 1 eigenpairs the objective reads; entries without one
+  // (coarsening disabled, tiny graph, matching achieved no reduction, or
+  // k too large for the coarse rows) quietly serve exact.
   const CoarseGraphEntry* coarse = entry.coarse.get();
+  if (coarse != nullptr && coarse->plan.coarse_rows < int64_t{k} + 1) {
+    coarse = nullptr;
+  }
   Quality quality = request.quality;
   if (coarse == nullptr) quality = Quality::kExact;
   const bool fast = quality == Quality::kFast;

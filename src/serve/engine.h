@@ -46,7 +46,8 @@ enum class Quality {
   /// labels copy through the prolongation map, embeddings row-gather.
   /// Roughly an order of magnitude cheaper at the default coarsen_ratio;
   /// approximate by construction (response.integration.laplacian is
-  /// coarse-sized). Entries without a companion quietly serve exact.
+  /// coarse-sized). Entries without a companion, or whose companion has
+  /// fewer than k + 1 rows, quietly serve exact.
   kFast,
   /// Fast's coarse solve first, then the exact solve seeded from it: the
   /// coarse optimal weights become initial_weights and the prolongated
@@ -100,8 +101,9 @@ struct SolveStats {
   bool warm_started = false;
   int64_t lanczos_iterations = 0;  ///< basis vectors built across the solve
   /// The tier that actually served the request: kExact for exact solves and
-  /// for tiered requests that fell back (no coarse companion, or a refined
-  /// request that found a cache seed / whose coarse pre-solve failed).
+  /// for tiered requests that fell back (no coarse companion or one with
+  /// fewer than k + 1 rows, or a refined request that found a cache seed /
+  /// whose coarse pre-solve failed).
   Quality tier_served = Quality::kExact;
   /// Basis vectors the refined tier's coarse pre-solve built (0 elsewhere);
   /// `lanczos_iterations` above stays the main integration's count, so

@@ -9,6 +9,7 @@
 #include <future>
 #include <new>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -445,6 +446,77 @@ TEST(EngineErrorPathTest, TrySubmitCallbackSeesInternalOnThrow) {
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.message().find("injected fault"), std::string::npos);
   engine.Drain();
+}
+
+/// k = n asks every objective evaluation for n + 1 eigenpairs, so all of
+/// them fail; the solve must return that error rather than OK with the
+/// optimizer's untouched start weights. k = n - 1 is degenerate but legal.
+TEST(EngineErrorPathTest, KEqualToNodeCountIsInvalidArgument) {
+  const int64_t n = 120;
+  const GraphFixture f = GraphFixture::Make(n, 3, 17);
+  serve::GraphRegistry registry;
+  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
+  serve::EngineOptions options;
+  options.num_sessions = 1;
+  serve::Engine engine(&registry, options);
+
+  const std::pair<serve::SolveMode, serve::Quality> cases[] = {
+      {serve::SolveMode::kCluster, serve::Quality::kExact},
+      {serve::SolveMode::kCluster, serve::Quality::kRefined},
+      {serve::SolveMode::kEmbed, serve::Quality::kExact},
+  };
+  for (const auto& [mode, quality] : cases) {
+    SCOPED_TRACE(static_cast<int>(mode) * 10 + static_cast<int>(quality));
+    serve::SolveRequest request;
+    request.graph_id = "g";
+    request.mode = mode;
+    request.quality = quality;
+    request.k = static_cast<int>(n);
+    auto too_many = engine.Solve(request);
+    ASSERT_FALSE(too_many.ok());
+    EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument)
+        << too_many.status().ToString();
+
+    request.k = static_cast<int>(n - 1);
+    auto fits = engine.Solve(request);
+    ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+    EXPECT_EQ(fits->stats.tier_served, serve::Quality::kExact);
+  }
+}
+
+/// The fast tier needs k + 1 eigenpairs of the coarse companion; a k that
+/// does not fit serves exact, like a graph without a companion.
+TEST(EngineTierTest, FastServesExactWhenKExceedsCompanionRows) {
+  const int64_t n = 120;
+  const GraphFixture f = GraphFixture::Make(n, 3, 19);
+  serve::GraphRegistry registry;
+  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
+  const auto entry = registry.Find("g");
+  ASSERT_NE(entry->coarse, nullptr);
+  const int coarse_rows = static_cast<int>(entry->coarse->plan.coarse_rows);
+  ASSERT_LT(coarse_rows, n - 1);
+  serve::EngineOptions options;
+  options.num_sessions = 1;
+  serve::Engine engine(&registry, options);
+
+  serve::SolveRequest request;
+  request.graph_id = "g";
+  request.quality = serve::Quality::kFast;
+  request.k = coarse_rows - 1;
+  auto fits = engine.Solve(request);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits->stats.tier_served, serve::Quality::kFast);
+
+  request.k = coarse_rows;
+  auto fallback = engine.Solve(request);
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  EXPECT_EQ(fallback->stats.tier_served, serve::Quality::kExact);
+
+  request.quality = serve::Quality::kExact;
+  auto exact = engine.Solve(request);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(fallback->integration.weights, exact->integration.weights);
+  EXPECT_EQ(fallback->labels, exact->labels);
 }
 
 TEST(SolveCacheTest, LruEvictsStalestAndLookupRefreshesRecency) {

@@ -1,9 +1,16 @@
 // Unit tests for the la/ numerical substrate: SpMV and WeightedSum against
-// dense references, Lanczos vs an analytic 3x3 spectrum, submatrix extraction
-// and the truncated SVD, plus the per-ISA SIMD kernel contracts (remainder
-// lanes, SELL layout, cross-ISA bit rules from la/simd_table.h).
+// dense references, Lanczos vs an analytic 3x3 spectrum, the tridiagonal QL
+// eigensolver against dense Jacobi, submatrix extraction and the truncated
+// SVD, plus the per-ISA SIMD kernel contracts (remainder lanes, SELL layout,
+// cross-ISA bit rules from la/simd_table.h).
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <new>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +21,39 @@
 #include "la/sparse.h"
 #include "la/svd.h"
 #include "util/rng.h"
+
+// Allocation-counting hook (same scheme as coarse_test.cc): tests measure
+// deltas around calls that promise to be allocation-free.
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+// GCC can't see that these replacements pair new<->malloc and delete<->free
+// consistently once library code is inlined against them; the runtime
+// pairing is correct by definition of global replacement.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+#pragma GCC diagnostic pop
 
 namespace sgla {
 namespace {
@@ -155,6 +195,211 @@ TEST(LanczosTest, LargeSparseMatchesDenseJacobi) {
   for (int j = 0; j < 4; ++j) {
     EXPECT_NEAR(lanczos->values[static_cast<size_t>(j)],
                 dense_values[static_cast<size_t>(j)], 1e-7);
+  }
+}
+
+/// A symmetric tridiagonal: diag[0..m), offdiag[0..m-1).
+struct Tridiagonal {
+  la::Vector diag;
+  la::Vector offdiag;
+  int size() const { return static_cast<int>(diag.size()); }
+};
+
+Tridiagonal RandomTridiagonal(int m, Rng* rng) {
+  Tridiagonal t;
+  for (int i = 0; i < m; ++i) t.diag.push_back(2.0 * rng->Uniform() - 1.0);
+  for (int i = 0; i + 1 < m; ++i) t.offdiag.push_back(rng->Gaussian());
+  return t;
+}
+
+/// Direct sum of `copies` copies of `block`: every eigenvalue repeats.
+Tridiagonal BlockSum(const Tridiagonal& block, int copies) {
+  Tridiagonal t;
+  for (int c = 0; c < copies; ++c) {
+    t.diag.insert(t.diag.end(), block.diag.begin(), block.diag.end());
+    t.offdiag.insert(t.offdiag.end(), block.offdiag.begin(),
+                     block.offdiag.end());
+    if (c + 1 < copies) t.offdiag.push_back(0.0);
+  }
+  return t;
+}
+
+la::DenseMatrix DenseOf(const Tridiagonal& t) {
+  const int m = t.size();
+  la::DenseMatrix dense(m, m);
+  for (int i = 0; i < m; ++i) {
+    dense(i, i) = t.diag[static_cast<size_t>(i)];
+    if (i + 1 < m) {
+      dense(i, i + 1) = t.offdiag[static_cast<size_t>(i)];
+      dense(i + 1, i) = t.offdiag[static_cast<size_t>(i)];
+    }
+  }
+  return dense;
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+/// Checks one tridiagonal against dense Jacobi and against itself across
+/// output modes: eigenvalues, orthonormality, residuals, and bit-identity
+/// of the last-row and values-only modes with the full decomposition.
+void ExpectTridiagonalEigenDecomposition(const Tridiagonal& t) {
+  const int m = t.size();
+  SCOPED_TRACE(m);
+  const la::DenseMatrix dense = DenseOf(t);
+  double norm = 0.0;  // infinity norm
+  for (int i = 0; i < m; ++i) {
+    double row = 0.0;
+    for (int j = 0; j < m; ++j) row += std::fabs(dense(i, j));
+    norm = std::max(norm, row);
+  }
+
+  la::TridiagonalWorkspace workspace;
+  la::Vector values;
+  la::DenseMatrix vectors;
+  ASSERT_TRUE(la::TridiagonalEigenInto(t.diag.data(), t.offdiag.data(), m,
+                                       &workspace, &values, &vectors, nullptr)
+                  .ok());
+  ASSERT_EQ(values.size(), static_cast<size_t>(m));
+  ASSERT_EQ(vectors.rows(), m);
+  ASSERT_EQ(vectors.cols(), m);
+
+  la::Vector reference;
+  la::DenseMatrix reference_vectors;
+  la::JacobiEigenSymmetric(dense, &reference, &reference_vectors);
+  for (int j = 0; j < m; ++j) {
+    EXPECT_NEAR(values[static_cast<size_t>(j)],
+                reference[static_cast<size_t>(j)], 1e-12 * norm);
+    if (j > 0) {
+      EXPECT_LE(values[static_cast<size_t>(j) - 1],
+                values[static_cast<size_t>(j)]);
+    }
+  }
+
+  double max_orthogonality = 0.0;
+  double max_residual = 0.0;
+  for (int a = 0; a < m; ++a) {
+    for (int b = 0; b < m; ++b) {
+      double dot = 0.0;
+      for (int k = 0; k < m; ++k) dot += vectors(k, a) * vectors(k, b);
+      max_orthogonality =
+          std::max(max_orthogonality, std::fabs(dot - (a == b ? 1.0 : 0.0)));
+    }
+    double residual = 0.0;
+    for (int i = 0; i < m; ++i) {
+      double tz = 0.0;
+      for (int k = 0; k < m; ++k) tz += dense(i, k) * vectors(k, a);
+      const double r = tz - values[static_cast<size_t>(a)] * vectors(i, a);
+      residual += r * r;
+    }
+    max_residual = std::max(max_residual, std::sqrt(residual));
+  }
+  EXPECT_LE(max_orthogonality, 1e-12);
+  EXPECT_LE(max_residual, 1e-12 * norm);
+
+  la::TridiagonalWorkspace row_workspace;
+  la::Vector row_values;
+  la::Vector last_row;
+  ASSERT_TRUE(la::TridiagonalEigenInto(t.diag.data(), t.offdiag.data(), m,
+                                       &row_workspace, &row_values, nullptr,
+                                       &last_row)
+                  .ok());
+  la::Vector bare_values;
+  ASSERT_TRUE(la::TridiagonalEigenInto(t.diag.data(), t.offdiag.data(), m,
+                                       &row_workspace, &bare_values, nullptr,
+                                       nullptr)
+                  .ok());
+  ASSERT_EQ(last_row.size(), static_cast<size_t>(m));
+  for (int j = 0; j < m; ++j) {
+    EXPECT_EQ(Bits(row_values[static_cast<size_t>(j)]),
+              Bits(values[static_cast<size_t>(j)]));
+    EXPECT_EQ(Bits(bare_values[static_cast<size_t>(j)]),
+              Bits(values[static_cast<size_t>(j)]));
+    EXPECT_EQ(Bits(last_row[static_cast<size_t>(j)]),
+              Bits(vectors(m - 1, j)))
+        << "column " << j;
+  }
+}
+
+TEST(TridiagonalEigenTest, RandomTridiagonalsMatchJacobi) {
+  Rng rng(16);
+  for (int m : {1, 2, 3, 17, 48, 96}) {
+    ExpectTridiagonalEigenDecomposition(RandomTridiagonal(m, &rng));
+  }
+}
+
+TEST(TridiagonalEigenTest, SplitTridiagonalFromLanczosRestart) {
+  // A Lanczos breakdown restart writes beta_j = 0 exactly: the tridiagonal
+  // splits into two unreduced blocks.
+  Rng rng(17);
+  Tridiagonal t = RandomTridiagonal(48, &rng);
+  t.offdiag[20] = 0.0;
+  ExpectTridiagonalEigenDecomposition(t);
+}
+
+TEST(TridiagonalEigenTest, BlockSumWithRepeatedEigenvalues) {
+  Rng rng(18);
+  const Tridiagonal block = RandomTridiagonal(8, &rng);
+  ExpectTridiagonalEigenDecomposition(BlockSum(block, 3));
+  // Exact ties in a diagonal matrix come out in index order.
+  Tridiagonal diagonal;
+  diagonal.diag = {2.0, 1.0, 2.0, 1.0};
+  diagonal.offdiag = {0.0, 0.0, 0.0};
+  la::TridiagonalWorkspace workspace;
+  la::Vector values;
+  la::DenseMatrix vectors;
+  ASSERT_TRUE(la::TridiagonalEigenInto(diagonal.diag.data(),
+                                       diagonal.offdiag.data(), 4, &workspace,
+                                       &values, &vectors, nullptr)
+                  .ok());
+  EXPECT_EQ(values, (la::Vector{1.0, 1.0, 2.0, 2.0}));
+  EXPECT_EQ(vectors(1, 0), 1.0);
+  EXPECT_EQ(vectors(3, 1), 1.0);
+  EXPECT_EQ(vectors(0, 2), 1.0);
+  EXPECT_EQ(vectors(2, 3), 1.0);
+}
+
+TEST(TridiagonalEigenTest, SecondCallAtSameSizeDoesNotAllocate) {
+  Rng rng(19);
+  const Tridiagonal t = RandomTridiagonal(48, &rng);
+  la::TridiagonalWorkspace workspace;
+  la::Vector values;
+  la::DenseMatrix vectors;
+  la::Vector last_row;
+  for (int call = 0; call < 2; ++call) {
+    const int64_t before = g_allocations.load();
+    ASSERT_TRUE(la::TridiagonalEigenInto(t.diag.data(), t.offdiag.data(), 48,
+                                         &workspace, &values, &vectors,
+                                         nullptr)
+                    .ok());
+    ASSERT_TRUE(la::TridiagonalEigenInto(t.diag.data(), t.offdiag.data(), 48,
+                                         &workspace, &values, nullptr,
+                                         &last_row)
+                    .ok());
+    if (call == 1) {
+      EXPECT_EQ(g_allocations.load() - before, 0);
+    }
+  }
+}
+
+TEST(TridiagonalEigenTest, NonFiniteInputIsInternal) {
+  Rng rng(20);
+  for (int entry = 0; entry < 2; ++entry) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+      Tridiagonal t = RandomTridiagonal(6, &rng);
+      (entry == 0 ? t.diag[5] : t.offdiag[2]) = bad;
+      la::TridiagonalWorkspace workspace;
+      la::Vector values;
+      la::Vector last_row;
+      const Status status =
+          la::TridiagonalEigenInto(t.diag.data(), t.offdiag.data(), 6,
+                                   &workspace, &values, nullptr, &last_row);
+      EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+    }
   }
 }
 
