@@ -338,6 +338,36 @@ void BM_AggregateIsa(benchmark::State& state, la::simd::Isa isa) {
   }
 }
 
+/// The modified Gram–Schmidt reorthogonalization kernels: every Lanczos
+/// step runs one dot and one axpy of length n per basis and locked vector,
+/// which dominates a large solve. Vectors of n = state.range(0) stay
+/// cache-resident, so these compare kernel codegen, like the sweeps above.
+void BM_DotIsa(benchmark::State& state, la::simd::Isa isa) {
+  IsaOverride pin(isa);
+  const int64_t n = state.range(0);
+  la::Vector x(static_cast<size_t>(n), 0.5);
+  la::Vector y(static_cast<size_t>(n), 0.25);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(la::Dot(x.data(), y.data(), n));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
+void BM_AxpyIsa(benchmark::State& state, la::simd::Isa isa) {
+  IsaOverride pin(isa);
+  const int64_t n = state.range(0);
+  la::Vector x(static_cast<size_t>(n), 0.5);
+  la::Vector y(static_cast<size_t>(n), 0.25);
+  double alpha = 1e-3;
+  for (auto _ : state) {
+    la::Axpy(alpha, x.data(), y.data(), n);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+    alpha = -alpha;  // keeps y bounded across iterations
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
 void BM_KMeansIsa(benchmark::State& state, la::simd::Isa isa) {
   const IsaFixture& f = IsaFixture::Get();
   PoolOverride pool(1);
@@ -636,6 +666,16 @@ int main(int argc, char** argv) {
                                  BM_AggregateIsa, isa);
     benchmark::RegisterBenchmark(("BM_KMeansIsa/" + suffix).c_str(),
                                  BM_KMeansIsa, isa);
+    benchmark::RegisterBenchmark(("BM_DotIsa/" + suffix).c_str(), BM_DotIsa,
+                                 isa)
+        ->Arg(512)
+        ->Arg(2000)
+        ->Arg(8000);
+    benchmark::RegisterBenchmark(("BM_AxpyIsa/" + suffix).c_str(),
+                                 BM_AxpyIsa, isa)
+        ->Arg(512)
+        ->Arg(2000)
+        ->Arg(8000);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

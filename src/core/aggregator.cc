@@ -68,11 +68,6 @@ LaplacianAggregator::LaplacianAggregator(
         static_cast<int64_t>(aggregate_.col_idx.size());
   }
   aggregate_.values.assign(aggregate_.col_idx.size(), 0.0);
-  // The SELL companion of the union pattern, built once per pattern like
-  // the scatter maps; Evaluate refreshes its values in place per weight
-  // vector (see FillSellValues), so the eigensolve's SpMV runs the blocked
-  // layout without per-evaluation pattern work.
-  la::BuildSellPattern(aggregate_, &sell_);
 }
 
 LaplacianAggregator::LaplacianAggregator(
@@ -80,7 +75,6 @@ LaplacianAggregator::LaplacianAggregator(
     : views_(views),
       aggregate_(donor.aggregate_),
       scatter_(donor.scatter_),
-      sell_(donor.sell_),
       pattern_id_(donor.pattern_id_) {
   SGLA_CHECK(views != nullptr && views->size() == donor.views_->size())
       << "pattern-donor aggregator view count mismatch";
@@ -137,12 +131,6 @@ void LaplacianAggregator::BindPattern(la::CsrMatrix* out) const {
   out->row_ptr = aggregate_.row_ptr;  // assign-reuses out's capacity
   out->col_idx = aggregate_.col_idx;
   out->values.assign(aggregate_.col_idx.size(), 0.0);
-}
-
-void LaplacianAggregator::BindSellPattern(la::SellMatrix* out) const {
-  // Vector copy-assignment reuses out's capacity, so rebinding a workspace
-  // of sufficient size stays allocation-free, like BindPattern.
-  *out = sell_;
 }
 
 void LaplacianAggregator::AggregateValuesInto(

@@ -55,17 +55,6 @@ class LaplacianAggregator {
   /// out->values; values content is unspecified. Reuses out's buffers.
   void BindPattern(la::CsrMatrix* out) const;
 
-  /// The SELL-C-σ form of the union pattern, materialized once at
-  /// construction (see la::SellMatrix). Values hold whatever was last pushed
-  /// through la::FillSellValues.
-  const la::SellMatrix& sell_pattern() const { return sell_; }
-
-  /// Copies the SELL form of the union pattern into `out`. Reuses out's
-  /// buffers, so rebinding a sufficiently large workspace is allocation-free.
-  /// Refresh values with la::FillSellValues(csr.values, out) after each
-  /// AggregateValuesInto.
-  void BindSellPattern(la::SellMatrix* out) const;
-
   /// Fills out->values with sum_i w_i L_i over the union pattern; `out` must
   /// have been bound with BindPattern() first (checked). Thread-safe across
   /// distinct `out` buffers; allocation-free.
@@ -77,7 +66,6 @@ class LaplacianAggregator {
 
   const std::vector<la::CsrMatrix>* views_;
   la::CsrMatrix aggregate_;                      ///< union pattern, reused
-  la::SellMatrix sell_;                          ///< SELL form of the pattern
   std::vector<std::vector<int64_t>> scatter_;    ///< view nnz -> union nnz
   uint64_t pattern_id_ = 0;
 };

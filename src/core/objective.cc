@@ -27,7 +27,11 @@ void SpectralObjective::AggregateIntoWorkspace(
     const std::vector<double>& weights) {
   if (workspace_->bound_pattern != aggregator_->pattern_id()) {
     aggregator_->BindPattern(&workspace_->aggregate);
-    aggregator_->BindSellPattern(&workspace_->sell);
+    // The SELL form lives in the workspace, not the aggregator, so a
+    // registered graph holds its union pattern once. BuildSellPattern
+    // reuses the workspace's capacity: rebinding between patterns the
+    // workspace has held before allocates nothing.
+    la::BuildSellPattern(workspace_->aggregate, &workspace_->sell);
     workspace_->bound_pattern = aggregator_->pattern_id();
   }
   aggregator_->AggregateValuesInto(weights, &workspace_->aggregate);

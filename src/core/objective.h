@@ -66,7 +66,7 @@ struct ObjectiveValue {
 /// concurrent evaluations.
 struct EvalWorkspace {
   la::CsrMatrix aggregate;       ///< union-pattern output buffer
-  la::SellMatrix sell;           ///< SELL form of `aggregate` (eigensolves)
+  la::SellMatrix sell;           ///< SELL form of `aggregate`, built on bind
   uint64_t bound_pattern = 0;    ///< pattern_id the buffers were bound to
   la::LanczosWorkspace lanczos;
   la::Eigenpairs eigen;

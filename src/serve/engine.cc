@@ -14,7 +14,6 @@ namespace serve {
 Engine::Engine(GraphRegistry* registry, const EngineOptions& options)
     : registry_(registry),
       cache_(options.cache_capacity, options.cache_ttl_ms),
-      warm_cache_(options.warm_cache),
       max_pending_(options.max_pending),
       workspaces_(static_cast<size_t>(std::max(1, options.num_sessions))),
       queue_(std::max(1, options.num_sessions)) {
@@ -73,60 +72,10 @@ Result<int64_t> Engine::Checkpoint(const std::string& id) {
   return store_->Checkpoint(id);
 }
 
-std::future<Result<SolveResponse>> Engine::Submit(SolveRequest request) {
-  auto promise = std::make_shared<std::promise<Result<SolveResponse>>>();
-  std::future<Result<SolveResponse>> future = promise->get_future();
+Status Engine::Admit(SolveRequest request, bool coalesce, Completion done) {
   // Snapshot at submit time: the shared_ptr rides along with the task, so a
   // concurrent Evict (or re-register under the same id) cannot invalidate —
   // or change the meaning of — work that was already accepted.
-  std::shared_ptr<const GraphEntry> entry = registry_->Find(request.graph_id);
-  if (entry == nullptr) {
-    promise->set_value(
-        NotFound("graph '" + request.graph_id + "' is not registered"));
-    return future;
-  }
-  {
-    // Admission under the same mutex TrySubmit uses, so the two submission
-    // paths share one bound.
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    if (max_pending_ > 0 &&
-        pending_.load(std::memory_order_relaxed) >= max_pending_) {
-      promise->set_value(ResourceExhausted(
-          "engine is saturated: " + std::to_string(max_pending_) +
-          " solves already pending"));
-      return future;
-    }
-    pending_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // shared_ptr wrappers keep the task copyable for std::function.
-  auto shared_request = std::make_shared<SolveRequest>(std::move(request));
-  queue_.Submit([this, promise, shared_request, entry](int worker) {
-    std::exception_ptr thrown;
-    Result<SolveResponse> result = RunGuarded(
-        *shared_request, *entry, &workspaces_[static_cast<size_t>(worker)],
-        &thrown);
-    // Count before resolving: a caller that saw its future complete must
-    // never observe a completed() smaller than its own request. completed()
-    // counts errored (non-OK Status and thrown) solves too — it means
-    // "finished", not "succeeded".
-    ++completed_;
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    // A solve that threw resolves the future by re-throwing from
-    // future.get(): the caller sees the real exception instead of hanging
-    // forever on a promise that was never fulfilled, and the worker (which
-    // caught it) lives on to serve the next request.
-    if (thrown != nullptr) {
-      promise->set_exception(thrown);
-    } else {
-      promise->set_value(std::move(result));
-    }
-  });
-  return future;
-}
-
-Status Engine::TrySubmit(SolveRequest request, SolveCallback done,
-                         const SubmitOptions& options) {
-  SGLA_CHECK(done != nullptr) << "TrySubmit without a completion callback";
   std::shared_ptr<const GraphEntry> entry = registry_->Find(request.graph_id);
   if (entry == nullptr) {
     return NotFound("graph '" + request.graph_id + "' is not registered");
@@ -144,7 +93,7 @@ Status Engine::TrySubmit(SolveRequest request, SolveCallback done,
   std::shared_ptr<Flight> flight;
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
-    if (options.coalesce) {
+    if (coalesce) {
       auto it = inflight_.find(key);
       if (it != inflight_.end() &&
           it->second->warm_start == request.warm_start) {
@@ -162,7 +111,7 @@ Status Engine::TrySubmit(SolveRequest request, SolveCallback done,
           " solves already pending");
     }
     pending_.fetch_add(1, std::memory_order_relaxed);
-    if (options.coalesce) {
+    if (coalesce) {
       // Publish the flight before queueing so identical requests arriving
       // from now on join it instead of racing a duplicate solve.
       flight = std::make_shared<Flight>();
@@ -171,31 +120,24 @@ Status Engine::TrySubmit(SolveRequest request, SolveCallback done,
     }
   }
 
+  // shared_ptr wrappers keep the task copyable for std::function.
   auto shared_request = std::make_shared<SolveRequest>(std::move(request));
-  auto shared_done = std::make_shared<SolveCallback>(std::move(done));
+  auto shared_done = std::make_shared<Completion>(std::move(done));
   queue_.Submit(
       [this, shared_request, shared_done, entry, flight, key](int worker) {
         std::exception_ptr thrown;
         Result<SolveResponse> result = RunGuarded(
             *shared_request, *entry,
             &workspaces_[static_cast<size_t>(worker)], &thrown);
-        if (thrown != nullptr) {
-          // Callbacks have no exception channel: surface the throw as a
-          // typed INTERNAL result (the RPC layer turns it into an error
-          // frame). The worker itself already survived the catch.
-          try {
-            std::rethrow_exception(thrown);
-          } catch (const std::exception& e) {
-            result = Internal(std::string("solve threw: ") + e.what());
-          } catch (...) {
-            result = Internal("solve threw a non-std exception");
-          }
-        }
-        std::vector<SolveCallback> joiners;
+        std::vector<Completion> joiners;
         {
           // Retire the flight BEFORE resolving anyone: a caller that saw
           // its response and immediately re-submits must start (or join) a
-          // fresh solve, never attach to this finished one.
+          // fresh solve, never attach to this finished one. Count before
+          // resolving too: a caller that saw its request complete must never
+          // observe a completed() that excludes it. completed() counts
+          // errored (non-OK Status and thrown) solves too — it means
+          // "finished", not "succeeded".
           std::lock_guard<std::mutex> lock(inflight_mutex_);
           if (flight != nullptr) {
             joiners = std::move(flight->joiners);
@@ -207,20 +149,41 @@ Status Engine::TrySubmit(SolveRequest request, SolveCallback done,
           ++completed_;
           pending_.fetch_sub(1, std::memory_order_relaxed);
         }
-        (*shared_done)(result);
-        for (SolveCallback& joiner : joiners) joiner(result);
+        for (Completion& joiner : joiners) joiner(result, thrown);
+        (*shared_done)(result, thrown);  // last: it may consume `result`
       });
   return OkStatus();
 }
 
-std::vector<std::future<Result<SolveResponse>>> Engine::SubmitBatch(
-    std::vector<SolveRequest> requests) {
-  std::vector<std::future<Result<SolveResponse>>> futures;
-  futures.reserve(requests.size());
-  for (SolveRequest& request : requests) {
-    futures.push_back(Submit(std::move(request)));
-  }
-  return futures;
+std::future<Result<SolveResponse>> Engine::Submit(SolveRequest request) {
+  auto promise = std::make_shared<std::promise<Result<SolveResponse>>>();
+  std::future<Result<SolveResponse>> future = promise->get_future();
+  const Status admitted = Admit(
+      std::move(request), /*coalesce=*/false,
+      [promise](Result<SolveResponse>& result, std::exception_ptr thrown) {
+        // A solve that threw resolves the future by re-throwing from
+        // future.get(): the caller sees the real exception instead of
+        // hanging forever on a promise that was never fulfilled, and the
+        // worker (which caught it) lives on to serve the next request.
+        if (thrown != nullptr) {
+          promise->set_exception(thrown);
+        } else {
+          promise->set_value(std::move(result));
+        }
+      });
+  if (!admitted.ok()) promise->set_value(admitted);
+  return future;
+}
+
+Status Engine::TrySubmit(SolveRequest request, SolveCallback done,
+                         const SubmitOptions& options) {
+  SGLA_CHECK(done != nullptr) << "TrySubmit without a completion callback";
+  // Callbacks have no exception channel: a throw reaches them as the typed
+  // INTERNAL result RunGuarded made of it (the RPC layer turns it into an
+  // error frame).
+  return Admit(std::move(request), options.coalesce,
+               [done = std::move(done)](Result<SolveResponse>& result,
+                                        std::exception_ptr) { done(result); });
 }
 
 Result<SolveResponse> Engine::Solve(SolveRequest request) {
@@ -247,9 +210,12 @@ Result<SolveResponse> Engine::RunGuarded(const SolveRequest& request,
   try {
     if (solve_hook_) solve_hook_(request);
     return Run(request, entry, ws);
+  } catch (const std::exception& e) {
+    *thrown = std::current_exception();
+    return Internal(std::string("solve threw: ") + e.what());
   } catch (...) {
     *thrown = std::current_exception();
-    return Internal("solve threw");
+    return Internal("solve threw a non-std exception");
   }
 }
 
@@ -364,20 +330,20 @@ Result<SolveResponse> Engine::Run(const SolveRequest& request,
   // point near w* — the final aggregation runs no eigensolve, and "near the
   // updated spectrum" is all a refinement seed needs). Skip when that
   // eigensolve ran at the wrong size (an SGLA+ node-sampled subgraph cannot
-  // seed a full solve), when banking is disabled, or when the graph was
-  // evicted or replaced mid-solve — the lineage re-check keeps a
-  // late-finishing solve from parking an unusable (lineage-mismatched)
-  // matrix in the bank that EvictGraph already invalidated. An eviction
-  // racing the tiny window between this check and Store can still leave one
-  // stale entry; it is unusable (the lookup's lineage guard rejects it) and
-  // overwritten by the replacement's next solve. The entry is assembled
-  // here but stored after the output stage, so the clustering eigensolve's
-  // un-normalized eigenvectors bank alongside the objective Ritz pairs.
+  // seed a full solve), or when the graph was evicted or replaced mid-solve
+  // — the lineage re-check keeps a late-finishing solve from parking an
+  // unusable (lineage-mismatched) matrix in the bank that EvictGraph already
+  // invalidated. An eviction racing the tiny window between this check and
+  // Store can still leave one stale entry; it is unusable (the lookup's
+  // lineage guard rejects it) and overwritten by the replacement's next
+  // solve. The entry is assembled here but stored after the output stage,
+  // so the clustering eigensolve's un-normalized eigenvectors bank alongside
+  // the objective Ritz pairs.
   const la::Eigenpairs& eigen = eval->eigen;
   const std::shared_ptr<const GraphEntry> current =
       registry_->Find(request.graph_id);
   const bool bankable =
-      warm_cache_ && current != nullptr && current->lineage == entry.lineage &&
+      current != nullptr && current->lineage == entry.lineage &&
       eigen.vectors.rows() == solve_rows && eigen.vectors.cols() > 0;
   SolveCache::Entry banked;
   if (bankable) {

@@ -131,12 +131,6 @@ struct EngineOptions {
   /// workspace; kernel-level parallelism inside a solve still comes from the
   /// shared deterministic ThreadPool.
   int num_sessions = 2;
-  /// Bank every successful solve's weights + Ritz vectors for warm starts
-  /// (default). The bank holds one n x (k+1) matrix per
-  /// (graph_id, mode, algorithm, k) key until eviction — deployments that
-  /// never send warm_start requests set false to skip the per-solve copy
-  /// and the resident memory.
-  bool warm_cache = true;
   /// Admission bound: maximum accepted-but-unfinished solves across
   /// Submit/TrySubmit. 0 (default) keeps today's unbounded behavior; > 0
   /// makes both submission paths reject with RESOURCE_EXHAUSTED once the
@@ -237,13 +231,14 @@ class Engine {
   }
 
   /// Enqueues a solve; the future resolves when a session worker finishes
-  /// it. The graph snapshot is taken here, at submit time: a graph evicted
-  /// (or replaced under the same id) afterwards still serves this request
-  /// from the submitted snapshot — an unknown id fails the future with
-  /// NotFound immediately, without occupying a session, and a full engine
-  /// (EngineOptions::max_pending) fails it with ResourceExhausted the same
-  /// way. The future ALWAYS completes: a solve that returns a non-OK Status
-  /// resolves with that Status, and a solve that throws resolves by
+  /// it. Same admission path and max_pending bound as TrySubmit, minus
+  /// coalescing. The graph snapshot is taken here, at submit time: a graph
+  /// evicted (or replaced under the same id) afterwards still serves this
+  /// request from the submitted snapshot — an unknown id fails the future
+  /// with NotFound immediately, without occupying a session, and a full
+  /// engine (EngineOptions::max_pending) fails it with ResourceExhausted the
+  /// same way. The future ALWAYS completes: a solve that returns a non-OK
+  /// Status resolves with that Status, and a solve that throws resolves by
   /// re-throwing from future.get() (promise->set_exception) — callers never
   /// hang on a failed request, and the session worker survives to serve the
   /// next one.
@@ -269,10 +264,6 @@ class Engine {
   /// request (or vice versa).
   Status TrySubmit(SolveRequest request, SolveCallback done,
                    const SubmitOptions& options = {});
-
-  /// Convenience: enqueue a whole batch, futures in request order.
-  std::vector<std::future<Result<SolveResponse>>> SubmitBatch(
-      std::vector<SolveRequest> requests);
 
   /// Synchronous solve through the same queue (submit + wait).
   Result<SolveResponse> Solve(SolveRequest request);
@@ -321,17 +312,32 @@ class Engine {
                             const GraphEntry& entry, SessionWorkspace* ws);
 
   /// Run with every escape hatch closed: the test hook and the solve run
-  /// under a catch-all; a thrown exception comes back through `thrown`
-  /// (result is then a placeholder Internal status). Never throws.
+  /// under a catch-all; a thrown exception comes back through `thrown`, and
+  /// the result is then kInternal carrying its what() text. Never throws.
   Result<SolveResponse> RunGuarded(const SolveRequest& request,
                                    const GraphEntry& entry,
                                    SessionWorkspace* ws,
                                    std::exception_ptr* thrown);
 
+  /// How an admitted request learns its outcome: called exactly once, on a
+  /// session worker, with RunGuarded's result and exception (null unless
+  /// the solve threw). A flight calls its joiners first and its leader
+  /// last, so only the leader may move from `result`.
+  using Completion =
+      std::function<void(Result<SolveResponse>& result,
+                         std::exception_ptr thrown)>;
+
+  /// The one admission path behind Submit and TrySubmit: snapshots the
+  /// entry, joins an identical in-flight solve when `coalesce` allows,
+  /// otherwise checks max_pending and queues the solve task, which does the
+  /// completion accounting and then runs the completions. Returns the
+  /// rejection (NotFound, ResourceExhausted) without calling `done`.
+  Status Admit(SolveRequest request, bool coalesce, Completion done);
+
   /// One physical in-flight solve that coalesced joiners attach to.
   struct Flight {
     bool warm_start = false;      ///< leader's flag; joiners must match
-    std::vector<SolveCallback> joiners;  ///< under inflight_mutex_
+    std::vector<Completion> joiners;  ///< under inflight_mutex_
   };
 
   GraphRegistry* registry_;
@@ -343,14 +349,13 @@ class Engine {
   persist::RecoveryStats recovery_stats_;
   /// Warm-start bank: last solve's weights + objective Ritz vectors +
   /// embedding eigenvectors per (graph_id, mode, algorithm, k, quality);
-  /// read when a request sets warm_start, written (when options.warm_cache)
-  /// after every successful solve whose final eigensolve ran at the solve's
-  /// size (fast-tier entries are coarse-sized and keyed apart by quality).
+  /// read when a request sets warm_start, written after every successful
+  /// solve whose final eigensolve ran at the solve's size (fast-tier
+  /// entries are coarse-sized and keyed apart by quality).
   /// Entries are lineage-stamped, so they survive graph updates but can
   /// never seed a re-registered id. Dropped on EvictGraph; bounded by
   /// EngineOptions::cache_capacity (LRU).
   SolveCache cache_;
-  bool warm_cache_ = true;
   int64_t max_pending_ = 0;
   std::vector<SessionWorkspace> workspaces_;
   std::atomic<int64_t> completed_{0};

@@ -38,27 +38,6 @@ uint64_t ActiveViewsSignature(const std::vector<uint64_t>& uids,
   return hash;
 }
 
-// Fills the entry's serving-subset state (active_views, active_to_global,
-// views_signature) from views/view_uids/active. The compacted vectors stay
-// empty when everything is active — serving then reads `views` directly,
-// exactly the pre-lifecycle layout.
-void BuildActiveState(GraphEntry* entry) {
-  entry->views_signature =
-      ActiveViewsSignature(entry->view_uids, entry->active);
-  entry->active_views.clear();
-  entry->active_to_global.clear();
-  bool all_active = true;
-  for (size_t v = 0; v < entry->active.size(); ++v) {
-    all_active = all_active && entry->active[v];
-  }
-  if (all_active) return;
-  for (size_t v = 0; v < entry->views.size(); ++v) {
-    if (!entry->active[v]) continue;
-    entry->active_views.push_back(entry->views[v]);
-    entry->active_to_global.push_back(static_cast<int>(v));
-  }
-}
-
 // Contracts serving view `v` onto the coarse node set. Graph views contract
 // directly (Galerkin similarity + re-normalize); attribute views average the
 // fine attribute rows per cluster and re-run that view's KNN on the coarse
@@ -120,64 +99,86 @@ std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
   return std::unique_ptr<const CoarseGraphEntry>(companion.release());
 }
 
+// Builds an entry's serving state from its views, view_uids, active mask and
+// coarsen_ratio: first the active subset (views_signature, and the compacted
+// active_views / active_to_global, left empty when everything is active so
+// serving reads `views` directly), then the aggregator over it, then the
+// coarse companion. Registration, recovery and lifecycle epochs all build
+// through here, so a masked view set serves exactly what a fresh
+// registration of its active subset would.
+void BuildServingState(GraphEntry* entry, const core::MultiViewGraph* mvag,
+                       const graph::KnnOptions& knn) {
+  entry->views_signature =
+      ActiveViewsSignature(entry->view_uids, entry->active);
+  entry->active_views.clear();
+  entry->active_to_global.clear();
+  bool all_active = true;
+  for (size_t v = 0; v < entry->active.size(); ++v) {
+    all_active = all_active && entry->active[v];
+  }
+  if (!all_active) {
+    for (size_t v = 0; v < entry->views.size(); ++v) {
+      if (!entry->active[v]) continue;
+      entry->active_views.push_back(entry->views[v]);
+      entry->active_to_global.push_back(static_cast<int>(v));
+    }
+  }
+  entry->aggregator.reset(
+      new core::LaplacianAggregator(&entry->serving_views()));
+  entry->coarse = BuildCoarseEntry(*entry, mvag, knn, entry->coarsen_ratio);
+}
+
 }  // namespace
 
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
     std::shared_ptr<GraphEntry> entry, const RegisterOptions& options,
     std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,
-    const RestoreState* restore) {
-  // Registration-time active-set state: every view active, uids 1..V (an
-  // update source's AddView continues from next_view_uid). A restore
-  // installs the checkpointed state instead, after validating it against
-  // the rebuilt views — contradictory state rejects rather than serving a
-  // graph whose lifecycle stamps would lie.
-  if (restore != nullptr && !restore->view_uids.empty()) {
-    if (restore->view_uids.size() != entry->views.size()) {
-      return InvalidArgument("restore state for '" + entry->id + "' carries " +
-                             std::to_string(restore->view_uids.size()) +
-                             " view uids for " +
-                             std::to_string(entry->views.size()) + " views");
-    }
-    entry->view_uids = restore->view_uids;
+    const RestoreState& state) {
+  // The default state is a fresh registration: epoch 0, every view active,
+  // uids 1..V (an update source's AddView continues from next_view_uid). A
+  // checkpointed state is validated against the rebuilt views first —
+  // contradictory state rejects rather than serving a graph whose lifecycle
+  // stamps would lie.
+  if (!state.view_uids.empty() &&
+      state.view_uids.size() != entry->views.size()) {
+    return InvalidArgument("restore state for '" + entry->id + "' carries " +
+                           std::to_string(state.view_uids.size()) +
+                           " view uids for " +
+                           std::to_string(entry->views.size()) + " views");
   }
-  if (entry->view_uids.size() != entry->views.size()) {
-    entry->view_uids.resize(entry->views.size());
-    for (size_t v = 0; v < entry->views.size(); ++v) {
-      entry->view_uids[v] = static_cast<uint64_t>(v) + 1;
-    }
-  }
-  if (restore != nullptr && !restore->active.empty()) {
-    if (restore->active.size() != entry->views.size()) {
+  if (!state.active.empty()) {
+    if (state.active.size() != entry->views.size()) {
       return InvalidArgument("restore state for '" + entry->id +
                              "' activity mask does not match the view count");
     }
     bool any_active = false;
-    for (size_t v = 0; v < restore->active.size(); ++v) {
-      any_active = any_active || restore->active[v];
+    for (size_t v = 0; v < state.active.size(); ++v) {
+      any_active = any_active || state.active[v];
     }
     if (!any_active) {
       return InvalidArgument("restore state for '" + entry->id +
                              "' masks every view");
     }
-    entry->active = restore->active;
-  } else {
-    entry->active.assign(entry->views.size(), true);
   }
-  if (restore != nullptr) entry->epoch = restore->epoch;
-  entry->robust_views = options.robust_views;
-  BuildActiveState(entry.get());
-  if (restore != nullptr && restore->views_signature != 0 &&
-      restore->views_signature != entry->views_signature) {
+  entry->view_uids = state.view_uids;
+  if (entry->view_uids.empty()) {
+    for (size_t v = 0; v < entry->views.size(); ++v) {
+      entry->view_uids.push_back(static_cast<uint64_t>(v) + 1);
+    }
+  }
+  entry->active = state.active;
+  if (entry->active.empty()) entry->active.assign(entry->views.size(), true);
+  if (state.views_signature != 0 &&
+      state.views_signature !=
+          ActiveViewsSignature(entry->view_uids, entry->active)) {
     return InvalidArgument("restore state for '" + entry->id +
                            "' active-set signature mismatch");
   }
-  const std::vector<la::CsrMatrix>* serving =
-      entry->active_views.empty() ? &entry->views : &entry->active_views;
-  entry->aggregator.reset(new core::LaplacianAggregator(serving));
+  entry->epoch = state.epoch;
+  entry->robust_views = options.robust_views;
   entry->coarsen_ratio = options.coarsen_ratio > 0.0 ? options.coarsen_ratio
                                                      : 0.0;
-  entry->coarse = BuildCoarseEntry(*entry, mvag, options.knn,
-                                   entry->coarsen_ratio);
+  BuildServingState(entry.get(), mvag, options.knn);
   std::shared_ptr<const GraphEntry> published = std::move(entry);
   std::lock_guard<std::mutex> lock(mutex_);
   auto inserted = graphs_.emplace(published->id, published);
@@ -194,8 +195,17 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Register(
     const std::string& id, const core::MultiViewGraph& mvag,
     const RegisterOptions& options) {
+  return Restore(id, mvag, options, RestoreState{});
+}
+
+Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Restore(
+    const std::string& id, const core::MultiViewGraph& mvag,
+    const RegisterOptions& options, const RestoreState& state) {
   // The expensive part (KNN construction, Laplacians, union pattern) runs
   // before the lock, so registration never stalls concurrent Find/Evict.
+  // Lineage is process-local and deliberately NOT restored: a recovered
+  // entry is a new registration as far as warm-start caches are concerned
+  // (their seeds died with the old process anyway).
   auto views = core::ComputeViewLaplacians(mvag, options.knn);
   if (!views.ok()) return views.status();
   auto entry = std::make_shared<GraphEntry>();
@@ -212,45 +222,13 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Register(
     source = std::make_shared<GraphSource>();
     source->mvag = mvag;
     source->knn = options.knn;
-    // Registration consumes uids 1..V (see Publish); AddView continues here.
-    source->next_view_uid = entry->views.size() + 1;
-  }
-  return Publish(std::move(entry), options, std::move(source), &mvag);
-}
-
-Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Register(
-    const std::string& id, const core::MultiViewGraph& mvag,
-    const graph::KnnOptions& knn) {
-  RegisterOptions options;
-  options.knn = knn;
-  return Register(id, mvag, options);
-}
-
-Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Restore(
-    const std::string& id, const core::MultiViewGraph& mvag,
-    const RegisterOptions& options, const RestoreState& state) {
-  // Identical to Register except the checkpointed epoch/uids/mask replace
-  // the registration defaults. Lineage is process-local and deliberately NOT
-  // restored: a recovered entry is a new registration as far as warm-start
-  // caches are concerned (their seeds died with the old process anyway).
-  auto views = core::ComputeViewLaplacians(mvag, options.knn);
-  if (!views.ok()) return views.status();
-  auto entry = std::make_shared<GraphEntry>();
-  entry->id = id;
-  entry->lineage = NextLineage();
-  entry->num_nodes = mvag.num_nodes();
-  entry->num_clusters = mvag.num_clusters();
-  entry->views = std::move(*views);
-  std::shared_ptr<GraphSource> source;
-  if (options.updatable) {
-    source = std::make_shared<GraphSource>();
-    source->mvag = mvag;
-    source->knn = options.knn;
+    // A fresh registration consumes uids 1..V (see Publish); AddView
+    // continues after them unless the checkpoint says otherwise.
     source->next_view_uid = state.next_view_uid != 0
                                 ? state.next_view_uid
                                 : entry->views.size() + 1;
   }
-  return Publish(std::move(entry), options, std::move(source), &mvag, &state);
+  return Publish(std::move(entry), options, std::move(source), &mvag, state);
 }
 
 Result<SourceSnapshot> GraphRegistry::SnapshotSource(
@@ -305,7 +283,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::RegisterViews(
   entry->num_nodes = views[0].rows;
   entry->num_clusters = num_clusters;
   entry->views = std::move(views);
-  return Publish(std::move(entry), options, nullptr, nullptr);
+  return Publish(std::move(entry), options, nullptr, nullptr, RestoreState{});
 }
 
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
@@ -402,22 +380,8 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
       if (!laplacian.ok()) return laplacian.status();
       entry->views[v] = std::move(*laplacian);
     }
-    BuildActiveState(entry.get());
-    const std::vector<la::CsrMatrix>* serving =
-        entry->active_views.empty() ? &entry->views : &entry->active_views;
-    entry->aggregator.reset(new core::LaplacianAggregator(serving));
-    entry->coarse = BuildCoarseEntry(*entry, &source->mvag, source->knn,
-                                     entry->coarsen_ratio);
-
-    std::shared_ptr<const GraphEntry> published = std::move(entry);
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = graphs_.find(id);
-    if (it == graphs_.end() || it->second != old) {
-      return NotFound("graph '" + id +
-                      "' was evicted or replaced during the update");
-    }
-    it->second = published;
-    return published;
+    BuildServingState(entry.get(), &source->mvag, source->knn);
+    return SwapIn(old, std::move(entry));
   }
 
   entry->views = old->views;
@@ -528,14 +492,20 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
                                entry->coarsen_ratio);
   }
 
-  // Publish iff the entry we built on is still current (compare-and-swap on
-  // the snapshot): losing the race to Evict — with or without a re-register
-  // — must not resurrect the graph.
-  std::shared_ptr<const GraphEntry> published = std::move(entry);
+  return SwapIn(old, std::move(entry));
+}
+
+Result<std::shared_ptr<const GraphEntry>> GraphRegistry::SwapIn(
+    const std::shared_ptr<const GraphEntry>& old,
+    std::shared_ptr<GraphEntry> next) {
+  // Publish iff the entry the update built on is still current
+  // (compare-and-swap on the snapshot): losing the race to Evict — with or
+  // without a re-register — must not resurrect the graph.
+  std::shared_ptr<const GraphEntry> published = std::move(next);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = graphs_.find(id);
+  auto it = graphs_.find(old->id);
   if (it == graphs_.end() || it->second != old) {
-    return NotFound("graph '" + id +
+    return NotFound("graph '" + old->id +
                     "' was evicted or replaced during the update");
   }
   it->second = published;

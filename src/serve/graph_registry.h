@@ -139,9 +139,10 @@ struct GraphEntry {
 
 /// Mutable per-graph state a persist checkpoint must capture beyond the
 /// MultiViewGraph itself: the epoch counter, the stable view identities and
-/// activity mask, and the uid allocator position. Restore() installs it in
-/// place of the registration defaults so a recovered entry is
-/// indistinguishable from the pre-crash one (see src/persist/).
+/// activity mask, and the uid allocator position. The default-constructed
+/// state is a fresh registration (what Register passes); a checkpointed one
+/// makes a Restore()d entry indistinguishable from the pre-crash one (see
+/// src/persist/).
 struct RestoreState {
   int64_t epoch = 0;
   std::vector<uint64_t> view_uids;  ///< empty = registration default 1..V
@@ -172,16 +173,14 @@ struct SourceSnapshot {
 /// outside the registry lock.
 class GraphRegistry {
  public:
-  /// Precomputes view Laplacians (attribute views through `knn`) and the
-  /// union pattern, then publishes the entry. Fails on duplicate id, and
-  /// with InvalidArgument on a malformed graph (see
+  /// Restore() from a default RestoreState: precomputes view Laplacians
+  /// (attribute views through `options.knn`) and the union pattern, then
+  /// publishes the entry at epoch 0 with every view active. Fails on
+  /// duplicate id, and with InvalidArgument on a malformed graph (see
   /// core::ComputeViewLaplacians).
   Result<std::shared_ptr<const GraphEntry>> Register(
       const std::string& id, const core::MultiViewGraph& mvag,
-      const RegisterOptions& options);
-  Result<std::shared_ptr<const GraphEntry>> Register(
-      const std::string& id, const core::MultiViewGraph& mvag,
-      const graph::KnnOptions& knn = {});
+      const RegisterOptions& options = {});
 
   /// Registers already-computed view Laplacians (callers that precompute or
   /// share views across registries). Fails on duplicate id or empty views.
@@ -209,23 +208,23 @@ class GraphRegistry {
   /// Lifecycle deltas (AddView/RemoveView/MaskView/UnmaskView), and any
   /// delta applied while some view is masked, rebuild the serving state
   /// (aggregator, coarse companion) from scratch over the active view
-  /// subset — exactly what registering that subset fresh would build, so
-  /// masked/removed-view solves are bit-identical to a fresh registration
-  /// of the subset. AddView precomputes the Laplacian (and,
-  /// for attribute views, the KNN graph) of just the new view; MaskView
-  /// keeps the view's Laplacian so a later UnmaskView recomputes nothing.
+  /// subset through the builder registration uses, so masked/removed-view
+  /// solves are bit-identical to a fresh registration of the subset.
+  /// AddView precomputes the Laplacian (and, for attribute views, the KNN
+  /// graph) of just the new view; MaskView keeps the view's Laplacian so a
+  /// later UnmaskView recomputes nothing.
   Result<std::shared_ptr<const GraphEntry>> UpdateGraph(
       const std::string& id, const GraphDelta& delta);
 
-  /// Register() with the checkpointed mutable state installed instead of the
-  /// registration defaults: the entry comes back at `state.epoch` with the
-  /// checkpointed view uids, activity mask and uid allocator, and the serving
-  /// state (aggregator, coarse companion) is rebuilt from scratch over the
-  /// active subset — exactly what the lifecycle-update path builds, so
-  /// recovered solves are bit-identical to the pre-crash process. Fails on
-  /// duplicate id, on a malformed graph (like Register), or on state that
-  /// contradicts the graph (uid count vs view count, empty active set,
-  /// signature mismatch).
+  /// Builds and publishes an entry with `state` installed: the entry comes
+  /// back at `state.epoch` with the checkpointed view uids, activity mask and
+  /// uid allocator (a default RestoreState is a fresh registration — this is
+  /// Register's only body). The serving state (aggregator, coarse
+  /// companion) is built from scratch over the active subset by the same
+  /// helper the lifecycle-update path uses, so recovered solves are
+  /// bit-identical to the pre-crash process. Fails on duplicate id, on a
+  /// malformed graph, or on state that contradicts the graph (uid count vs
+  /// view count, empty active set, signature mismatch).
   Result<std::shared_ptr<const GraphEntry>> Restore(
       const std::string& id, const core::MultiViewGraph& mvag,
       const RegisterOptions& options, const RestoreState& state);
@@ -261,14 +260,20 @@ class GraphRegistry {
     std::mutex mutex;
   };
 
-  /// `mvag` (may be null for RegisterViews entries) lets the coarse builder
-  /// re-run attribute-view KNN on the averaged coarse attributes. `restore`
-  /// (null for plain registration) swaps the registration-default epoch /
-  /// uids / activity mask for checkpointed ones (see Restore).
+  /// Installs `state` (validated against entry->views), builds the serving
+  /// state and inserts the entry under a new id. `mvag` (may be null for
+  /// RegisterViews entries) lets the coarse builder re-run attribute-view KNN
+  /// on the averaged coarse attributes.
   Result<std::shared_ptr<const GraphEntry>> Publish(
       std::shared_ptr<GraphEntry> entry, const RegisterOptions& options,
       std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,
-      const RestoreState* restore = nullptr);
+      const RestoreState& state);
+
+  /// UpdateGraph's publish: replaces `old` with `next` iff `old` is still
+  /// the current entry for its id; NotFound otherwise.
+  Result<std::shared_ptr<const GraphEntry>> SwapIn(
+      const std::shared_ptr<const GraphEntry>& old,
+      std::shared_ptr<GraphEntry> next);
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::shared_ptr<const GraphEntry>> graphs_;

@@ -336,9 +336,12 @@ TEST(EngineTest, EvictedGraphRejectsNewButFinishesInFlightWork) {
   options.num_sessions = 1;  // force queueing so eviction races the backlog
   serve::Engine engine(&registry, options);
 
-  std::vector<serve::SolveRequest> batch(3);
-  for (serve::SolveRequest& request : batch) request.graph_id = "g";
-  auto futures = engine.SubmitBatch(std::move(batch));
+  std::vector<std::future<Result<serve::SolveResponse>>> futures;
+  for (int i = 0; i < 3; ++i) {
+    serve::SolveRequest request;
+    request.graph_id = "g";
+    futures.push_back(engine.Submit(std::move(request)));
+  }
 
   // Evict while the backlog is (most likely) still draining: accepted work
   // carries its own snapshot, so every future must still resolve correctly
@@ -446,6 +449,62 @@ TEST(EngineErrorPathTest, TrySubmitCallbackSeesInternalOnThrow) {
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.message().find("injected fault"), std::string::npos);
   engine.Drain();
+}
+
+/// Submit and TrySubmit are two adapters over one admission path, so one
+/// max_pending bound covers both: with the only admitted solve parked in the
+/// hook, each form is rejected, and each admits again once it finishes.
+TEST(EngineErrorPathTest, SubmitAndTrySubmitShareOneMaxPendingBound) {
+  const GraphFixture f = GraphFixture::Make(120, 3, 13);
+  serve::GraphRegistry registry;
+  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
+  // Declared before the engine, whose destructor drains the queue, so the
+  // hook never outlives what it waits on.
+  std::atomic<bool> park{true};
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  serve::EngineOptions options;
+  options.num_sessions = 1;
+  options.max_pending = 1;
+  serve::Engine engine(&registry, options);
+  engine.SetSolveHookForTest([&](const serve::SolveRequest&) {
+    if (!park.exchange(false)) return;
+    parked.set_value();
+    released.wait();
+  });
+
+  serve::SolveRequest request;
+  request.graph_id = "g";
+  auto first = engine.Submit(request);
+  parked.get_future().wait();
+  EXPECT_EQ(engine.pending(), 1);
+  // Both forms decide at submission; a rejected future is already resolved.
+  auto second = engine.Submit(request);
+  const Status try_rejected = engine.TrySubmit(
+      request, [](const Result<serve::SolveResponse>&) {
+        ADD_FAILURE() << "a rejected request's callback fired";
+      });
+  release.set_value();
+
+  const Result<serve::SolveResponse> rejected = second.get();
+  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(try_rejected.code(), StatusCode::kResourceExhausted);
+  ASSERT_TRUE(first.get().ok());
+  EXPECT_EQ(engine.pending(), 0);
+
+  EXPECT_TRUE(engine.Submit(request).get().ok());
+  std::promise<Status> delivered;
+  ASSERT_TRUE(engine
+                  .TrySubmit(request,
+                             [&delivered](
+                                 const Result<serve::SolveResponse>& result) {
+                               delivered.set_value(result.status());
+                             })
+                  .ok());
+  EXPECT_TRUE(delivered.get_future().get().ok());
+  engine.Drain();
+  EXPECT_EQ(engine.completed(), 3);
 }
 
 /// k = n asks every objective evaluation for n + 1 eigenpairs, so all of
@@ -616,6 +675,56 @@ TEST(EngineAllocationTest, SteadyStateObjectiveEvaluationsAllocateNothing) {
     const int64_t after = g_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0)
         << "steady-state Evaluate allocated at threads=" << threads;
+  }
+}
+
+TEST(EngineAllocationTest, RebindingBetweenPatternsAllocatesNothing) {
+  // One workspace alternates between two graphs of different n, the way a
+  // session worker hops between registered graphs: every Evaluate rebinds
+  // the union CSR and rebuilds its SELL form. Once both patterns have been
+  // bound, the buffers fit either, so a rebind must allocate nothing — and
+  // every value must equal a fresh workspace's, bit for bit.
+  const GraphFixture fa = GraphFixture::Make(1200, 4, 93);
+  const GraphFixture fb = GraphFixture::Make(700, 3, 97);
+  const core::LaplacianAggregator a(&fa.views);
+  const core::LaplacianAggregator b(&fb.views);
+  const std::vector<double> w = {0.55, 0.45};
+  auto fresh_value = [&w](const core::LaplacianAggregator& aggregator,
+                          int k) {
+    core::EvalWorkspace fresh;
+    core::SpectralObjective objective(&aggregator, k,
+                                      core::ObjectiveOptions(), &fresh);
+    auto value = objective.Evaluate(w);
+    EXPECT_TRUE(value.ok());
+    return *value;
+  };
+  const core::ObjectiveValue ref_a = fresh_value(a, 4);
+  const core::ObjectiveValue ref_b = fresh_value(b, 3);
+
+  ThreadCountGuard guard;
+  for (int threads : {1, 4}) {
+    util::ThreadPool::SetGlobalThreads(threads);
+    core::EvalWorkspace workspace;
+    core::SpectralObjective on_a(&a, 4, core::ObjectiveOptions(), &workspace);
+    core::SpectralObjective on_b(&b, 3, core::ObjectiveOptions(), &workspace);
+    ASSERT_TRUE(on_a.Evaluate(w).ok());  // warm-up: bind both patterns
+    ASSERT_TRUE(on_b.Evaluate(w).ok());
+
+    const int64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < 6; ++i) {
+      const bool use_a = i % 2 == 0;
+      auto value = use_a ? on_a.Evaluate(w) : on_b.Evaluate(w);
+      ASSERT_TRUE(value.ok());
+      const core::ObjectiveValue& ref = use_a ? ref_a : ref_b;
+      EXPECT_EQ(value->h, ref.h) << "i=" << i << " threads=" << threads;
+      EXPECT_EQ(value->eigengap, ref.eigengap);
+      EXPECT_EQ(value->lambda2, ref.lambda2);
+      EXPECT_EQ(value->lanczos_iterations, ref.lanczos_iterations);
+    }
+    const int64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0)
+        << "rebinding between bound patterns allocated at threads="
+        << threads;
   }
 }
 
