@@ -88,11 +88,11 @@ int main() {
     }
   }
   std::printf("\nreading note: the paper's Fig. 12 is a qualitative plot; the "
-              "quantitative embedding comparison is Table IV, where SGLA leads "
-              "the fixed-dimension methods. On these synthetic stand-ins the "
+              "quantitative embedding comparison is Table IV "
+              "(bench_table4_embedding). On these synthetic stand-ins the "
               "low-pass-filtered feature embeddings (MvAGC/LMGEC) can score "
               "higher 2-D silhouettes than factorized embeddings even when "
               "their task quality is lower — silhouette rewards tight blobs, "
-              "not class information (see EXPERIMENTS.md).\n");
+              "not class information.\n");
   return 0;
 }

@@ -442,7 +442,7 @@ BENCHMARK(BM_EngineAggregateSteadyState)->Arg(512)->Arg(2000);
 
 // End-to-end solve latency. The solve runs on a session worker, so the
 // caller's cpu_time is only submit/wait overhead: timed in wall-clock, like
-// BM_CoarsenGraph (and likewise for the fast-tier and warm-resolve benches).
+// BM_CoarsenGraph (and likewise for the fast-tier and re-solve benches).
 void BM_EngineSolveCluster(benchmark::State& state) {
   const Fixture& f = Fixture::Get(state.range(0));
   serve::GraphRegistry registry;
@@ -574,10 +574,9 @@ void BM_EngineUpdateGraphValueOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineUpdateGraphValueOnly)->Arg(2000);
 
-// Warm re-solve after a small delta: the serving loop the warm-start cache
-// exists for (update -> warm_start solve, repeatedly). Compare ns against
-// BM_EngineSolveCluster (cold) at the same size for the warm-start win.
-void BM_EngineWarmResolveAfterUpdate(benchmark::State& state) {
+// Re-solve after a small delta: the update-then-solve serving loop (a
+// value-only upsert of 16 edges, then an exact SGLA solve, repeatedly).
+void BM_EngineResolveAfterUpdate(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(179);
   std::vector<int32_t> labels = data::BalancedLabels(n, 4, &rng);
@@ -596,7 +595,7 @@ void BM_EngineWarmResolveAfterUpdate(benchmark::State& state) {
   request.graph_id = "bench";
   request.algorithm = serve::Algorithm::kSgla;
   request.options.base.max_evaluations = 16;
-  benchmark::DoNotOptimize(engine.Solve(request).ok());  // bank the seed
+  benchmark::DoNotOptimize(engine.Solve(request).ok());  // warm the session
 
   serve::GraphDelta delta;
   serve::GraphViewDelta view_delta;
@@ -606,7 +605,6 @@ void BM_EngineWarmResolveAfterUpdate(benchmark::State& state) {
     view_delta.upserts.push_back({edges[i].u, edges[i].v, 1.2});
   }
   delta.graph_views.push_back(std::move(view_delta));
-  request.warm_start = true;
 
   double weight = 1.2;
   const int64_t allocations_before =
@@ -626,7 +624,7 @@ void BM_EngineWarmResolveAfterUpdate(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
   state.SetLabel(la::simd::ActiveIsaName());
 }
-BENCHMARK(BM_EngineWarmResolveAfterUpdate)->Arg(2000)->UseRealTime();
+BENCHMARK(BM_EngineResolveAfterUpdate)->Arg(2000)->UseRealTime();
 
 void BM_SglaCobyla(benchmark::State& state) {
   const Fixture& f = Fixture::Get(2000);

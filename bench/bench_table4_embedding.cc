@@ -3,6 +3,8 @@
 // with the paper-style overall rank.
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common.h"
@@ -43,12 +45,30 @@ int main() {
   for (size_t m = 0; m < methods.size(); ++m) {
     std::printf("%-11s %5.2f\n", methods[m].c_str(), ranks[m]);
   }
+  // The fixed-d=64 comparison the paper makes: every method but WMSC-sp.
+  double sgla = 0.0;
+  double sgla_plus = 0.0;
+  double best_baseline = std::numeric_limits<double>::infinity();
+  std::string best_name = "-";
+  for (size_t m = 0; m < methods.size(); ++m) {
+    if (methods[m] == "SGLA") {
+      sgla = ranks[m];
+    } else if (methods[m] == "SGLA+") {
+      sgla_plus = ranks[m];
+    } else if (methods[m] != "WMSC-sp" && ranks[m] < best_baseline) {
+      best_baseline = ranks[m];
+      best_name = methods[m];
+    }
+  }
   std::printf("\nreading note: WMSC-sp concatenates every view's spectral "
               "embedding (r*k dims) — not one of the paper's baselines and "
               "outside its fixed d=64 protocol; on synthetic SBM spectra it "
-              "acts as a near-oracle (see EXPERIMENTS.md). Among the "
-              "fixed-d=64 factorization methods, SGLA ranks first.\n");
-  std::printf("paper shape check: paper reports SGLA and SGLA+ both at rank "
-              "1.5 vs best baseline 4.6.\n");
+              "acts as a near-oracle, so the check below leaves it out.\n");
+  std::printf("paper shape check: SGLA %.2f and SGLA+ %.2f against best "
+              "fixed-d=64 baseline %s %.2f (paper: both 1.5 vs 4.6): %s\n",
+              sgla, sgla_plus, best_name.c_str(), best_baseline,
+              sgla < best_baseline && sgla_plus < best_baseline
+                  ? "holds"
+                  : "does not hold");
   return 0;
 }

@@ -77,7 +77,7 @@ TIMING_GATED = (
     "BM_CoarsenGraph",
     "BM_EngineSolveCluster",
     "BM_EngineSolveFastTier",
-    "BM_EngineWarmResolveAfterUpdate",
+    "BM_EngineResolveAfterUpdate",
 )
 
 

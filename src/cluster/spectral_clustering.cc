@@ -31,19 +31,14 @@ Status SpectralClusteringInto(const la::CsrMatrix& laplacian, int k,
                               const KMeansOptions& kmeans,
                               SpectralWorkspace* workspace,
                               std::vector<int32_t>* out, std::nullptr_t,
-                              const la::DenseMatrix* warm_start,
-                              la::DenseMatrix* ritz_out,
+                              std::nullptr_t, std::nullptr_t,
                               la::LanczosStats* stats) {
   if (k < 1) return InvalidArgument("spectral embedding needs k >= 1");
   la::LanczosOptions lanczos;  // defaults match SpectralEmbeddingOptions
-  lanczos.warm_start = warm_start;
   Status solved = la::SmallestEigenpairsInto(
       laplacian, k, SpectralEmbeddingOptions().spectrum_upper_bound, lanczos,
       &workspace->lanczos, &workspace->eigen, stats);
   if (!solved.ok()) return solved;
-  // Banked *before* row normalization: normalizing is irreversible and the
-  // normalized rows no longer span the Ritz subspace a warm start needs.
-  if (ritz_out != nullptr) *ritz_out = workspace->eigen.vectors;
   la::NormalizeRows(&workspace->eigen.vectors);
   KMeansInto(workspace->eigen.vectors, k, kmeans, &workspace->kmeans,
              &workspace->kmeans_result);

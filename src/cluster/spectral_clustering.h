@@ -45,22 +45,17 @@ Result<std::vector<int32_t>> SpectralClustering(
 /// Workspace form of SpectralClustering: bit-identical labels, with all
 /// scratch in `workspace` and the labels assign-reused in `out`.
 ///
-/// The sixth parameter is the retired row-shard slot: it only accepts
-/// nullptr and is ignored, so existing nine-argument callers keep compiling.
-/// The trailing out/in params serve the engine's warm-start bank:
-/// `warm_start` seeds the embedding eigensolve with banked eigenvectors of a
-/// previous solve (see la::LanczosOptions::warm_start — same caveats: fewer
-/// iterations, not bit-identical); `ritz_out`, when non-null, receives the
-/// *un-normalized* embedding eigenvectors before row normalization destroys
-/// the Ritz subspace, exactly what a later warm start needs; `stats` exposes
-/// the eigensolve's iteration counts.
+/// The sixth, seventh and eighth parameters are retired slots (row shards,
+/// a warm-start seed and a Ritz-vector out-param): they only accept nullptr
+/// and are ignored, so existing nine-argument callers keep compiling.
+/// `stats` exposes the embedding eigensolve's iteration counts.
 Status SpectralClusteringInto(const la::CsrMatrix& laplacian, int k,
                               const KMeansOptions& kmeans,
                               SpectralWorkspace* workspace,
                               std::vector<int32_t>* out,
                               std::nullptr_t retired_shards = nullptr,
-                              const la::DenseMatrix* warm_start = nullptr,
-                              la::DenseMatrix* ritz_out = nullptr,
+                              std::nullptr_t retired_warm_start = nullptr,
+                              std::nullptr_t retired_ritz_out = nullptr,
                               la::LanczosStats* stats = nullptr);
 
 }  // namespace cluster

@@ -27,8 +27,8 @@ struct IntegrationResult {
   std::vector<double> objective_history;
   std::vector<la::Vector> weight_history;
   /// Total Lanczos basis vectors built across the run's eigensolves — the
-  /// cost counter warm-started re-solves drive down (0 for baselines that
-  /// never ran the spectral objective).
+  /// run's cost counter (0 for baselines that never ran the spectral
+  /// objective).
   int64_t lanczos_iterations = 0;
 };
 
@@ -38,11 +38,6 @@ struct SglaOptions {
   /// Early-termination threshold on the per-iteration objective improvement.
   double epsilon = 1e-3;
   int max_evaluations = 60;  ///< the paper's T_max
-  /// Warm start of the weight search: empty (default) starts at the uniform
-  /// vector — today's trajectory, bit for bit. A size-r vector re-centers
-  /// the initial simplex there (the serving layer passes the previous
-  /// epoch's optimal weights alongside objective.warm_start).
-  la::Vector initial_weights;
 };
 
 /// Full SGLA: iterative derivative-free minimization of the spectral

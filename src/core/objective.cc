@@ -55,10 +55,6 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
   // Convex combinations of normalized Laplacians keep the spectrum in [0, 2].
   la::LanczosOptions lanczos;
   lanczos.max_subspace = options_.lanczos_subspace;
-  // The row-count guard lives in the eigensolver; passing the seed through
-  // unconditionally keeps the SGLA+ node-sampling path (subgraph-sized
-  // solves) silently cold instead of erroring.
-  lanczos.warm_start = options_.warm_start;
   la::LanczosStats stats;
   Status solved;
   if (!la::UsesDenseFallback(workspace_->aggregate.rows, k_ + 1)) {

@@ -33,14 +33,6 @@ struct ObjectiveOptions {
   /// graphs. Off by default: bit-identical to the plain objective.
   bool robust = false;
   double robust_rho = 1.0;
-  /// Non-owning warm-start seed for every eigensolve this objective runs:
-  /// columns are a previous solve's Ritz vectors on a nearby graph (the
-  /// serving layer passes the SolveCache entry of the pre-update epoch).
-  /// Null — the default — keeps evaluations bit-identical to today; non-null
-  /// trades bit-identity for strictly fewer Lanczos iterations on
-  /// small-delta re-solves (see la::LanczosOptions::warm_start). Ignored
-  /// when the row count mismatches (e.g. SGLA+ node-sampled evaluations).
-  const la::DenseMatrix* warm_start = nullptr;
 };
 
 /// One evaluation of the integration objective at a weight vector.
@@ -52,7 +44,7 @@ struct ObjectiveValue {
   /// sum_i w_i * |r_i - median(r)|, before the robust_rho scaling.
   double agreement = 0.0;
   /// Lanczos basis vectors the evaluation's eigensolve built (0 on the
-  /// dense fallback) — the cost metric warm-started solves drive down.
+  /// dense fallback) — the evaluation's cost metric.
   int lanczos_iterations = 0;
 };
 

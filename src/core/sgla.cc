@@ -27,7 +27,6 @@ Result<IntegrationResult> SglaOnAggregator(const LaplacianAggregator& aggregator
                        : opt::SimplexMethod::kCobyla;
   simplex.epsilon = options.epsilon;
   simplex.max_evaluations = options.max_evaluations;
-  simplex.initial_point = options.initial_weights;
   auto trace = opt::MinimizeOnSimplex(aggregator.num_views(), h, simplex);
   if (!trace.ok()) return trace.status();
   // With every evaluation failed the optimizer just returns its start

@@ -4,7 +4,10 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
+
+#include "la/dense.h"
 
 namespace sgla {
 namespace data {
@@ -115,9 +118,15 @@ Result<core::MultiViewGraph> ReadMvagFrom(std::istream& in,
     int64_t rows = 0, cols = 0;
     std::vector<double> values;
     if (!ReadPod(in, &rows) || !ReadPod(in, &cols) ||
-        !ReadVector(in, &values) ||
-        values.size() != static_cast<size_t>(rows * cols)) {
+        !ReadVector(in, &values)) {
       return InvalidArgument("truncated MVAG attribute view: " + what);
+    }
+    if (!la::ShapeHolds(rows, cols, values.size())) {
+      return InvalidArgument("bad MVAG attribute view shape " +
+                             std::to_string(rows) + " x " +
+                             std::to_string(cols) + " for " +
+                             std::to_string(values.size()) +
+                             " values: " + what);
     }
     la::DenseMatrix x(rows, cols);
     x.data() = std::move(values);

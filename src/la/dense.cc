@@ -114,6 +114,13 @@ Vector SolveRidgedSystem(DenseMatrix a, Vector b, double ridge) {
   return b;
 }
 
+bool ShapeHolds(int64_t rows, int64_t cols, uint64_t size) {
+  if (rows < 0 || cols < 0) return false;
+  if (rows == 0 || cols == 0) return size == 0;
+  const uint64_t r = static_cast<uint64_t>(rows);
+  return size % r == 0 && size / r == static_cast<uint64_t>(cols);
+}
+
 void NormalizeRows(DenseMatrix* m) {
   for (int64_t i = 0; i < m->rows(); ++i) {
     double* row = m->Row(i);

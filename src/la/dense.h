@@ -82,6 +82,13 @@ void NormalizeRows(DenseMatrix* m);
 void ProlongateRows(const DenseMatrix& src, const std::vector<int64_t>& map,
                     DenseMatrix* out);
 
+/// True iff a rows x cols matrix holds exactly `size` entries: both
+/// dimensions non-negative and rows * cols == size. Decided by division, so
+/// a hostile shape whose product wraps (rows = 512, cols = 2^55, size = 0)
+/// is rejected instead of passing as an empty matrix. Every decoder that
+/// reads a dense block's shape next to its data checks it here.
+bool ShapeHolds(int64_t rows, int64_t cols, uint64_t size);
+
 /// Solves (A + ridge I) x = b for small dense A by Gaussian elimination with
 /// partial pivoting. Near-singular pivots yield zero components rather than
 /// NaNs — callers use this for least-squares normal equations where the

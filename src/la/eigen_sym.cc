@@ -110,7 +110,7 @@ void JacobiEigenSymmetric(const DenseMatrix& matrix, Vector* eigenvalues,
 
 Status TridiagonalEigenInto(const double* diag, const double* offdiag, int m,
                             TridiagonalWorkspace* workspace, Vector* values,
-                            DenseMatrix* vectors, Vector* last_row) {
+                            DenseMatrix* vectors) {
   SGLA_CHECK(m >= 0) << "TridiagonalEigenInto needs m >= 0";
   workspace->d.assign(diag, diag + m);
   // e[m-1] stays zero: the sentinel that ends every split search below.
@@ -124,18 +124,11 @@ Status TridiagonalEigenInto(const double* diag, const double* offdiag, int m,
     }
   }
 
-  // Row i of z accumulates the transpose of eigenvector column i: all m
-  // components for `vectors`, only component m-1 for `last_row` alone.
-  // Starting from the matching columns of the identity, each column evolves
-  // independently under RotateRows, so the one-column run is the full run's
-  // last column bit for bit.
-  DenseMatrix* z = nullptr;
-  if (vectors != nullptr || last_row != nullptr) {
-    z = &workspace->z;
-    const int cols = vectors != nullptr ? m : 1;
-    z->Reshape(m, cols);
-    for (int c = 0; c < cols && m > 0; ++c) (*z)(m - cols + c, c) = 1.0;
-  }
+  // Row i of z accumulates the transpose of eigenvector column i, starting
+  // from the identity.
+  DenseMatrix& z = workspace->z;
+  z.Reshape(m, m);
+  for (int c = 0; c < m; ++c) z(c, c) = 1.0;
 
   // Implicit QL with Wilkinson shifts: each sweep chases a bulge up the
   // unreduced block [l, split] and converges d[l]; negligible off-diagonals
@@ -179,7 +172,7 @@ Status TridiagonalEigenInto(const double* diag, const double* offdiag, int m,
         p = s * r;
         d[i + 1] = g + p;
         g = c * r - b;
-        if (z != nullptr) RotateRows(z, i, c, s);
+        RotateRows(&z, i, c, s);
       }
       if (r == 0.0 && i >= l) continue;
       d[l] -= p;
@@ -196,17 +189,11 @@ Status TridiagonalEigenInto(const double* diag, const double* offdiag, int m,
   });
 
   values->resize(static_cast<size_t>(m));
-  if (vectors != nullptr) vectors->Reshape(m, m);
-  if (last_row != nullptr) last_row->resize(static_cast<size_t>(m));
+  vectors->Reshape(m, m);
   for (int j = 0; j < m; ++j) {
     const int src = order[static_cast<size_t>(j)];
     (*values)[static_cast<size_t>(j)] = d[src];
-    if (vectors != nullptr) {
-      for (int k = 0; k < m; ++k) (*vectors)(k, j) = (*z)(src, k);
-    }
-    if (last_row != nullptr) {
-      (*last_row)[static_cast<size_t>(j)] = (*z)(src, z->cols() - 1);
-    }
+    for (int k = 0; k < m; ++k) (*vectors)(k, j) = z(src, k);
   }
   return OkStatus();
 }

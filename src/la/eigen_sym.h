@@ -47,25 +47,19 @@ struct TridiagonalWorkspace {
 /// Eigendecomposition of the m x m symmetric tridiagonal with diagonal
 /// `diag[0..m)` and off-diagonal `offdiag[0..m-1)` (offdiag[i] couples rows
 /// i and i+1; an exact zero splits the matrix) by implicit QL with
-/// Wilkinson shifts (the tqli / LAPACK dsteqr scheme): O(m^2) for the
-/// values, O(m^3) with a small constant when eigenvectors are accumulated.
+/// Wilkinson shifts (the tqli / LAPACK dsteqr scheme), accumulating the
+/// eigenvectors: O(m^3) with a small constant.
 ///
-/// `values` receives the eigenvalues ascending, ties broken by index. When
-/// `vectors` is non-null it is reshaped to m x m and column j holds the unit
-/// eigenvector of values[j] (JacobiEigenSymmetric's layout). When
-/// `last_row` is non-null it receives row m-1 of that eigenvector matrix —
-/// the Lanczos residual estimates read nothing else. Without `vectors` only
-/// that one row is rotated (O(m^2) total); every rotation updates each
-/// row from that row alone, so the result is bit-identical to the last row
-/// of the full decomposition. Eigenvalues do not depend on which outputs
-/// are requested.
+/// `values` receives the eigenvalues ascending, ties broken by index.
+/// `vectors` is reshaped to m x m and column j holds the unit eigenvector of
+/// values[j] (JacobiEigenSymmetric's layout).
 ///
 /// Non-finite input, or an eigenvalue that fails to converge within 30 QL
 /// iterations per row on average, returns kInternal and leaves the outputs
 /// unspecified.
 Status TridiagonalEigenInto(const double* diag, const double* offdiag, int m,
                             TridiagonalWorkspace* workspace, Vector* values,
-                            DenseMatrix* vectors, Vector* last_row);
+                            DenseMatrix* vectors);
 
 }  // namespace la
 }  // namespace sgla

@@ -73,22 +73,12 @@ Status DenseSmallestInto(const CsrMatrix& matrix, int k,
 /// vector is kept orthogonal to the already-converged eigenvectors). Writes
 /// up to `want` Ritz pairs — ascending in M, with exact residuals — into
 /// bank rows [pass_base, pass_base + produced) and reports `produced`.
-///
-/// `seed` (when non-null, length n) replaces the random start direction —
-/// warm solves pass a combination of a previous solve's Ritz vectors. A
-/// positive `early_exit_tolerance` lets the basis loop stop before the full
-/// m steps once the residual *estimates* (beta_j |s_{j,i}|, the classic
-/// Lanczos bound) of the top `early_want` pairs all clear it; locking still
-/// uses exact residuals, so an optimistic estimate can only cost another
-/// pass, never a wrong pair. Cold solves pass seed=null / tolerance<=0 and
-/// take exactly the historical trajectory. `built_out` reports the basis
-/// vectors built (the solve's iteration count). A Rayleigh-Ritz step that
-/// fails to converge returns kInternal.
+/// `built_out` reports the basis vectors built (the solve's iteration
+/// count). A Rayleigh-Ritz step that fails to converge returns kInternal.
 Status LanczosPassInto(const SpmvOperator& matrix, double sigma, int m,
-                       int want, int num_locked, int pass_base,
-                       const double* seed, double early_exit_tolerance,
-                       int early_want, Rng* rng, LanczosWorkspace* ws,
-                       int* produced_out, int* built_out) {
+                       int want, int num_locked, int pass_base, Rng* rng,
+                       LanczosWorkspace* ws, int* produced_out,
+                       int* built_out) {
   const int64_t n = matrix.rows;
   *produced_out = 0;
   *built_out = 0;
@@ -116,11 +106,7 @@ Status LanczosPassInto(const SpmvOperator& matrix, double sigma, int m,
 
   Vector& v = ws->v;
   v.assign(static_cast<size_t>(n), 0.0);
-  if (seed != nullptr) {
-    std::copy(seed, seed + n, v.begin());
-  } else {
-    for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = rng->Gaussian();
-  }
+  for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = rng->Gaussian();
   deflate(v.data(), 0);
   {
     const double norm = Norm2(v.data(), n);
@@ -129,27 +115,6 @@ Status LanczosPassInto(const SpmvOperator& matrix, double sigma, int m,
     Scale(1.0 / norm, v.data(), n);
   }
   std::copy(v.begin(), v.end(), basis.Row(0));
-
-  // True when the current (j+1)-step tridiagonal's residual estimates for
-  // the top `early_want` pairs of B all clear the tolerance — the signal
-  // that extending the basis further would not change which pairs lock.
-  // The estimates read only the last eigenvector row, so the QL rotates
-  // that one row: O(steps^2) per check.
-  const auto estimates_converged = [&](int steps) -> Result<bool> {
-    Status solved = TridiagonalEigenInto(
-        alpha.data(), beta.data(), steps, &ws->tridiagonal, &ws->ritz_values,
-        nullptr, &ws->ritz_last_row);
-    if (!solved.ok()) return solved;
-    const double coupling = beta[static_cast<size_t>(steps - 1)];
-    const int count = std::min(early_want, steps);
-    for (int i = 0; i < count; ++i) {
-      const int src = steps - 1 - i;  // largest of B sit at the end
-      const double estimate = std::fabs(
-          coupling * ws->ritz_last_row[static_cast<size_t>(src)]);
-      if (estimate > early_exit_tolerance) return false;
-    }
-    return count >= early_want;
-  };
 
   Vector& w = ws->w;
   w.assign(static_cast<size_t>(n), 0.0);
@@ -187,16 +152,6 @@ Status LanczosPassInto(const SpmvOperator& matrix, double sigma, int m,
       } else {
         Scale(1.0 / norm, w.data(), n);
         beta[static_cast<size_t>(j)] = norm;
-        // Warm solves check the cheap tridiagonal residual estimates every
-        // other step once the subspace could plausibly hold the wanted pairs,
-        // and stop extending the basis as soon as they all clear the
-        // tolerance. Cold solves (tolerance <= 0) never take this branch.
-        if (early_exit_tolerance > 0.0 && j + 1 >= early_want + 2 &&
-            (j + 1) % 2 == 0) {
-          Result<bool> converged = estimates_converged(j + 1);
-          if (!converged.ok()) return converged.status();
-          if (*converged) break;
-        }
       }
       std::copy(w.begin(), w.end(), basis.Row(j + 1));
     }
@@ -207,7 +162,7 @@ Status LanczosPassInto(const SpmvOperator& matrix, double sigma, int m,
   // Rayleigh-Ritz on the tridiagonal.
   Status solved =
       TridiagonalEigenInto(alpha.data(), beta.data(), built, &ws->tridiagonal,
-                           &ws->ritz_values, &ws->ritz_vectors, nullptr);
+                           &ws->ritz_values, &ws->ritz_vectors);
   if (!solved.ok()) return solved;
 
   // Largest of B == smallest of M; they sit at the end of the ascending list.
@@ -336,7 +291,7 @@ Status SmallestEigenpairsInto(const SpmvOperator& matrix, int k,
   // Bank layout: rows [0, k) are the locked region; two pass regions of
   // k + 1 rows alternate above it so the leftovers of pass t stay intact
   // through an unproductive pass t + 1. Shape is only *ensured* here — rows
-  // are fully (re)written before every read — so a warm workspace never
+  // are fully (re)written before every read — so a reused workspace never
   // re-zeroes or reallocates the bank.
   const int bank_rows = 3 * k + 2;
   if (ws->bank.rows() < bank_rows || ws->bank.cols() != n) {
@@ -355,79 +310,24 @@ Status SmallestEigenpairsInto(const SpmvOperator& matrix, int k,
       std::max(options.tolerance, 1e-12) * std::max(1.0, std::fabs(sigma));
   Rng rng(options.seed);
 
-  // Warm start: the cached Ritz vectors (ascending by value, matching the
-  // locking order) each seed one short *refinement pass*. A cached vector is
-  // within O(delta) of the updated matrix's eigenvector, so the deflated
-  // Krylov space seeded with it isolates that pair in a handful of steps —
-  // the pass stops at the first residual-estimate checkpoint that clears the
-  // tolerance instead of building the full m-step basis. Deflation against
-  // the pairs locked so far is what makes this work on (near-)degenerate
-  // spectra, where a single blended seed cannot separate the directions.
-  // Unproductive warm passes fall back to the cold restart loop, so a bad
-  // cache costs extra iterations but never a wrong pair. Seeds whose row
-  // count mismatches are ignored (e.g. the SGLA+ node-sampled subgraph).
-  const bool use_warm = options.warm_start != nullptr &&
-                        options.warm_start->rows() == n &&
-                        options.warm_start->cols() > 0;
-  const int warm_cols =
-      use_warm ? static_cast<int>(
-                     std::min<int64_t>(options.warm_start->cols(), k))
-               : 0;
-  if (stats != nullptr) stats->warm = use_warm;
-
   int num_locked = 0;                          // bank rows [0, num_locked)
   std::vector<int>& leftovers = ws->leftovers;  // best unconverged, final pass
   leftovers.clear();
-  const int max_cold_passes = 3;
-  bool warm_active = use_warm;
-  const int max_passes = warm_cols + max_cold_passes;
+  const int max_passes = 3;
   for (int pass = 0; pass < max_passes && num_locked < k; ++pass) {
     const int missing = k - num_locked;
     const int pass_base = k + (pass % 2) * (k + 1);
-    const double* seed = nullptr;
-    if (warm_active && num_locked < warm_cols) {
-      // Seed with the cached vector of the smallest still-unlocked pair,
-      // plus a ~1% deterministic admixture (a seed from a different matrix
-      // can be deficient in the wanted direction; the admixture keeps it
-      // Krylov-reachable).
-      const DenseMatrix& cached = *options.warm_start;
-      Vector& warm_seed = ws->warm_seed;
-      warm_seed.assign(static_cast<size_t>(n), 0.0);
-      for (int64_t i = 0; i < n; ++i) {
-        warm_seed[static_cast<size_t>(i)] = cached(i, num_locked);
-      }
-      const double seed_norm = Norm2(warm_seed.data(), n);
-      if (seed_norm >= 1e-12) {
-        const double amp =
-            0.01 * seed_norm / std::sqrt(static_cast<double>(n));
-        for (int64_t i = 0; i < n; ++i) {
-          warm_seed[static_cast<size_t>(i)] += amp * rng.Gaussian();
-        }
-        seed = warm_seed.data();
-      }
-    }
-    if (seed == nullptr) warm_active = false;
-    // A warm refinement pass targets one pair (plus one spare candidate);
-    // cold passes keep the historical want of missing + 1.
-    const int want = warm_active ? std::min(missing + 1, 2) : missing + 1;
     int produced = 0;
     int built = 0;
-    Status pass_status = LanczosPassInto(
-        matrix, sigma, m, want, num_locked, pass_base, seed,
-        warm_active ? tolerance : 0.0, /*early_want=*/1, &rng, ws, &produced,
-        &built);
+    Status pass_status =
+        LanczosPassInto(matrix, sigma, m, missing + 1, num_locked, pass_base,
+                        &rng, ws, &produced, &built);
     if (!pass_status.ok()) return pass_status;
     if (stats != nullptr) {
       stats->iterations += built;
       ++stats->passes;
     }
-    if (produced == 0) {
-      if (warm_active) {
-        warm_active = false;  // degenerate seed: retry cold from this state
-        continue;
-      }
-      break;
-    }
+    if (produced == 0) break;
     bool locked_any = false;
     leftovers.clear();
     for (int p = 0; p < produced; ++p) {
@@ -446,24 +346,10 @@ Status SmallestEigenpairsInto(const SpmvOperator& matrix, int k,
         leftovers.push_back(row);
       }
     }
-    if (!locked_any) {
-      // A pair that refuses to lock after a FULL m-step pass (spectral-bulk
-      // tail) stops a cold solve, which then serves the best leftover
-      // approximations — the documented early-exit design. A warm solve may
-      // stop the same way, but only when its failed pass also ran the full
-      // m steps (an early-exited pass whose optimistic estimate failed the
-      // exact-residual check must retry instead — never serve a leftover a
-      // cold solve would have refined further) and left enough candidates
-      // to fill the output. Otherwise it falls back to the cold loop.
-      const bool full_pass = built >= m;
-      const bool can_fill =
-          num_locked + static_cast<int>(leftovers.size()) >= k;
-      if (warm_active && !(full_pass && can_fill)) {
-        warm_active = false;  // the cache stopped helping: go cold
-        continue;
-      }
-      break;  // no further progress at this subspace size
-    }
+    // A pair that refuses to lock after a full m-step pass (spectral-bulk
+    // tail) stops the solve, which then serves the best leftover
+    // approximations — the documented early-exit design.
+    if (!locked_any) break;  // no further progress at this subspace size
   }
 
   // Fill any remaining slots with the best unconverged approximations.

@@ -20,25 +20,12 @@ struct LanczosOptions {
   int max_subspace = 0;        ///< 0 = auto (min(n, max(2k + 24, 48)))
   double tolerance = 1e-8;     ///< Ritz-residual early exit (relative)
   uint64_t seed = 20250131;    ///< deterministic start vector
-  /// Non-owning warm-start seed: columns are the Ritz vectors of a previous
-  /// solve on a nearby matrix (same n; typically the pre-update graph in the
-  /// serving layer). Null — the default — is today's cold solve, bit for
-  /// bit. Non-null seeds the first Lanczos pass from the cached subspace and
-  /// lets that pass stop as soon as the wanted pairs' residual estimates
-  /// clear the tolerance, so small-delta re-solves build strictly fewer
-  /// basis vectors. Warm solves converge to the same eigenpairs within the
-  /// residual tolerance (locking still uses exact residuals, and unproductive
-  /// warm passes fall back to the cold restart loop) but are NOT promised
-  /// bit-identical to a cold solve. Ignored when the row count mismatches or
-  /// the dense fallback runs.
-  const DenseMatrix* warm_start = nullptr;
 };
 
 /// Per-solve instrumentation, filled when a `stats` out-param is passed.
 struct LanczosStats {
   int iterations = 0;  ///< Lanczos basis vectors built across all passes
   int passes = 0;      ///< restart passes run (0 on the dense fallback)
-  bool warm = false;   ///< true iff a warm-start seed was actually used
 };
 
 /// Reusable scratch for SmallestEigenpairsInto: Krylov basis and panel
@@ -54,7 +41,6 @@ struct LanczosWorkspace {
   Vector v, w, mv;         ///< length-n iteration / residual vectors
   Vector ritz_values;      ///< Rayleigh-Ritz (or dense fallback) outputs
   DenseMatrix ritz_vectors;
-  Vector ritz_last_row;    ///< warm estimate check: last eigenvector row
   TridiagonalWorkspace tridiagonal;
   JacobiWorkspace jacobi;  ///< dense fallback only
   /// Ritz-vector bank, one row per vector: rows [0, k) hold locked
@@ -68,7 +54,6 @@ struct LanczosWorkspace {
   std::vector<int> selected;   ///< final k bank rows, ascending by value
   DenseMatrix dense_scratch;   ///< dense fallback: densified matrix
   DenseMatrix dense_sym;       ///< dense fallback: symmetrized copy
-  Vector warm_seed;            ///< warm start: blended seed direction
 };
 
 /// Matrix-free symmetric operator: apply(ctx, x, y) must overwrite all

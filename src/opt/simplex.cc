@@ -20,24 +20,11 @@ void RecordIteration(const Evaluated& best, SimplexTrace* trace) {
   trace->point_history.push_back(best.point);
 }
 
-la::Vector UniformPoint(int dim) {
-  return la::Vector(static_cast<size_t>(dim), 1.0 / dim);
-}
-
-la::Vector StartPoint(int dim, const SimplexOptions& options) {
-  if (static_cast<int>(options.initial_point.size()) == dim) {
-    return ProjectToSimplex(options.initial_point);
-  }
-  return UniformPoint(dim);
-}
-
-/// Initial regular-ish simplex: the start point (uniform unless the options
-/// re-center it) plus one vertex-shifted point per coordinate, all projected
-/// back onto the feasible set.
-std::vector<la::Vector> InitialSimplex(int dim, double step,
-                                       const SimplexOptions& options) {
+/// Initial regular-ish simplex: the uniform vector plus one vertex-shifted
+/// point per coordinate, all projected back onto the feasible set.
+std::vector<la::Vector> InitialSimplex(int dim, double step) {
   std::vector<la::Vector> points;
-  points.push_back(StartPoint(dim, options));
+  points.emplace_back(static_cast<size_t>(dim), 1.0 / dim);
   for (int i = 0; i < dim; ++i) {
     la::Vector p = points.front();
     p[static_cast<size_t>(i)] += step;
@@ -51,7 +38,7 @@ Result<SimplexTrace> NelderMead(
     const SimplexOptions& options) {
   SimplexTrace trace;
   std::vector<Evaluated> simplex;
-  for (la::Vector& p : InitialSimplex(dim, options.initial_step, options)) {
+  for (la::Vector& p : InitialSimplex(dim, options.initial_step)) {
     simplex.push_back({p, f(p)});
     ++trace.evaluations;
   }
@@ -136,7 +123,7 @@ Result<SimplexTrace> Cobyla(int dim,
                             const SimplexOptions& options) {
   SimplexTrace trace;
   std::vector<Evaluated> points;
-  for (la::Vector& p : InitialSimplex(dim, options.initial_step, options)) {
+  for (la::Vector& p : InitialSimplex(dim, options.initial_step)) {
     points.push_back({p, f(p)});
     ++trace.evaluations;
   }

@@ -23,11 +23,6 @@ struct SimplexOptions {
   double epsilon = 1e-3;
   double initial_step = 0.3;
   double min_step = 1e-4;
-  /// Search start: empty (the default) centers the initial simplex on the
-  /// uniform vector, exactly today's trajectory. A size-dim point (projected
-  /// onto the simplex if needed) re-centers it there — warm re-solves in the
-  /// serving layer resume from the previous epoch's optimal weights.
-  la::Vector initial_point;
 };
 
 struct SimplexTrace {

@@ -23,9 +23,7 @@ struct CheckpointData {
   std::string id;
   /// Persistent registration identity, assigned by the Store: monotonic
   /// across the directory's lifetime, so WAL records written before an
-  /// evict + re-register can never replay into the replacement. (The
-  /// registry's lineage is process-local and not stable across restarts;
-  /// this is its durable counterpart.)
+  /// evict + re-register can never replay into the replacement.
   uint64_t reg_uid = 0;
   int64_t epoch = 0;
   serve::RegisterOptions options;

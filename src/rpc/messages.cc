@@ -63,11 +63,7 @@ bool DecodeMvag(WireReader* r, core::MultiViewGraph* mvag) {
     int64_t rows, cols;
     std::vector<double> data;
     if (!r->I64(&rows) || !r->I64(&cols) || !r->F64Vec(&data)) return false;
-    if (rows < 0 || cols < 0 ||
-        data.size() != static_cast<uint64_t>(rows) *
-                           static_cast<uint64_t>(cols)) {
-      return false;
-    }
+    if (!la::ShapeHolds(rows, cols, data.size())) return false;
     la::DenseMatrix x(rows, cols);
     x.data() = std::move(data);
     mvag->AddAttributeView(std::move(x));
@@ -193,11 +189,7 @@ bool DecodeGraphDelta(WireReader* r, serve::GraphDelta* delta) {
       int64_t rows, cols;
       std::vector<double> data;
       if (!r->I64(&rows) || !r->I64(&cols) || !r->F64Vec(&data)) return false;
-      if (rows < 0 || cols < 0 ||
-          data.size() != static_cast<uint64_t>(rows) *
-                             static_cast<uint64_t>(cols)) {
-        return false;
-      }
+      if (!la::ShapeHolds(rows, cols, data.size())) return false;
       a.attributes = la::DenseMatrix(rows, cols);
       a.attributes.data() = std::move(data);
     } else {
@@ -351,11 +343,7 @@ bool DecodeSolveReply(WireReader* r, SolveReply* msg) {
     int64_t rows, cols;
     std::vector<double> data;
     if (!r->I64(&rows) || !r->I64(&cols) || !r->F64Vec(&data)) return false;
-    if (rows < 0 || cols < 0 ||
-        data.size() != static_cast<uint64_t>(rows) *
-                           static_cast<uint64_t>(cols)) {
-      return false;
-    }
+    if (!la::ShapeHolds(rows, cols, data.size())) return false;
     msg->embedding = la::DenseMatrix(rows, cols);
     msg->embedding.data() = std::move(data);
   } else {

@@ -22,11 +22,11 @@ namespace rpc {
 /// written — callers reply kError INVALID_ARGUMENT and drop the partial
 /// struct.
 ///
-/// Deliberate scope: the Solve payload carries exactly the request-key
-/// fields (graph_id, mode, algorithm, k, warm_start) and no solver tuning —
-/// server-side options stay at their defaults, which is what makes
-/// key-based request coalescing exact (two wire-identical solves are
-/// semantically identical).
+/// Deliberate scope: the Solve payload carries the request-key fields
+/// (graph_id, mode, algorithm, k, quality, robust), the coalesce flag and
+/// the ignored warm_start byte, and no solver tuning — server-side options
+/// stay at their defaults, which is what makes key-based request coalescing
+/// exact (two solves with the same key are semantically identical).
 
 struct HelloRequest {
   std::string tenant;  ///< empty = the default tenant
@@ -65,6 +65,7 @@ struct SolveWireRequest {
   serve::SolveMode mode = serve::SolveMode::kCluster;
   serve::Algorithm algorithm = serve::Algorithm::kSgla;
   int32_t k = 0;  ///< 0 = the graph's registered default
+  /// Still on the wire, accepted and ignored (every solve runs cold).
   bool warm_start = false;
   /// Ask the server to coalesce with identical in-flight solves (default on:
   /// wire-identical requests are semantically identical; see above). The
@@ -83,7 +84,7 @@ struct SolveReply {
   uint8_t mode = 0;  ///< serve::SolveMode of the payload
   la::Vector weights;
   int64_t graph_epoch = 0;
-  bool warm_started = false;
+  bool warm_started = false;  ///< always false (serve::SolveStats)
   int64_t lanczos_iterations = 0;
   /// serve::Quality that actually served the solve (kExact on fallback).
   uint8_t tier_served = 0;

@@ -345,7 +345,6 @@ void Server::DispatchSolve(Connection* conn, uint64_t request_id,
   request.mode = wire.mode;
   request.algorithm = wire.algorithm;
   request.k = wire.k;
-  request.warm_start = wire.warm_start;
   request.quality = wire.quality;
   request.robust = wire.robust;
 

@@ -73,7 +73,7 @@ struct ServerOptions {
 class Server {
  public:
   /// `engine` must outlive the server. The engine's own options decide
-  /// session parallelism, warm caching, and the global admission bound.
+  /// session parallelism and the global admission bound.
   explicit Server(serve::Engine* engine, const ServerOptions& options = {});
   ~Server();  ///< Shutdown() if still running
   Server(const Server&) = delete;

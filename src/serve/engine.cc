@@ -13,7 +13,6 @@ namespace serve {
 
 Engine::Engine(GraphRegistry* registry, const EngineOptions& options)
     : registry_(registry),
-      cache_(options.cache_capacity, options.cache_ttl_ms),
       max_pending_(options.max_pending),
       workspaces_(static_cast<size_t>(std::max(1, options.num_sessions))),
       queue_(std::max(1, options.num_sessions)) {
@@ -49,15 +48,12 @@ Result<std::shared_ptr<const GraphEntry>> Engine::RegisterGraph(
 
 Result<std::shared_ptr<const GraphEntry>> Engine::UpdateGraph(
     const std::string& id, const GraphDelta& delta) {
-  // The warm-start cache intentionally survives the epoch bump: the updated
-  // spectrum is close to its predecessor's, which is what warm solves use.
   if (!recovery_status_.ok()) return recovery_status_;
   if (store_ != nullptr) return store_->Update(id, delta);
   return registry_->UpdateGraph(id, delta);
 }
 
 bool Engine::EvictGraph(const std::string& id) {
-  cache_.Invalidate(id);
   if (!recovery_status_.ok()) return false;
   if (store_ != nullptr) return store_->Evict(id);
   return registry_->Evict(id);
@@ -85,18 +81,17 @@ Status Engine::Admit(SolveRequest request, bool coalesce, Completion done) {
   // graph that will fall back to exact, and a fast flight never answers an
   // exact request.
   const int k = request.k > 0 ? request.k : entry->num_clusters;
-  const SolveCache::Key key{request.graph_id, static_cast<int>(request.mode),
-                            static_cast<int>(request.algorithm), k,
-                            static_cast<int>(request.quality),
-                            request.robust || entry->robust_views ? 1 : 0};
+  const FlightKey key{request.graph_id, static_cast<int>(request.mode),
+                      static_cast<int>(request.algorithm), k,
+                      static_cast<int>(request.quality),
+                      request.robust || entry->robust_views ? 1 : 0};
 
   std::shared_ptr<Flight> flight;
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     if (coalesce) {
       auto it = inflight_.find(key);
-      if (it != inflight_.end() &&
-          it->second->warm_start == request.warm_start) {
+      if (it != inflight_.end()) {
         // Join the in-flight solve: share its (bit-identical) response,
         // queue nothing, consume no admission slot.
         it->second->joiners.push_back(std::move(done));
@@ -115,7 +110,6 @@ Status Engine::Admit(SolveRequest request, bool coalesce, Completion done) {
       // Publish the flight before queueing so identical requests arriving
       // from now on join it instead of racing a duplicate solve.
       flight = std::make_shared<Flight>();
-      flight->warm_start = request.warm_start;
       inflight_[key] = flight;
     }
   }
@@ -224,87 +218,20 @@ Result<SolveResponse> Engine::Run(const SolveRequest& request,
                                   SessionWorkspace* ws) {
   const int k = request.k > 0 ? request.k : entry.num_clusters;
 
-  // Tier resolution: fast/refined need a coarse companion with room for
-  // the k + 1 eigenpairs the objective reads; entries without one
-  // (coarsening disabled, tiny graph, matching achieved no reduction, or
-  // k too large for the coarse rows) quietly serve exact.
+  // Tier resolution: fast needs a coarse companion with room for the k + 1
+  // eigenpairs the objective reads; entries without one (coarsening
+  // disabled, tiny graph, matching achieved no reduction, or k too large for
+  // the coarse rows) quietly serve exact. Refined requests serve exact.
   const CoarseGraphEntry* coarse = entry.coarse.get();
-  if (coarse != nullptr && coarse->plan.coarse_rows < int64_t{k} + 1) {
-    coarse = nullptr;
-  }
-  Quality quality = request.quality;
-  if (coarse == nullptr) quality = Quality::kExact;
-  const bool fast = quality == Quality::kFast;
-  const int64_t solve_rows =
-      fast ? coarse->plan.coarse_rows : entry.num_nodes;
+  const bool fast = request.quality == Quality::kFast && coarse != nullptr &&
+                    coarse->plan.coarse_rows >= int64_t{k} + 1;
 
-  // Warm start: seed the weight search and every objective eigensolve from
-  // the cached previous solve of this exact (graph, mode, algorithm, k,
-  // quality). The entry is an immutable snapshot (shared_ptr), so a
-  // concurrent Store for the same key cannot mutate the seed mid-solve.
-  // Cold requests take the historical trajectory untouched. The key carries
-  // the *resolved* quality: fast-tier entries are coarse-sized and must
-  // never collide with exact ones.
   // Robust mode: the per-request flag ORs with the graph's registration
-  // default, and the effective flag keys the cache (robust optima sit away
-  // from plain ones — the tiers must never cross-seed).
-  const bool robust = request.robust || entry.robust_views;
-  const SolveCache::Key cache_key{request.graph_id,
-                                  static_cast<int>(request.mode),
-                                  static_cast<int>(request.algorithm), k,
-                                  static_cast<int>(quality), robust ? 1 : 0};
-  std::shared_ptr<const SolveCache::Entry> warm;
-  if (request.warm_start) {
-    warm = cache_.Lookup(cache_key);
-    // The lineage stamp rejects seeds banked by a solve of a *previous
-    // registration* under this id (a late Store can land after EvictGraph
-    // invalidated the bank); updates keep their lineage, so seeds survive
-    // epochs exactly as intended. num_nodes guards against size drift —
-    // for the fast tier that is the coarse row count — and the active-set
-    // signature rejects seeds computed over a different view subset (a
-    // lifecycle epoch changes the spectrum discontinuously; those re-solves
-    // must start cold).
-    if (warm != nullptr && (warm->lineage != entry.lineage ||
-                            warm->num_nodes != solve_rows ||
-                            warm->views_signature != entry.views_signature)) {
-      warm = nullptr;
-    }
-  }
+  // default.
   core::SglaPlusOptions options = request.options;
-  options.base.objective.robust = robust;
-  Quality tier_served = fast ? Quality::kFast : Quality::kExact;
-  int64_t coarse_iterations = 0;
-  if (warm != nullptr) {
-    options.base.objective.warm_start = &warm->ritz_vectors;
-    options.base.initial_weights = warm->weights;
-  } else if (quality == Quality::kRefined) {
-    // Refined tier, no banked seed: solve the coarse companion first, then
-    // seed the exact solve from it — the coarse optimal weights carry over
-    // directly and the coarse Ritz vectors prolongate to fine rows (the
-    // classic multigrid initial guess). A banked seed above supersedes this
-    // (it is already fine-sized and closer); a failed pre-solve falls back
-    // to a cold exact solve rather than failing the request.
-    // `options` (not request.options) so the pre-solve honors robust mode;
-    // no warm fields are set on it yet in this branch.
-    Result<core::IntegrationResult> presolve =
-        request.algorithm == Algorithm::kSgla
-            ? core::SglaOnAggregator(*coarse->aggregator, k,
-                                     options.base, &ws->coarse_eval)
-            : core::SglaPlusOnAggregator(*coarse->aggregator, k,
-                                         options, &ws->coarse_eval);
-    if (presolve.ok() &&
-        ws->coarse_eval.eigen.vectors.rows() == coarse->plan.coarse_rows &&
-        ws->coarse_eval.eigen.vectors.cols() > 0) {
-      la::ProlongateRows(ws->coarse_eval.eigen.vectors,
-                         coarse->plan.fine_to_coarse, &ws->prolong_ritz);
-      options.base.objective.warm_start = &ws->prolong_ritz;
-      options.base.initial_weights = presolve->weights;
-      tier_served = Quality::kRefined;
-      coarse_iterations = presolve->lanczos_iterations;
-    }
-  }
+  options.base.objective.robust = request.robust || entry.robust_views;
 
-  // The fast tier runs in the coarse-sized workspace so tiered and exact
+  // The fast tier runs in the coarse-sized workspace so fast and exact
   // solves on one session don't evict each other's bound patterns.
   const core::LaplacianAggregator& aggregator =
       fast ? *coarse->aggregator : *entry.aggregator;
@@ -319,64 +246,25 @@ Result<SolveResponse> Engine::Run(const SolveRequest& request,
   response.graph_id = request.graph_id;
   response.integration = std::move(*integration);
   response.stats.graph_epoch = entry.epoch;
-  response.stats.warm_started = warm != nullptr;
   response.stats.lanczos_iterations = response.integration.lanczos_iterations;
-  response.stats.tier_served = tier_served;
-  response.stats.coarse_lanczos_iterations = coarse_iterations;
+  response.stats.tier_served = fast ? Quality::kFast : Quality::kExact;
   response.stats.active_views = entry.num_active_views();
   response.stats.total_views = static_cast<int32_t>(entry.views.size());
 
-  // Bank the last evaluation's spectrum for future warm starts (a probe
-  // point near w* — the final aggregation runs no eigensolve, and "near the
-  // updated spectrum" is all a refinement seed needs). Skip when that
-  // eigensolve ran at the wrong size (an SGLA+ node-sampled subgraph cannot
-  // seed a full solve), or when the graph was evicted or replaced mid-solve
-  // — the lineage re-check keeps a late-finishing solve from parking an
-  // unusable (lineage-mismatched) matrix in the bank that EvictGraph already
-  // invalidated. An eviction racing the tiny window between this check and
-  // Store can still leave one stale entry; it is unusable (the lookup's
-  // lineage guard rejects it) and overwritten by the replacement's next
-  // solve. The entry is assembled here but stored after the output stage,
-  // so the clustering eigensolve's un-normalized eigenvectors bank alongside
-  // the objective Ritz pairs.
-  const la::Eigenpairs& eigen = eval->eigen;
-  const std::shared_ptr<const GraphEntry> current =
-      registry_->Find(request.graph_id);
-  const bool bankable =
-      current != nullptr && current->lineage == entry.lineage &&
-      eigen.vectors.rows() == solve_rows && eigen.vectors.cols() > 0;
-  SolveCache::Entry banked;
-  if (bankable) {
-    banked.lineage = entry.lineage;
-    banked.epoch = entry.epoch;
-    banked.num_nodes = solve_rows;
-    banked.views_signature = entry.views_signature;
-    banked.weights = response.integration.weights;
-    banked.ritz_vectors = eigen.vectors;
-  }
   if (request.mode == SolveMode::kCluster) {
-    // The embedding eigensolve warm-starts from the banked un-normalized
-    // embedding of the previous solve at this key, independently of the
-    // objective seed (both ride the same cache entry).
-    const la::DenseMatrix* warm_embedding =
-        warm != nullptr && warm->embedding_ritz.rows() == solve_rows &&
-                warm->embedding_ritz.cols() > 0
-            ? &warm->embedding_ritz
-            : nullptr;
-    la::DenseMatrix* ritz_out = bankable ? &banked.embedding_ritz : nullptr;
     la::LanczosStats embed_stats;
     if (fast) {
       Status clustered = cluster::SpectralClusteringInto(
           response.integration.laplacian, k, request.kmeans,
-          &ws->coarse_cluster, &ws->coarse_labels, nullptr, warm_embedding,
-          ritz_out, &embed_stats);
+          &ws->coarse_cluster, &ws->coarse_labels, nullptr, nullptr, nullptr,
+          &embed_stats);
       if (!clustered.ok()) return clustered;
       coarse::ProlongateLabels(coarse->plan, ws->coarse_labels,
                                &response.labels);
     } else {
       Status clustered = cluster::SpectralClusteringInto(
           response.integration.laplacian, k, request.kmeans, &ws->cluster,
-          &response.labels, nullptr, warm_embedding, ritz_out, &embed_stats);
+          &response.labels, nullptr, nullptr, nullptr, &embed_stats);
       if (!clustered.ok()) return clustered;
     }
     response.stats.embedding_lanczos_iterations = embed_stats.iterations;
@@ -391,7 +279,6 @@ Result<SolveResponse> Engine::Run(const SolveRequest& request,
       response.embedding = std::move(*embedding);
     }
   }
-  if (bankable) cache_.Store(cache_key, std::move(banked));
   return response;
 }
 

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/kmeans.h"
@@ -17,7 +18,6 @@
 #include "embed/netmf.h"
 #include "persist/store.h"
 #include "serve/graph_registry.h"
-#include "serve/solve_cache.h"
 #include "util/status.h"
 #include "util/task_queue.h"
 
@@ -49,11 +49,8 @@ enum class Quality {
   /// coarse-sized). Entries without a companion, or whose companion has
   /// fewer than k + 1 rows, quietly serve exact.
   kFast,
-  /// Fast's coarse solve first, then the exact solve seeded from it: the
-  /// coarse optimal weights become initial_weights and the prolongated
-  /// coarse Ritz vectors warm-start every objective eigensolve. Exact-sized
-  /// output, strictly fewer Lanczos iterations than a cold exact solve —
-  /// but, like any warm start, not bit-identical to one.
+  /// Accepted and served exactly like kExact (tier_served reports kExact):
+  /// the name is kept on the wire for a future exact-sized tier.
   kRefined,
 };
 
@@ -65,26 +62,18 @@ struct SolveRequest {
   /// backend); 0 = the graph's registered default. The kEmbed output
   /// dimensionality is `netmf.dim`, not k.
   int k = 0;
-  /// Warm-start the solve from the engine's SolveCache entry for
-  /// (graph_id, mode, algorithm, k) when one exists: the weight search
-  /// resumes at the cached optimal weights and every objective eigensolve
-  /// seeds its Lanczos basis from the cached Ritz vectors. After a small
-  /// graph delta this cuts Lanczos iterations substantially and converges
-  /// to the same eigenpairs within the solver tolerance — but warm solves
-  /// are NOT bit-identical to cold ones (the default, which keeps today's
-  /// exact trajectory). Silently cold when the cache has no usable entry.
+  /// Accepted and ignored: every solve runs cold, so its answer depends
+  /// only on the graph snapshot it ran on.
   bool warm_start = false;
-  /// Serving tier. Tier participates in both the SolveCache key and the
-  /// coalescing key, so a fast solve can never seed, mask, or be masked by
-  /// an exact one.
+  /// Serving tier. Tier participates in the coalescing key, so a fast solve
+  /// in flight never answers an exact request.
   Quality quality = Quality::kExact;
   /// Run the robust (corrupted-view-resistant) objective: the weight search
   /// adds the cross-view agreement penalty
   /// (core::ObjectiveOptions::robust), down-weighting views whose spectra
   /// disagree with the median view. ORed with the graph's registration-time
-  /// RegisterOptions::robust_views; the effective flag joins the SolveCache
-  /// and coalescing keys, so robust and plain solves never cross-seed or
-  /// coalesce.
+  /// RegisterOptions::robust_views; the effective flag joins the coalescing
+  /// key, so robust and plain solves never coalesce.
   bool robust = false;
   /// `options.base` configures kSgla; the full struct configures kSglaPlus.
   core::SglaPlusOptions options;
@@ -95,20 +84,14 @@ struct SolveRequest {
 /// Per-response solve instrumentation.
 struct SolveStats {
   int64_t graph_epoch = 0;    ///< entry epoch the solve ran against
-  /// A usable SolveCache entry seeded this solve (requested + found + node
-  /// count matched). SGLA+ node-sampled evaluations still run cold — the
-  /// seed cannot apply to subgraph-sized solves.
+  /// Always false: no solve is seeded from an earlier one (the field stays
+  /// for callers that read it).
   bool warm_started = false;
   int64_t lanczos_iterations = 0;  ///< basis vectors built across the solve
-  /// The tier that actually served the request: kExact for exact solves and
-  /// for tiered requests that fell back (no coarse companion or one with
-  /// fewer than k + 1 rows, or a refined request that found a cache seed /
-  /// whose coarse pre-solve failed).
+  /// The tier that actually served the request: kFast only for a fast
+  /// request on a graph whose coarse companion has at least k + 1 rows;
+  /// kExact for everything else, refined requests included.
   Quality tier_served = Quality::kExact;
-  /// Basis vectors the refined tier's coarse pre-solve built (0 elsewhere);
-  /// `lanczos_iterations` above stays the main integration's count, so
-  /// refined-vs-cold comparisons read it directly.
-  int64_t coarse_lanczos_iterations = 0;
   /// Basis vectors of the clustering embedding eigensolve (0 for kEmbed).
   int64_t embedding_lanczos_iterations = 0;
   /// View-lifecycle visibility: how many views the solve actually served
@@ -138,17 +121,6 @@ struct EngineOptions {
   /// TaskQueue backlog. Coalesced joins ride an already-admitted solve and
   /// are never rejected by this bound.
   int64_t max_pending = 0;
-  /// Maximum SolveCache entries kept. 0 (default) is unbounded; > 0 makes
-  /// the warm-start bank an LRU — long-lived engines serving many
-  /// (graph, mode, algorithm, k, quality) combinations stop growing without
-  /// bound, at the cost of re-cold-starting evicted keys.
-  size_t cache_capacity = 0;
-  /// Maximum SolveCache entry age in milliseconds (monotonic clock); 0
-  /// (default) never expires. A long-idle graph's banked spectrum may trail
-  /// the current epoch by arbitrarily many deltas — past the TTL the bank
-  /// treats it as a miss (and drops it), so stale seeds cost a cold start
-  /// instead of extra Lanczos iterations chasing a drifted spectrum.
-  int64_t cache_ttl_ms = 0;
   /// Durability root (see DESIGN.md "Durability & recovery"). Empty
   /// (default) keeps the engine purely in-memory. Non-empty: construction
   /// recovers the registry from the directory's checkpoints + WAL
@@ -168,8 +140,8 @@ struct EngineOptions {
 /// Per-call submission knobs for the callback form.
 struct SubmitOptions {
   /// Share one physical solve among identical in-flight requests: requests
-  /// whose (graph_id, mode, algorithm, effective k, warm_start) all match an
-  /// in-flight coalescable solve get that solve's response instead of
+  /// whose (graph_id, mode, algorithm, effective k, quality, robust) all
+  /// match an in-flight coalescable solve get that solve's response instead of
   /// queueing their own. Correct only when callers also send identical
   /// solver options — the RPC front-end guarantees this by construction (the
   /// wire exposes exactly the key fields; options stay at their defaults).
@@ -201,14 +173,11 @@ class Engine {
 
   /// Applies a delta through the registry's copy-on-write epoch scheme (see
   /// GraphRegistry::UpdateGraph): in-flight solves finish on their snapshot,
-  /// requests submitted afterwards see the new epoch. The warm-start cache
-  /// is deliberately NOT invalidated — the updated graph's spectrum is close
-  /// to its predecessor's, which is exactly what `warm_start` requests
-  /// exploit.
+  /// requests submitted afterwards see the new epoch.
   Result<std::shared_ptr<const GraphEntry>> UpdateGraph(
       const std::string& id, const GraphDelta& delta);
 
-  /// Evicts the graph and drops its warm-start cache entries.
+  /// Evicts the graph; solves already admitted finish on their snapshot.
   bool EvictGraph(const std::string& id);
 
   /// Forces a durable checkpoint of one graph now (persistent engines only:
@@ -257,8 +226,8 @@ class Engine {
   /// unknown id, ResourceExhausted when `max_pending` accepted solves are
   /// already in flight — and the callback never fires. With
   /// `options.coalesce`, a request identical to an in-flight coalescable
-  /// solve (same graph_id/mode/algorithm/effective k/quality/warm_start)
-  /// joins that solve: its callback receives the shared response, no new
+  /// solve (same graph_id/mode/algorithm/effective k/quality/robust) joins
+  /// that solve: its callback receives the shared response, no new
   /// work is queued, and coalesced() ticks instead of completed(). Quality
   /// is part of the key, so a fast solve in flight never answers an exact
   /// request (or vice versa).
@@ -299,13 +268,11 @@ class Engine {
     core::EvalWorkspace eval;
     cluster::SpectralWorkspace cluster;
     /// Coarse-tier scratch, sized by the coarse companion (~ratio * n): the
-    /// fast tier's whole pipeline and the refined tier's pre-solve run here,
-    /// so tiered and exact solves never fight over one workspace's bound
-    /// pattern.
+    /// fast tier's whole pipeline runs here, so fast and exact solves never
+    /// fight over one workspace's bound pattern.
     core::EvalWorkspace coarse_eval;
     cluster::SpectralWorkspace coarse_cluster;
     std::vector<int32_t> coarse_labels;  ///< pre-prolongation labels
-    la::DenseMatrix prolong_ritz;  ///< refined tier's prolongated seed
   };
 
   Result<SolveResponse> Run(const SolveRequest& request,
@@ -334,9 +301,26 @@ class Engine {
   /// rejection (NotFound, ResourceExhausted) without calling `done`.
   Status Admit(SolveRequest request, bool coalesce, Completion done);
 
+  /// The coalescing key: the request fields a wire solve carries that can
+  /// change its answer. Quality is the *requested* tier and robust the
+  /// effective flag (request ORed with the graph's default).
+  struct FlightKey {
+    std::string graph_id;
+    int mode = 0;
+    int algorithm = 0;
+    int k = 0;
+    int quality = 0;
+    int robust = 0;
+
+    bool operator<(const FlightKey& other) const {
+      return std::tie(graph_id, mode, algorithm, k, quality, robust) <
+             std::tie(other.graph_id, other.mode, other.algorithm, other.k,
+                      other.quality, other.robust);
+    }
+  };
+
   /// One physical in-flight solve that coalesced joiners attach to.
   struct Flight {
-    bool warm_start = false;      ///< leader's flag; joiners must match
     std::vector<Completion> joiners;  ///< under inflight_mutex_
   };
 
@@ -347,26 +331,17 @@ class Engine {
   std::unique_ptr<persist::Store> store_;
   Status recovery_status_;
   persist::RecoveryStats recovery_stats_;
-  /// Warm-start bank: last solve's weights + objective Ritz vectors +
-  /// embedding eigenvectors per (graph_id, mode, algorithm, k, quality);
-  /// read when a request sets warm_start, written after every successful
-  /// solve whose final eigensolve ran at the solve's size (fast-tier
-  /// entries are coarse-sized and keyed apart by quality).
-  /// Entries are lineage-stamped, so they survive graph updates but can
-  /// never seed a re-registered id. Dropped on EvictGraph; bounded by
-  /// EngineOptions::cache_capacity (LRU).
-  SolveCache cache_;
   int64_t max_pending_ = 0;
   std::vector<SessionWorkspace> workspaces_;
   std::atomic<int64_t> completed_{0};
   std::atomic<int64_t> pending_{0};
   std::atomic<int64_t> coalesced_{0};
   std::function<void(const SolveRequest&)> solve_hook_;
-  /// Coalescable in-flight solves by cache key; admission (pending_ vs
+  /// Coalescable in-flight solves by key; admission (pending_ vs
   /// max_pending_) is decided under this mutex too, so a join-or-admit
   /// decision is atomic with respect to flight completion.
   std::mutex inflight_mutex_;
-  std::map<SolveCache::Key, std::shared_ptr<Flight>> inflight_;
+  std::map<FlightKey, std::shared_ptr<Flight>> inflight_;
   util::TaskQueue queue_;  ///< declared last: destroyed (drained) first
 };
 

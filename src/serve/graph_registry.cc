@@ -1,16 +1,10 @@
 #include "serve/graph_registry.h"
 
-#include <atomic>
 #include <utility>
 
 namespace sgla {
 namespace serve {
 namespace {
-
-uint64_t NextLineage() {
-  static std::atomic<uint64_t> counter{0};
-  return ++counter;
-}
 
 // Coarse-companion policy. Above this fraction of structurally-changed fine
 // rows, UpdateGraph abandons localized plan repair and re-coarsens from
@@ -203,14 +197,10 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Restore(
     const RegisterOptions& options, const RestoreState& state) {
   // The expensive part (KNN construction, Laplacians, union pattern) runs
   // before the lock, so registration never stalls concurrent Find/Evict.
-  // Lineage is process-local and deliberately NOT restored: a recovered
-  // entry is a new registration as far as warm-start caches are concerned
-  // (their seeds died with the old process anyway).
   auto views = core::ComputeViewLaplacians(mvag, options.knn);
   if (!views.ok()) return views.status();
   auto entry = std::make_shared<GraphEntry>();
   entry->id = id;
-  entry->lineage = NextLineage();
   entry->num_nodes = mvag.num_nodes();
   entry->num_clusters = mvag.num_clusters();
   entry->views = std::move(*views);
@@ -279,7 +269,6 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::RegisterViews(
   }
   auto entry = std::make_shared<GraphEntry>();
   entry->id = id;
-  entry->lineage = NextLineage();
   entry->num_nodes = views[0].rows;
   entry->num_clusters = num_clusters;
   entry->views = std::move(views);
@@ -346,7 +335,6 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   // recompute — attribute rows re-run that one view's KNN, nothing else.
   auto entry = std::make_shared<GraphEntry>();
   entry->id = id;
-  entry->lineage = old->lineage;  // same registration, next epoch
   entry->epoch = old->epoch + 1;
   entry->num_nodes = old->num_nodes;
   entry->num_clusters = old->num_clusters;

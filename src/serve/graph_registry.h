@@ -36,8 +36,8 @@ struct RegisterOptions {
   /// Coarse-companion reduction ratio for the tiered serving path (see
   /// DESIGN.md "Tiered serving"): registration builds a multilevel
   /// heavy-edge coarsening of the union pattern targeting ~ratio * n coarse
-  /// rows, and quality=fast/refined solves run on it. 0 disables the
-  /// companion (tiered requests then quietly serve exact). Tiny graphs, and
+  /// rows, and quality=fast solves run on it. 0 disables the companion
+  /// (fast requests then quietly serve exact). Tiny graphs, and
   /// graphs whose matching cannot shrink them, skip the companion too.
   double coarsen_ratio = 0.1;
   /// Serve every solve of this graph in robust mode by default (see
@@ -54,8 +54,7 @@ struct RegisterOptions {
 /// per-view Laplacians on the coarse node set, and an aggregator over them.
 /// Immutable and shared exactly like the entry that owns it; quality=fast
 /// solves run the unmodified SGLA pipeline against `aggregator` in a
-/// coarse-sized workspace and prolongate the result, quality=refined seeds
-/// the exact solve from it.
+/// coarse-sized workspace and prolongate the result.
 struct CoarseGraphEntry {
   coarse::CoarsePlan plan;
   std::vector<la::CsrMatrix> views;
@@ -71,13 +70,6 @@ struct CoarseGraphEntry {
 /// any number of concurrent solves may share one entry.
 struct GraphEntry {
   std::string id;
-  /// Process-unique registration identity, assigned by Register and carried
-  /// unchanged through every UpdateGraph epoch. Distinguishes "same graph,
-  /// later epoch" (lineage equal) from "same id re-registered after evict"
-  /// (lineage differs) — the warm-start cache keys its validity on this, so
-  /// a solve that finishes after its graph was evicted and replaced can
-  /// never seed solves of the replacement.
-  uint64_t lineage = 0;
   /// Generation number: 0 at registration, +1 per applied UpdateGraph delta.
   /// Entries are immutable — an update publishes a *new* entry under the
   /// same id; solves that hold the old epoch's snapshot finish on it.
@@ -97,10 +89,8 @@ struct GraphEntry {
   /// by MaskView/UnmaskView deltas.
   std::vector<bool> active;
   /// Order-sensitive FNV-1a fold of the ACTIVE view uids — the active-set
-  /// epoch stamp. SolveCache entries carry it so a warm seed (whose weight
-  /// vector and spectrum are functions of the active subset) can never leak
-  /// across a lifecycle change; bitdump prints it as the active-set
-  /// fingerprint.
+  /// epoch stamp. Checkpoints carry it so recovery can cross-check the
+  /// restored active set; bitdump prints it as the active-set fingerprint.
   uint64_t views_signature = 0;
   /// Compacted active-view Laplacians, populated ONLY when some view is
   /// masked; empty otherwise (then `views` itself is the serving set, as
@@ -133,7 +123,7 @@ struct GraphEntry {
   /// UpdateGraph can rebuild the companion consistently. 0 when disabled.
   double coarsen_ratio = 0.0;
   /// Present iff the graph was registered with coarsen_ratio > 0 and the
-  /// matching achieved an actual reduction; fast/refined solves read it.
+  /// matching achieved an actual reduction; fast solves read it.
   std::unique_ptr<const CoarseGraphEntry> coarse;
 };
 
@@ -150,7 +140,7 @@ struct RestoreState {
   uint64_t next_view_uid = 0;       ///< 0 = V + 1
   /// Expected active-set signature; 0 skips the check. A mismatch means the
   /// checkpoint and the rebuilt state disagree — Restore fails rather than
-  /// serve a graph whose warm-seed stamps would lie.
+  /// serve a graph whose active set differs from the checkpointed one.
   uint64_t views_signature = 0;
 };
 

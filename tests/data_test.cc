@@ -1,6 +1,8 @@
 // Dataset generator + binary IO round trips, covering the bench cache layer.
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -95,6 +97,62 @@ TEST(IoTest, CsrRoundTrip) {
   EXPECT_EQ(loaded->values, m.values);
   std::remove(path.c_str());
   EXPECT_FALSE(data::LoadCsr(path).ok());
+}
+
+/// The bytes of an MVAG block holding one attribute view whose stored
+/// shape is (rows, cols) over `doubles` values, in data::SaveMvagBytes'
+/// layout.
+std::string AttributeBlockBytes(int64_t rows, int64_t cols, size_t doubles) {
+  std::string bytes;
+  const auto put = [&bytes](const void* p, size_t n) {
+    bytes.append(static_cast<const char*>(p), n);
+  };
+  const auto put_u64 = [&put](uint64_t v) { put(&v, sizeof v); };
+  const auto put_i64 = [&put](int64_t v) { put(&v, sizeof v); };
+  put_u64(0x53474c416d7667ull);  // "SGLAmvg"
+  put_i64(rows > 0 ? rows : 1);  // nodes
+  put_i64(3);                    // clusters
+  put_u64(0);                    // no labels
+  put_u64(0);                    // no graph views
+  put_u64(1);                    // one attribute view
+  put_i64(rows);
+  put_i64(cols);
+  put_u64(doubles);
+  const std::vector<double> values(doubles, 1.0);
+  put(values.data(), doubles * sizeof(double));
+  return bytes;
+}
+
+TEST(IoTest, MvagShapeLiesAreTypedInvalidArgument) {
+  struct Shape {
+    int64_t rows;
+    int64_t cols;
+    size_t doubles;
+  };
+  // The first two products wrap to the value count in 64 bits; the third
+  // is a negative shape whose product is positive.
+  const Shape lies[] = {{512, int64_t{1} << 55, 0},
+                        {3, int64_t{0x5555555555555556}, 2},
+                        {-2, -1, 2}};
+  for (const Shape& lie : lies) {
+    SCOPED_TRACE(lie.cols);
+    const std::string bytes = AttributeBlockBytes(lie.rows, lie.cols,
+                                                  lie.doubles);
+    auto loaded = data::LoadMvagBytes(
+        reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size(),
+        nullptr);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+  const std::string honest = AttributeBlockBytes(2, 3, 6);
+  auto loaded = data::LoadMvagBytes(
+      reinterpret_cast<const uint8_t*>(honest.data()), honest.size(),
+      nullptr);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->attribute_views().size(), 1u);
+  EXPECT_EQ(loaded->attribute_views()[0].rows(), 2);
+  EXPECT_EQ(loaded->attribute_views()[0].cols(), 3);
 }
 
 TEST(IoTest, MvagRoundTrip) {

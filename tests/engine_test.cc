@@ -23,7 +23,6 @@
 #include "graph/laplacian.h"
 #include "serve/engine.h"
 #include "serve/graph_registry.h"
-#include "serve/solve_cache.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -576,77 +575,6 @@ TEST(EngineTierTest, FastServesExactWhenKExceedsCompanionRows) {
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
   EXPECT_EQ(fallback->integration.weights, exact->integration.weights);
   EXPECT_EQ(fallback->labels, exact->labels);
-}
-
-TEST(SolveCacheTest, LruEvictsStalestAndLookupRefreshesRecency) {
-  serve::SolveCache cache(/*capacity=*/2);
-  auto key = [](int k) {
-    serve::SolveCache::Key key;
-    key.graph_id = "g";
-    key.k = k;
-    return key;
-  };
-  auto entry = [](int64_t nodes) {
-    serve::SolveCache::Entry entry;
-    entry.num_nodes = nodes;
-    return entry;
-  };
-
-  cache.Store(key(2), entry(100));
-  cache.Store(key(3), entry(200));
-  EXPECT_EQ(cache.size(), 2u);
-
-  // Touch k=2 so k=3 becomes the stalest, then overflow: k=3 must go.
-  ASSERT_NE(cache.Lookup(key(2)), nullptr);
-  cache.Store(key(4), entry(300));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.Lookup(key(3)), nullptr);
-  ASSERT_NE(cache.Lookup(key(2)), nullptr);
-  ASSERT_NE(cache.Lookup(key(4)), nullptr);
-
-  // Age stamps order generations without wall-clock: strictly increasing
-  // across stores.
-  EXPECT_LT(cache.Lookup(key(2))->stamp, cache.Lookup(key(4))->stamp);
-}
-
-TEST(SolveCacheTest, ZeroCapacityStaysUnbounded) {
-  serve::SolveCache cache;  // capacity 0 = the pre-LRU behavior
-  for (int k = 2; k < 12; ++k) {
-    serve::SolveCache::Key key;
-    key.graph_id = "g";
-    key.k = k;
-    cache.Store(key, serve::SolveCache::Entry{});
-  }
-  EXPECT_EQ(cache.size(), 10u);
-}
-
-TEST(EngineCacheTest, CacheCapacityBoundsTheWarmStartBank) {
-  const GraphFixture f = GraphFixture::Make(300, 3, 131);
-  serve::GraphRegistry registry;
-  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
-  serve::EngineOptions options;
-  options.num_sessions = 1;
-  options.cache_capacity = 1;  // room for exactly one (…, k, …) key
-  serve::Engine engine(&registry, options);
-
-  serve::SolveRequest request;
-  request.graph_id = "g";
-  request.k = 3;
-  ASSERT_TRUE(engine.Solve(request).ok());  // banks the k=3 entry
-  request.k = 4;
-  ASSERT_TRUE(engine.Solve(request).ok());  // banks k=4, evicting k=3
-
-  // k=3 was evicted: a warm_start request runs cold. That solve re-banks
-  // k=3 (evicting k=4 in turn), so an immediate repeat runs warm — the
-  // one-slot bank keeps cycling instead of growing.
-  request.warm_start = true;
-  request.k = 3;
-  auto cold = engine.Solve(request);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_FALSE(cold->stats.warm_started);
-  auto warm = engine.Solve(request);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(warm->stats.warm_started);
 }
 
 TEST(EngineAllocationTest, SteadyStateObjectiveEvaluationsAllocateNothing) {

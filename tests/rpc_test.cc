@@ -416,6 +416,102 @@ TEST(MessagesTest, HostileCountsInRegisterAndUpdateAreRejectedNotAllocated) {
   }
 }
 
+/// A dense block whose shape claims more entries than it carries: rows *
+/// cols wraps in 64-bit arithmetic to exactly `doubles`.
+struct ShapeLie {
+  int64_t rows;
+  int64_t cols;
+  size_t doubles;
+};
+const ShapeLie kShapeLies[] = {
+    {512, int64_t{1} << 55, 0},              // 2^64 wraps to 0
+    {3, int64_t{0x5555555555555556}, 2},     // 2^64 + 2 wraps to 2
+};
+
+void WriteShapeLie(const ShapeLie& lie, WireWriter* w) {
+  w->I64(lie.rows);
+  w->I64(lie.cols);
+  w->F64Vec(std::vector<double>(lie.doubles, 1.0));
+}
+
+/// A Register payload whose only view is an attribute block with a lying
+/// shape; `num_nodes` matches its row count, so the view passes every
+/// per-view check that reads rows alone.
+void WriteShapeLieRegister(const ShapeLie& lie, WireWriter* w) {
+  w->Str("lie");
+  w->I32(1);  // shards
+  w->U8(1);   // updatable
+  w->I32(0);  // knn_k
+  w->U8(0);   // robust_views
+  w->I64(lie.rows);  // num_nodes
+  w->I32(3);         // num_clusters
+  w->U32(0);         // no graph views
+  w->U32(1);         // one attribute view
+  WriteShapeLie(lie, w);
+}
+
+/// The fields of an embed-mode SolveOk payload before its embedding block.
+void WriteEmbedReplyHead(WireWriter* w) {
+  w->U8(static_cast<uint8_t>(serve::SolveMode::kEmbed));
+  w->F64Vec({0.5, 0.5});  // weights
+  w->I64(0);              // graph_epoch
+  w->U8(0);               // warm_started
+  w->I64(0);              // lanczos_iterations
+  w->U8(0);               // tier_served
+  w->I32(2);              // active_views
+  w->I32(2);              // total_views
+}
+
+TEST(MessagesTest, ShapeLiesInDenseBlocksAreRejected) {
+  for (const ShapeLie& lie : kShapeLies) {
+    SCOPED_TRACE(lie.cols);
+    {  // Register: attribute view
+      WireWriter w;
+      WriteShapeLieRegister(lie, &w);
+      const std::vector<uint8_t> buffer = w.TakeBuffer();
+      WireReader r(buffer.data(), buffer.size());
+      RegisterRequest decoded;
+      EXPECT_FALSE(DecodeRegisterRequest(&r, &decoded));
+    }
+    {  // Update: AddView of an attribute block
+      WireWriter w;
+      w.Str("g");
+      w.U32(0);  // no graph-view edits
+      w.U32(0);  // no attribute rows
+      w.U32(1);  // one addition
+      w.U8(1);   // kind: attribute
+      WriteShapeLie(lie, &w);
+      w.U32(0);  // remove_views
+      w.U32(0);  // mask_views
+      w.U32(0);  // unmask_views
+      const std::vector<uint8_t> buffer = w.TakeBuffer();
+      WireReader r(buffer.data(), buffer.size());
+      UpdateRequest decoded;
+      EXPECT_FALSE(DecodeUpdateRequest(&r, &decoded));
+    }
+    {  // Solve reply: embedding
+      WireWriter w;
+      WriteEmbedReplyHead(&w);
+      WriteShapeLie(lie, &w);
+      const std::vector<uint8_t> buffer = w.TakeBuffer();
+      WireReader r(buffer.data(), buffer.size());
+      SolveReply decoded;
+      EXPECT_FALSE(DecodeSolveReply(&r, &decoded));
+    }
+  }
+  {  // an honest shape next to them still decodes
+    WireWriter w;
+    WriteEmbedReplyHead(&w);
+    WriteShapeLie({2, 3, 6}, &w);
+    const std::vector<uint8_t> buffer = w.TakeBuffer();
+    WireReader r(buffer.data(), buffer.size());
+    SolveReply decoded;
+    ASSERT_TRUE(DecodeSolveReply(&r, &decoded));
+    EXPECT_EQ(decoded.embedding.rows(), 2);
+    EXPECT_EQ(decoded.embedding.cols(), 3);
+  }
+}
+
 TEST(MessagesTest, ErrorReplyCarriesTypedStatus) {
   std::vector<uint8_t> frame =
       BuildErrorFrame(17, ResourceExhausted("quota"));
@@ -1024,6 +1120,42 @@ TEST_F(RpcServingTest, MalformedPayloadGetsTypedErrorMalformedHeaderCloses) {
     uint8_t byte;
     EXPECT_FALSE(ReadExactly(fd, &byte, 1));  // EOF
   }
+  close(fd);
+}
+
+TEST_F(RpcServingTest, ShapeLieRegisterGetsTypedErrorAndServerLives) {
+  StartServing({});
+  int fd = RawConnect(server_->port());
+  ASSERT_GE(fd, 0);
+  // 512 rows x 2^55 columns carried by zero doubles: the server must answer
+  // INVALID_ARGUMENT instead of building a KNN graph over the lie.
+  WireWriter w;
+  WriteShapeLieRegister(kShapeLies[0], &w);
+  const std::vector<uint8_t> frame =
+      BuildFrame(FrameType::kRegister, 9, std::move(w));
+  ASSERT_TRUE(SendAll(fd, frame.data(), frame.size()));
+
+  uint8_t header_bytes[kFrameHeaderBytes];
+  ASSERT_TRUE(ReadExactly(fd, header_bytes, kFrameHeaderBytes));
+  FrameHeader header;
+  ASSERT_TRUE(DecodeFrameHeader(header_bytes, &header));
+  EXPECT_EQ(header.type, FrameType::kError);
+  EXPECT_EQ(header.request_id, 9u);
+  std::vector<uint8_t> reply(header.payload_length);
+  ASSERT_TRUE(ReadExactly(fd, reply.data(), reply.size()));
+  WireReader r(reply.data(), reply.size());
+  ErrorReply error;
+  ASSERT_TRUE(DecodeErrorReply(&r, &error));
+  EXPECT_EQ(error.code, StatusCode::kInvalidArgument) << error.message;
+  EXPECT_EQ(registry_->Find("lie"), nullptr);
+
+  const std::vector<uint8_t> ping = PingBurst(1);
+  ASSERT_TRUE(SendAll(fd, ping.data(), ping.size()));
+  uint8_t pong_bytes[kFrameHeaderBytes];
+  ASSERT_TRUE(ReadExactly(fd, pong_bytes, kFrameHeaderBytes));
+  FrameHeader pong;
+  ASSERT_TRUE(DecodeFrameHeader(pong_bytes, &pong));
+  EXPECT_EQ(pong.type, FrameType::kPong);
   close(fd);
 }
 

@@ -2,9 +2,8 @@
 // UnmaskView delta validation and re-indexing, the bit-identity contract
 // (masked/removed/added-view solves equal registering that view subset from
 // scratch, at SGLA_THREADS=1,4), edits landing on masked views,
-// lifecycle ops racing Solve/UpdateGraph/Evict (TSAN-clean), the robust
-// cross-view agreement penalty, and SolveCache TTL expiry under an injected
-// monotonic clock.
+// lifecycle ops racing Solve/UpdateGraph/Evict (TSAN-clean), and the robust
+// cross-view agreement penalty.
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -19,7 +18,6 @@
 #include "serve/engine.h"
 #include "serve/graph_delta.h"
 #include "serve/graph_registry.h"
-#include "serve/solve_cache.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -335,14 +333,11 @@ TEST(LifecycleTest, EditsOnAMaskedViewApplySoUnmaskServesCurrentState) {
   EXPECT_EQ(a.labels, b.labels);
 }
 
-TEST(LifecycleTest, LifecycleEpochChangesViewsSignatureAndColdensWarmStarts) {
+TEST(LifecycleTest, LifecycleEpochChangesViewsSignature) {
   LifecycleFixture f = LifecycleFixture::Make(600, 2, 37);
   serve::GraphRegistry registry;
   serve::Engine engine(&registry);
   ASSERT_TRUE(engine.RegisterGraph("g", f.mvag).ok());
-
-  const serve::SolveResponse cold = Solve(&engine, "g");
-  EXPECT_FALSE(cold.stats.warm_started);
 
   const uint64_t signature_before = registry.Find("g")->views_signature;
   serve::GraphDelta mask;
@@ -350,30 +345,11 @@ TEST(LifecycleTest, LifecycleEpochChangesViewsSignatureAndColdensWarmStarts) {
   ASSERT_TRUE(engine.UpdateGraph("g", mask).ok());
   EXPECT_NE(registry.Find("g")->views_signature, signature_before);
 
-  // The banked seed was computed over all three views; the masked entry's
-  // signature differs, so a warm request must run cold (no stale seed).
-  serve::SolveRequest warm;
-  warm.graph_id = "g";
-  warm.warm_start = true;
-  warm.options = FastOptions();
-  auto masked = engine.Solve(warm);
-  ASSERT_TRUE(masked.ok()) << masked.status().ToString();
-  EXPECT_FALSE(masked->stats.warm_started);
-
-  // Unmasking restores the original signature. The masked solve re-banked
-  // under the masked signature, so the first post-unmask warm request still
-  // runs cold (and re-banks under the restored signature) — only then does a
-  // warm request actually warm-start.
+  // Unmasking restores the original active set, and with it the signature.
   serve::GraphDelta unmask;
   unmask.unmask_views = {1};
   ASSERT_TRUE(engine.UpdateGraph("g", unmask).ok());
   EXPECT_EQ(registry.Find("g")->views_signature, signature_before);
-  auto after_unmask = engine.Solve(warm);
-  ASSERT_TRUE(after_unmask.ok()) << after_unmask.status().ToString();
-  EXPECT_FALSE(after_unmask->stats.warm_started);
-  auto rewarmed = engine.Solve(warm);
-  ASSERT_TRUE(rewarmed.ok()) << rewarmed.status().ToString();
-  EXPECT_TRUE(rewarmed->stats.warm_started);
 }
 
 // ---------------------------------------------------------------------------
@@ -534,59 +510,6 @@ TEST(RobustObjectiveTest, EngineRobustFlagAndRegistrationDefaultApply) {
   ASSERT_TRUE(robust_requested.ok());
   ExpectSameIntegration(robust_requested->integration,
                         robust_default.integration);
-}
-
-// ---------------------------------------------------------------------------
-// SolveCache TTL (injected monotonic clock)
-// ---------------------------------------------------------------------------
-
-TEST(SolveCacheTtlTest, EntriesExpireOnLookupAfterTheTtl) {
-  serve::SolveCache cache(0, 100);
-  int64_t now = 0;
-  cache.SetClockForTest([&now] { return now; });
-
-  const serve::SolveCache::Key key{"g", 0, 0, 3, 0, 0};
-  serve::SolveCache::Entry entry;
-  entry.lineage = 7;
-  cache.Store(key, entry);
-  now = 99;
-  EXPECT_NE(cache.Lookup(key), nullptr);
-  now = 100;
-  EXPECT_EQ(cache.Lookup(key), nullptr);
-  EXPECT_EQ(cache.size(), 0u);  // the stale slot was dropped, not kept
-
-  // A re-store restarts the entry's age from the store time.
-  cache.Store(key, entry);
-  now = 150;
-  EXPECT_NE(cache.Lookup(key), nullptr);
-  now = 300;
-  EXPECT_EQ(cache.Lookup(key), nullptr);
-}
-
-TEST(SolveCacheTtlTest, ZeroTtlNeverExpires) {
-  serve::SolveCache cache(0, 0);
-  int64_t now = 0;
-  cache.SetClockForTest([&now] { return now; });
-  const serve::SolveCache::Key key{"g", 0, 0, 3, 0, 0};
-  cache.Store(key, serve::SolveCache::Entry());
-  now = int64_t{1} << 40;
-  EXPECT_NE(cache.Lookup(key), nullptr);
-}
-
-TEST(SolveCacheTtlTest, RobustFlagKeysEntriesApart) {
-  serve::SolveCache cache;
-  serve::SolveCache::Key plain{"g", 0, 0, 3, 0, 0};
-  serve::SolveCache::Key robust{"g", 0, 0, 3, 0, 1};
-  serve::SolveCache::Entry entry;
-  entry.lineage = 1;
-  cache.Store(plain, entry);
-  EXPECT_EQ(cache.Lookup(robust), nullptr);
-  entry.lineage = 2;
-  cache.Store(robust, entry);
-  EXPECT_EQ(cache.Lookup(plain)->lineage, 1u);
-  EXPECT_EQ(cache.Lookup(robust)->lineage, 2u);
-  cache.Invalidate("g");
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 }  // namespace
