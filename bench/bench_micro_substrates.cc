@@ -511,10 +511,11 @@ BENCHMARK(BM_EngineSolveFastTier)->Arg(512)->Arg(2000)->UseRealTime();
 
 // Registration-time cost of the coarse companion: the multilevel heavy-edge
 // matching over the union pattern plus the Galerkin contraction of one view.
-// This is what UpdateGraph pays again on an above-churn pattern delta. The
-// affinity and contraction passes run on pool workers, so the caller's
-// cpu_time would under-report the work: timed in wall-clock instead
-// (perf_gate.py compares real_time for names ending in /real_time).
+// UpdateGraph pays it again on every pattern delta (BM_EngineUpdateGraphPattern
+// times the whole epoch). The affinity and contraction passes run on pool
+// workers, so the caller's cpu_time would under-report the work: timed in
+// wall-clock instead (perf_gate.py compares real_time for names ending in
+// /real_time).
 void BM_CoarsenGraph(benchmark::State& state) {
   const Fixture& f = Fixture::Get(state.range(0));
   core::LaplacianAggregator aggregator(&f.views);
@@ -573,6 +574,64 @@ void BM_EngineUpdateGraphValueOnly(benchmark::State& state) {
   state.SetLabel(la::simd::ActiveIsaName());
 }
 BENCHMARK(BM_EngineUpdateGraphValueOnly)->Arg(2000);
+
+// Pattern-changing updates: the delta alternately inserts and removes the
+// same 4 edges of view 0, so every epoch rebuilds the union pattern and
+// re-plans the coarse companion from scratch — what any pattern delta costs.
+// Recorded for the perf trajectory, not gated. The re-plan runs on pool
+// workers, so it is timed in wall-clock.
+void BM_EngineUpdateGraphPattern(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Rng rng(177);
+  std::vector<int32_t> labels = data::BalancedLabels(n, 4, &rng);
+  core::MultiViewGraph mvag(n, 4);
+  mvag.AddGraphView(data::SbmGraph(labels, 4, 0.02, 0.002, &rng));
+  mvag.AddGraphView(data::SbmGraph(labels, 4, 0.01, 0.008, &rng));
+  mvag.set_labels(std::move(labels));
+
+  serve::GraphRegistry registry;
+  if (!registry.Register("bench", mvag).ok()) {
+    state.SkipWithError("Register failed");
+    return;
+  }
+  // Four node pairs (u, u + n/2) that view 0 does not connect.
+  const std::vector<graph::Edge>& edges = mvag.graph_views()[0].edges();
+  const auto adjacent = [&edges](int64_t u, int64_t v) {
+    for (const graph::Edge& e : edges) {
+      if ((e.u == u && e.v == v) || (e.u == v && e.v == u)) return true;
+    }
+    return false;
+  };
+  serve::GraphDelta insert;
+  serve::GraphDelta remove;
+  insert.graph_views.resize(1);
+  remove.graph_views.resize(1);
+  for (int64_t u = 0; u < n / 2 && remove.graph_views[0].removals.size() < 4;
+       ++u) {
+    if (adjacent(u, u + n / 2)) continue;
+    insert.graph_views[0].upserts.push_back({u, u + n / 2, 1.0});
+    remove.graph_views[0].removals.push_back({u, u + n / 2});
+  }
+
+  bool inserted = false;
+  const int64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    auto updated = registry.UpdateGraph("bench", inserted ? remove : insert);
+    if (!updated.ok()) {
+      state.SkipWithError("UpdateGraph failed");
+      break;
+    }
+    benchmark::DoNotOptimize(updated->get());
+    inserted = !inserted;
+  }
+  state.counters["allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
+                          allocations_before),
+      benchmark::Counter::kAvgIterations);
+  state.SetLabel(la::simd::ActiveIsaName());
+}
+BENCHMARK(BM_EngineUpdateGraphPattern)->Arg(2000)->UseRealTime();
 
 // Re-solve after a small delta: the update-then-solve serving loop (a
 // value-only upsert of 16 edges, then an exact SGLA solve, repeatedly).

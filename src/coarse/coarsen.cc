@@ -299,69 +299,9 @@ CoarsePlan BuildCoarsePlan(const la::CsrMatrix& union_pattern,
 
 void RepairCoarsePlan(const la::CsrMatrix& union_pattern,
                       const std::vector<la::CsrMatrix>& views,
-                      const std::vector<bool>& changed_rows,
+                      const std::vector<bool>& /*changed_rows*/,
                       CoarsePlan* plan) {
-  const int64_t n = plan->fine_rows;
-  SGLA_CHECK(union_pattern.rows == n &&
-             static_cast<int64_t>(changed_rows.size()) == n)
-      << "RepairCoarsePlan shape mismatch";
-  std::vector<bool> dirty(static_cast<size_t>(plan->coarse_rows), false);
-  bool any = false;
-  for (int64_t i = 0; i < n; ++i) {
-    if (changed_rows[i]) {
-      dirty[plan->fine_to_coarse[i]] = true;
-      any = true;
-    }
-  }
-  if (!any) return;
-  std::vector<bool> candidate(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    candidate[i] = dirty[plan->fine_to_coarse[i]];
-  }
-  // One greedy heavy-edge level among the dissolved rows only — same
-  // affinity scores, visit order and tie-break as BuildCoarsePlan's level 0.
-  const LevelGraph level = LevelFromUnion(
-      union_pattern, PatternMultiplicity(union_pattern, views));
-  const std::vector<int64_t> score = EdgeAffinity(level);
-  std::vector<int64_t> match(static_cast<size_t>(n), -1);
-  for (int64_t u = 0; u < n; ++u) {
-    if (!candidate[u] || match[u] >= 0) continue;
-    int64_t best = -1;
-    int64_t best_w = 0;
-    for (int64_t p = union_pattern.row_ptr[u]; p < union_pattern.row_ptr[u + 1];
-         ++p) {
-      const int64_t v = union_pattern.col_idx[p];
-      if (v == u || !candidate[v] || match[v] >= 0) continue;
-      if (score[p] > best_w) {
-        best = v;
-        best_w = score[p];
-      }
-    }
-    match[u] = best >= 0 ? best : u;
-    if (best >= 0) match[best] = u;
-  }
-  // Renumber every cluster by first fine-row appearance: untouched clusters
-  // keep their membership (under fresh ids), dissolved rows get their pair
-  // representative's id.
-  std::vector<int64_t> clean_id(static_cast<size_t>(plan->coarse_rows), -1);
-  std::vector<int64_t> pair_id(static_cast<size_t>(n), -1);
-  std::vector<int64_t> fresh(static_cast<size_t>(n));
-  int64_t next = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (!candidate[i]) {
-      int64_t& id = clean_id[plan->fine_to_coarse[i]];
-      if (id < 0) id = next++;
-      fresh[i] = id;
-    } else {
-      const int64_t rep = std::min(i, match[i]);
-      int64_t& id = pair_id[rep];
-      if (id < 0) id = next++;
-      fresh[i] = id;
-    }
-  }
-  plan->fine_to_coarse = std::move(fresh);
-  plan->coarse_rows = next;
-  FillClusterSizes(plan);
+  *plan = BuildCoarsePlan(union_pattern, views);
 }
 
 la::CsrMatrix ContractView(const la::CsrMatrix& fine, const CoarsePlan& plan) {

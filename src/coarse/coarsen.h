@@ -47,14 +47,13 @@ CoarsePlan BuildCoarsePlan(const la::CsrMatrix& union_pattern,
                            const std::vector<la::CsrMatrix>& views,
                            const CoarsenOptions& options = {});
 
-/// Localized repair after a pattern-changing delta: every coarse cluster
-/// containing a structurally-changed fine row is dissolved and its members
-/// re-matched (one greedy heavy-edge level among themselves, same tie-break
-/// as BuildCoarsePlan); untouched clusters keep their membership. All
-/// cluster ids are renumbered by first fine-row appearance, so the repaired
-/// plan stays canonical. The result is a valid partition but NOT the plan a
-/// from-scratch coarsening would build — the registry falls back to a full
-/// re-coarsen above its churn threshold (see DESIGN.md "Tiered serving").
+/// Retired shim: overwrites `*plan` with BuildCoarsePlan(union_pattern,
+/// views) at default CoarsenOptions and ignores `changed_rows`. An in-place
+/// repair of only the clusters around changed rows made plans depend on the
+/// delta history, so the registry re-plans from scratch on every pattern
+/// delta instead (DESIGN.md "Tiered serving"). Nothing in the library calls
+/// this; it stays until the e2ebench replay stops timing it as
+/// `coarse.repair_ms`.
 void RepairCoarsePlan(const la::CsrMatrix& union_pattern,
                       const std::vector<la::CsrMatrix>& views,
                       const std::vector<bool>& changed_rows,

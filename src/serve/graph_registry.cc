@@ -6,12 +6,8 @@ namespace sgla {
 namespace serve {
 namespace {
 
-// Coarse-companion policy. Above this fraction of structurally-changed fine
-// rows, UpdateGraph abandons localized plan repair and re-coarsens from
-// scratch (a repaired plan stays valid but drifts from what a fresh matching
-// would build); below the row floor, registration skips the companion — the
-// exact solve is already cheap there.
-constexpr double kCoarseChurnThreshold = 0.05;
+// Below this many rows registration skips the coarse companion: the exact
+// solve is already cheap there.
 constexpr int64_t kMinCoarsenFineRows = 64;
 
 // Order-sensitive FNV-1a fold of the active view uids — the active-set
@@ -32,64 +28,92 @@ uint64_t ActiveViewsSignature(const std::vector<uint64_t>& uids,
   return hash;
 }
 
-// Contracts serving view `v` onto the coarse node set. Graph views contract
-// directly (Galerkin similarity + re-normalize); attribute views average the
-// fine attribute rows per cluster and re-run that view's KNN on the coarse
-// attributes, so the coarse view reflects coarse-level neighborhoods instead
-// of a contraction of fine KNN edges. `to_global` maps a serving index to
-// the mvag's global view index (null = identity, i.e. nothing masked).
-// Without a source graph (RegisterViews) every view contracts directly —
-// the registry cannot tell them apart.
-Result<la::CsrMatrix> ContractOneView(
-    const std::vector<la::CsrMatrix>& fine_views,
-    const coarse::CoarsePlan& plan, const core::MultiViewGraph* mvag,
-    const graph::KnnOptions& knn, size_t v,
-    const std::vector<int>* to_global) {
-  const size_t global =
-      to_global == nullptr || to_global->empty()
-          ? v
-          : static_cast<size_t>((*to_global)[v]);
-  const size_t num_graph_views =
-      mvag == nullptr ? fine_views.size() : mvag->graph_views().size();
-  if (global < num_graph_views) {
-    return coarse::ContractView(fine_views[v], plan);
+// Contracts one serving view, `fine`, onto the coarse node set; `global` is
+// its index among the mvag's views. Graph views contract directly (Galerkin
+// similarity + re-normalize); attribute views average the fine attribute
+// rows per cluster and re-run that view's KNN on the coarse attributes, so
+// the coarse view reflects coarse-level neighborhoods instead of a
+// contraction of fine KNN edges. Without a source graph (RegisterViews)
+// every view contracts directly — the registry cannot tell them apart.
+Result<la::CsrMatrix> ContractOneView(const la::CsrMatrix& fine,
+                                      size_t global,
+                                      const coarse::CoarsePlan& plan,
+                                      const core::MultiViewGraph* mvag,
+                                      const graph::KnnOptions& knn) {
+  if (mvag == nullptr || global < mvag->graph_views().size()) {
+    return coarse::ContractView(fine, plan);
   }
   const la::DenseMatrix& attributes =
-      mvag->attribute_views()[global - num_graph_views];
+      mvag->attribute_views()[global - mvag->graph_views().size()];
   core::MultiViewGraph coarse_mvag(plan.coarse_rows, 0);
   coarse_mvag.AddAttributeView(coarse::AverageRows(attributes, plan));
   return core::ComputeViewLaplacian(coarse_mvag, 0, knn);
 }
 
-// Builds the coarse companion for `entry` from scratch, or null when
-// coarsening is off, the graph is too small, or the matching achieved no
-// reduction. The companion is best-effort: a view that fails to contract
-// (degenerate coarse KNN) drops the companion rather than the registration.
-// Contracts the SERVING views — with a masked entry the companion covers the
-// active subset only, matching what a fresh registration of that subset
-// would build.
+// True iff the two view sets hold the same sparsity patterns, view by view —
+// the condition under which an aggregator may donor-copy its union pattern.
+bool SamePatterns(const std::vector<la::CsrMatrix>& a,
+                  const std::vector<la::CsrMatrix>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t v = 0; v < a.size(); ++v) {
+    if (a[v].row_ptr != b[v].row_ptr || a[v].col_idx != b[v].col_idx) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Builds the coarse companion for `entry`, or null when coarsening is off,
+// the graph is too small, or the matching achieved no reduction. The
+// companion is best-effort: a view that fails to contract (degenerate coarse
+// KNN) drops the companion rather than the registration. Contracts the
+// SERVING views — with a masked entry the companion covers the active subset
+// only, matching what a fresh registration of that subset would build.
+//
+// `donor` is the previous epoch's companion, passed only when every serving
+// view kept its sparsity: the plan is a pure function of those patterns, so
+// it is carried, and so is each coarse view whose fine view the delta did
+// not touch (`affected`, global view order). Everything else is rebuilt.
 std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
     const GraphEntry& entry, const core::MultiViewGraph* mvag,
-    const graph::KnnOptions& knn, double ratio) {
-  if (ratio <= 0.0 || entry.num_nodes < kMinCoarsenFineRows) return nullptr;
-  const std::vector<la::CsrMatrix>& fine = entry.serving_views();
-  coarse::CoarsenOptions options;
-  options.ratio = ratio;
-  std::unique_ptr<CoarseGraphEntry> companion(new CoarseGraphEntry);
-  companion->plan = coarse::BuildCoarsePlan(entry.aggregator->pattern(),
-                                            fine, options);
-  if (companion->plan.coarse_rows >= entry.num_nodes ||
-      companion->plan.coarse_rows < 2) {
+    const graph::KnnOptions& knn, const CoarseGraphEntry* donor,
+    const std::vector<bool>& affected) {
+  if (entry.coarsen_ratio <= 0.0 || entry.num_nodes < kMinCoarsenFineRows) {
     return nullptr;
+  }
+  const std::vector<la::CsrMatrix>& fine = entry.serving_views();
+  std::unique_ptr<CoarseGraphEntry> companion(new CoarseGraphEntry);
+  if (donor != nullptr) {
+    companion->plan = donor->plan;
+  } else {
+    coarse::CoarsenOptions options;
+    options.ratio = entry.coarsen_ratio;
+    companion->plan = coarse::BuildCoarsePlan(entry.aggregator->pattern(),
+                                              fine, options);
+    if (companion->plan.coarse_rows >= entry.num_nodes ||
+        companion->plan.coarse_rows < 2) {
+      return nullptr;
+    }
   }
   companion->views.reserve(fine.size());
   for (size_t v = 0; v < fine.size(); ++v) {
-    auto view = ContractOneView(fine, companion->plan, mvag, knn, v,
-                                &entry.active_to_global);
+    const size_t global =
+        entry.active_to_global.empty()
+            ? v
+            : static_cast<size_t>(entry.active_to_global[v]);
+    if (donor != nullptr && !affected[global]) {
+      companion->views.push_back(donor->views[v]);
+      continue;
+    }
+    auto view = ContractOneView(fine[v], global, companion->plan, mvag, knn);
     if (!view.ok()) return nullptr;
     companion->views.push_back(std::move(*view));
   }
-  companion->aggregator.reset(new core::LaplacianAggregator(&companion->views));
+  companion->aggregator.reset(
+      donor != nullptr && SamePatterns(companion->views, donor->views)
+          ? new core::LaplacianAggregator(&companion->views,
+                                          *donor->aggregator)
+          : new core::LaplacianAggregator(&companion->views));
   return std::unique_ptr<const CoarseGraphEntry>(companion.release());
 }
 
@@ -97,11 +121,21 @@ std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
 // coarsen_ratio: first the active subset (views_signature, and the compacted
 // active_views / active_to_global, left empty when everything is active so
 // serving reads `views` directly), then the aggregator over it, then the
-// coarse companion. Registration, recovery and lifecycle epochs all build
-// through here, so a masked view set serves exactly what a fresh
-// registration of its active subset would.
+// coarse companion. Registration, recovery and every UpdateGraph epoch build
+// through here, so an entry serves exactly what a fresh registration of its
+// active subset would.
+//
+// `donor` is an edit epoch's predecessor (same view set, same active mask;
+// null for registration, recovery and lifecycle epochs) and `affected` marks
+// the views the edit recomputed. The donor lends only what has provably
+// identical inputs: when every serving view keeps its sparsity, the union
+// pattern and scatter maps are copied under the donor's pattern_id (bound
+// solve workspaces skip rebinding) and the companion reuses the plan, the
+// untouched coarse views and, when the coarse patterns match, the coarse
+// aggregator. Any pattern change re-plans from scratch.
 void BuildServingState(GraphEntry* entry, const core::MultiViewGraph* mvag,
-                       const graph::KnnOptions& knn) {
+                       const graph::KnnOptions& knn, const GraphEntry* donor,
+                       const std::vector<bool>& affected) {
   entry->views_signature =
       ActiveViewsSignature(entry->view_uids, entry->active);
   entry->active_views.clear();
@@ -117,9 +151,17 @@ void BuildServingState(GraphEntry* entry, const core::MultiViewGraph* mvag,
       entry->active_to_global.push_back(static_cast<int>(v));
     }
   }
+  const std::vector<la::CsrMatrix>& serving = entry->serving_views();
+  const bool same_patterns =
+      donor != nullptr && SamePatterns(serving, donor->serving_views());
   entry->aggregator.reset(
-      new core::LaplacianAggregator(&entry->serving_views()));
-  entry->coarse = BuildCoarseEntry(*entry, mvag, knn, entry->coarsen_ratio);
+      same_patterns ? new core::LaplacianAggregator(&serving,
+                                                    *donor->aggregator)
+                    : new core::LaplacianAggregator(&serving));
+  entry->coarse =
+      BuildCoarseEntry(*entry, mvag, knn,
+                       same_patterns ? donor->coarse.get() : nullptr,
+                       affected);
 }
 
 }  // namespace
@@ -172,7 +214,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
   entry->robust_views = options.robust_views;
   entry->coarsen_ratio = options.coarsen_ratio > 0.0 ? options.coarsen_ratio
                                                      : 0.0;
-  BuildServingState(entry.get(), mvag, options.knn);
+  BuildServingState(entry.get(), mvag, options.knn, /*donor=*/nullptr, {});
   std::shared_ptr<const GraphEntry> published = std::move(entry);
   std::lock_guard<std::mutex> lock(mutex_);
   auto inserted = graphs_.emplace(published->id, published);
@@ -323,16 +365,14 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   DeltaEffects effects;
   Status applied = ApplyDelta(&source->mvag, delta, old->active, &effects);
   if (!applied.ok()) return applied;
-  const std::vector<bool>& affected = effects.affected;
 
-  bool was_masked = false;
-  for (size_t v = 0; v < old->active.size(); ++v) {
-    was_masked = was_masked || !old->active[v];
-  }
-
-  // Copy-on-write next epoch: unaffected views are carried over bitwise
-  // (cheap copies, and the precondition for pattern reuse), affected views
-  // recompute — attribute rows re-run that one view's KNN, nothing else.
+  // Copy-on-write next epoch, one loop for edits and lifecycle ops alike:
+  // each view is carried bitwise from its predecessor unless the delta
+  // touched it — an edit recomputes that one view's Laplacian (attribute
+  // rows re-run its KNN), an added view computes its first. Carried views
+  // keep their uids (the active-set signature stays honest), added views
+  // draw fresh ones, and masked views stay resident so UnmaskView is a flip,
+  // not a KNN re-run.
   auto entry = std::make_shared<GraphEntry>();
   entry->id = id;
   entry->epoch = old->epoch + 1;
@@ -340,146 +380,31 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   entry->num_clusters = old->num_clusters;
   entry->coarsen_ratio = old->coarsen_ratio;
   entry->robust_views = old->robust_views;
-
-  if (effects.lifecycle || was_masked) {
-    // View-lifecycle epoch (or an edit while some view is masked): the view
-    // set changed shape, so the donor-copy machinery below does not apply —
-    // rebuild the serving state from scratch over the active subset, which
-    // is exactly what registering that subset fresh would build (the
-    // bit-identity contract for masked/removed-view solves). Carried,
-    // unedited views copy their Laplacians bitwise; carried uids keep the
-    // active-set signature honest; masked views stay resident so UnmaskView
-    // is a flip, not a KNN re-run.
-    const size_t post = effects.carried_from.size();
-    entry->views.resize(post);
-    entry->view_uids.resize(post);
-    entry->active = effects.active;
-    for (size_t v = 0; v < post; ++v) {
-      const int from = effects.carried_from[v];
-      entry->view_uids[v] =
-          from >= 0 ? old->view_uids[static_cast<size_t>(from)]
-                    : source->next_view_uid++;
-      if (from >= 0 && !affected[v]) {
-        entry->views[v] = old->views[static_cast<size_t>(from)];
-        continue;
-      }
-      auto laplacian = core::ComputeViewLaplacian(
-          source->mvag, static_cast<int>(v), source->knn);
-      if (!laplacian.ok()) return laplacian.status();
-      entry->views[v] = std::move(*laplacian);
+  entry->active = effects.active;
+  const size_t post = effects.carried_from.size();
+  entry->views.resize(post);
+  entry->view_uids.resize(post);
+  for (size_t v = 0; v < post; ++v) {
+    const int from = effects.carried_from[v];
+    entry->view_uids[v] = from >= 0
+                              ? old->view_uids[static_cast<size_t>(from)]
+                              : source->next_view_uid++;
+    if (from >= 0 && !effects.affected[v]) {
+      entry->views[v] = old->views[static_cast<size_t>(from)];
+      continue;
     }
-    BuildServingState(entry.get(), &source->mvag, source->knn);
-    return SwapIn(old, std::move(entry));
-  }
-
-  entry->views = old->views;
-  entry->view_uids = old->view_uids;
-  entry->active = old->active;  // all active on this path
-  entry->views_signature = old->views_signature;
-  bool value_only = true;
-  // Fine rows whose *structural* slots changed in some view, and their count
-  // (churn). The coarse plan is a pure function of structure, so these rows
-  // are exactly the ones that can invalidate it.
-  std::vector<bool> changed_rows;
-  int64_t churn = 0;
-  if (old->coarse != nullptr) {
-    changed_rows.assign(static_cast<size_t>(old->num_nodes), false);
-  }
-  for (size_t v = 0; v < affected.size(); ++v) {
-    if (!affected[v]) continue;
-    auto laplacian =
-        core::ComputeViewLaplacian(source->mvag, static_cast<int>(v),
-                                   source->knn);
+    auto laplacian = core::ComputeViewLaplacian(
+        source->mvag, static_cast<int>(v), source->knn);
     // Unreachable after validation; if it ever fires the source may lead the
     // published epoch — evict and re-register to resynchronize.
     if (!laplacian.ok()) return laplacian.status();
-    const bool same_pattern = laplacian->row_ptr == old->views[v].row_ptr &&
-                              laplacian->col_idx == old->views[v].col_idx;
-    value_only = value_only && same_pattern;
-    if (!same_pattern && old->coarse != nullptr) {
-      const la::CsrMatrix& now = *laplacian;
-      const la::CsrMatrix& was = old->views[v];
-      for (int64_t i = 0; i < old->num_nodes; ++i) {
-        if (changed_rows[static_cast<size_t>(i)]) continue;
-        const int64_t begin = now.row_ptr[static_cast<size_t>(i)];
-        const int64_t count = now.row_ptr[static_cast<size_t>(i) + 1] - begin;
-        const int64_t was_begin = was.row_ptr[static_cast<size_t>(i)];
-        bool diff =
-            count != was.row_ptr[static_cast<size_t>(i) + 1] - was_begin;
-        for (int64_t p = 0; !diff && p < count; ++p) {
-          diff = now.col_idx[static_cast<size_t>(begin + p)] !=
-                 was.col_idx[static_cast<size_t>(was_begin + p)];
-        }
-        if (diff) {
-          changed_rows[static_cast<size_t>(i)] = true;
-          ++churn;
-        }
-      }
-    }
     entry->views[v] = std::move(*laplacian);
   }
-
-  // Value-only deltas donor-copy the union pattern + scatter maps under the
-  // *same* pattern_id, so session workspaces bound to the previous epoch
-  // re-scatter values without any rebinding. Pattern-changing deltas re-run
-  // the union merge.
-  entry->aggregator.reset(
-      value_only ? new core::LaplacianAggregator(&entry->views,
-                                                 *old->aggregator)
-                 : new core::LaplacianAggregator(&entry->views));
-
-  // Coarse companion maintenance (DESIGN.md "Tiered serving"). Value-only
-  // deltas provably preserve the plan, so only the touched views re-contract
-  // — and when their coarse patterns survive too, the coarse aggregator
-  // donor-copies like the fine one. Localized structural churn repairs the
-  // affected clusters in place; heavy churn re-coarsens from scratch (which
-  // also makes update-then-solve equal re-register-then-solve above the
-  // threshold).
-  if (old->coarse != nullptr) {
-    const double churn_limit =
-        kCoarseChurnThreshold * static_cast<double>(entry->num_nodes);
-    std::unique_ptr<CoarseGraphEntry> companion;
-    if (static_cast<double>(churn) <= churn_limit) {
-      companion.reset(new CoarseGraphEntry);
-      companion->plan = old->coarse->plan;
-      const bool plan_unchanged = churn == 0;
-      if (!plan_unchanged) {
-        coarse::RepairCoarsePlan(entry->aggregator->pattern(), entry->views,
-                                 changed_rows, &companion->plan);
-      }
-      companion->views = old->coarse->views;
-      bool coarse_value_only = plan_unchanged;
-      for (size_t v = 0; v < entry->views.size(); ++v) {
-        // A repaired plan changes the coarse node set, so every view must
-        // re-contract; an unchanged plan re-contracts only touched views.
-        if (plan_unchanged && !affected[v]) continue;
-        auto view = ContractOneView(entry->views, companion->plan,
-                                    &source->mvag, source->knn, v, nullptr);
-        if (!view.ok()) {
-          companion.reset();
-          break;
-        }
-        coarse_value_only =
-            coarse_value_only &&
-            view->row_ptr == old->coarse->views[v].row_ptr &&
-            view->col_idx == old->coarse->views[v].col_idx;
-        companion->views[v] = std::move(*view);
-      }
-      if (companion != nullptr) {
-        companion->aggregator.reset(
-            coarse_value_only
-                ? new core::LaplacianAggregator(&companion->views,
-                                                *old->coarse->aggregator)
-                : new core::LaplacianAggregator(&companion->views));
-      }
-    }
-    entry->coarse =
-        companion != nullptr
-            ? std::unique_ptr<const CoarseGraphEntry>(companion.release())
-            : BuildCoarseEntry(*entry, &source->mvag, source->knn,
-                               entry->coarsen_ratio);
-  }
-
+  // A lifecycle op reshapes the view set, so nothing of the previous serving
+  // state lines up with the new one; an edit epoch offers its predecessor
+  // as the donor (DESIGN.md "Incremental updates").
+  BuildServingState(entry.get(), &source->mvag, source->knn,
+                    effects.lifecycle ? nullptr : old.get(), effects.affected);
   return SwapIn(old, std::move(entry));
 }
 

@@ -187,22 +187,23 @@ class GraphRegistry {
   /// evict + re-register) fails with NotFound / FailedPrecondition without
   /// publishing anything.
   ///
-  /// Cost scales with what the delta touched: only affected views'
-  /// Laplacians are recomputed (attribute rows re-run that view's KNN), and
-  /// when no view changes sparsity the new epoch's aggregators donor-copy
-  /// the previous pattern/scatter state — same pattern_id, so bound solve
-  /// workspaces skip rebinding entirely. Pattern-changing deltas rebuild the
-  /// union pattern. An empty delta returns the current entry without bumping
-  /// the epoch.
-  ///
-  /// Lifecycle deltas (AddView/RemoveView/MaskView/UnmaskView), and any
-  /// delta applied while some view is masked, rebuild the serving state
-  /// (aggregator, coarse companion) from scratch over the active view
-  /// subset through the builder registration uses, so masked/removed-view
-  /// solves are bit-identical to a fresh registration of the subset.
-  /// AddView precomputes the Laplacian (and, for attribute views, the KNN
-  /// graph) of just the new view; MaskView keeps the view's Laplacian so a
-  /// later UnmaskView recomputes nothing.
+  /// Every epoch, edit or lifecycle, builds its serving state (aggregator,
+  /// coarse companion) through the one builder Register and Restore use, so
+  /// an updated entry serves, at every tier, exactly what a fresh
+  /// registration of its active views would: answers depend on the current
+  /// graph, never on the delta history. Only affected views' Laplacians are
+  /// recomputed (attribute rows re-run that view's KNN); the rest carry over
+  /// bitwise. An edit epoch lends the builder its predecessor: when no
+  /// serving view changes sparsity, the aggregators donor-copy the previous
+  /// pattern/scatter state — same pattern_id, so bound solve workspaces skip
+  /// rebinding — and the companion keeps its plan and the contractions of
+  /// untouched views. Any pattern change rebuilds the union pattern and
+  /// re-plans the companion from scratch. Lifecycle deltas
+  /// (AddView/RemoveView/MaskView/UnmaskView) build without a donor. AddView
+  /// precomputes the Laplacian (and, for attribute views, the KNN graph) of
+  /// just the new view; MaskView keeps the view's Laplacian so a later
+  /// UnmaskView recomputes nothing. An empty delta returns the current entry
+  /// without bumping the epoch.
   Result<std::shared_ptr<const GraphEntry>> UpdateGraph(
       const std::string& id, const GraphDelta& delta);
 
@@ -210,8 +211,8 @@ class GraphRegistry {
   /// back at `state.epoch` with the checkpointed view uids, activity mask and
   /// uid allocator (a default RestoreState is a fresh registration — this is
   /// Register's only body). The serving state (aggregator, coarse
-  /// companion) is built from scratch over the active subset by the same
-  /// helper the lifecycle-update path uses, so recovered solves are
+  /// companion) is built from scratch over the active subset by the builder
+  /// every UpdateGraph epoch uses, so recovered solves at every tier are
   /// bit-identical to the pre-crash process. Fails on duplicate id, on a
   /// malformed graph, or on state that contradicts the graph (uid count vs
   /// view count, empty active set, signature mismatch).

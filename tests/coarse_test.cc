@@ -2,9 +2,9 @@
 // pure function of the sparsity patterns, bit-identical to a serial
 // reference implementation), bit-identity of the plan and of
 // fast-tier solves across SGLA_THREADS, the fast tier's NMI
-// gap against exact on an SBM fixture, delta maintenance of the coarse
-// companion (value-only and above-churn pattern deltas must match a fresh
-// re-registration bit for bit; small pattern deltas repair in place),
+// gap against exact on an SBM fixture, the companion across UpdateGraph
+// (value-only and pattern deltas of any size, and an edit after an epoch
+// without a companion, must match a fresh re-registration bit for bit),
 // refined requests serving exact bit for bit, and the zero-allocation
 // steady state of the coarse serving kernels.
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <limits>
 #include <new>
 #include <string>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "core/view_laplacian.h"
 #include "data/generator.h"
 #include "eval/clustering_metrics.h"
+#include "graph/graph.h"
 #include "graph/laplacian.h"
 #include "la/dense.h"
 #include "serve/engine.h"
@@ -247,21 +247,20 @@ std::vector<int64_t> EdgeAffinity(const Level& g) {
   return score;
 }
 
-/// Greedy heavy-edge matching in ascending row order among the `eligible`
-/// rows, ties to the smallest neighbor, at most `max_merges` pairs. Returns
-/// match[u] (partner, u for a singleton, -1 if never visited).
-std::vector<int64_t> Match(const Level& g, const std::vector<bool>& eligible,
-                           int64_t max_merges) {
+/// Greedy heavy-edge matching in ascending row order, ties to the smallest
+/// neighbor, at most `max_merges` pairs. Returns match[u] (partner, u for a
+/// singleton, -1 if never visited).
+std::vector<int64_t> Match(const Level& g, int64_t max_merges) {
   const std::vector<int64_t> score = EdgeAffinity(g);
   std::vector<int64_t> match(static_cast<size_t>(g.rows), -1);
   int64_t merges = 0;
   for (int64_t u = 0; u < g.rows && merges < max_merges; ++u) {
-    if (!eligible[u] || match[u] >= 0) continue;
+    if (match[u] >= 0) continue;
     int64_t best = -1;
     int64_t best_w = 0;
     for (int64_t p = g.row_ptr[u]; p < g.row_ptr[u + 1]; ++p) {
       const int64_t v = g.col[p];
-      if (v == u || !eligible[v] || match[v] >= 0) continue;
+      if (v == u || match[v] >= 0) continue;
       if (score[p] > best_w) {
         best = v;
         best_w = score[p];
@@ -327,9 +326,7 @@ coarse::CoarsePlan BuildPlan(const la::CsrMatrix& pattern,
   int64_t current = n;
   Level g = LevelZero(pattern, views);
   while (current > target) {
-    const std::vector<int64_t> match =
-        Match(g, std::vector<bool>(static_cast<size_t>(g.rows), true),
-              current - target);
+    const std::vector<int64_t> match = Match(g, current - target);
     // Coarse ids by first appearance.
     std::vector<int64_t> map(static_cast<size_t>(g.rows), -1);
     int64_t next = 0;
@@ -350,39 +347,6 @@ coarse::CoarsePlan BuildPlan(const la::CsrMatrix& pattern,
   plan.coarse_rows = current;
   FillClusterSizes(&plan);
   return plan;
-}
-
-/// Dissolves the clusters holding a changed row, re-matches their members
-/// with one level-0 pass, renumbers every cluster by first appearance.
-void RepairPlan(const la::CsrMatrix& pattern,
-                const std::vector<la::CsrMatrix>& views,
-                const std::vector<bool>& changed, coarse::CoarsePlan* plan) {
-  const int64_t n = plan->fine_rows;
-  std::vector<bool> dirty(static_cast<size_t>(plan->coarse_rows), false);
-  for (int64_t i = 0; i < n; ++i) {
-    if (changed[i]) dirty[plan->fine_to_coarse[i]] = true;
-  }
-  std::vector<bool> candidate(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    candidate[i] = dirty[plan->fine_to_coarse[i]];
-  }
-  if (std::find(candidate.begin(), candidate.end(), true) == candidate.end()) {
-    return;
-  }
-  const std::vector<int64_t> match =
-      Match(LevelZero(pattern, views), candidate,
-            std::numeric_limits<int64_t>::max());
-  std::vector<int64_t> clean_id(static_cast<size_t>(plan->coarse_rows), -1);
-  std::vector<int64_t> pair_id(static_cast<size_t>(n), -1);
-  int64_t next = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    int64_t& id = candidate[i] ? pair_id[std::min(i, match[i])]
-                               : clean_id[plan->fine_to_coarse[i]];
-    if (id < 0) id = next++;
-    plan->fine_to_coarse[i] = id;
-  }
-  plan->coarse_rows = next;
-  FillClusterSizes(plan);
 }
 
 }  // namespace reference
@@ -516,9 +480,7 @@ std::vector<NamedGraph> ReferenceFixtures() {
 
 TEST(CoarsePlanTest, MatchesSerialReferenceAtEveryThreadCount) {
   // Comparing thread counts against each other cannot catch a change to the
-  // plan itself; the serial reference can. Covers the repair path too: a
-  // small pattern delta (3 removals, 2 upserts — one onto row n-1, isolated
-  // in the isolated-rows fixture) repaired in place.
+  // plan itself; the serial reference can.
   ThreadCountGuard guard;
   for (const NamedGraph& fixture : ReferenceFixtures()) {
     const int64_t n = fixture.mvag.num_nodes();
@@ -526,43 +488,18 @@ TEST(CoarsePlanTest, MatchesSerialReferenceAtEveryThreadCount) {
     ASSERT_TRUE(views.ok()) << fixture.name;
     core::LaplacianAggregator aggregator(&*views);
 
-    serve::GraphDelta delta = RemovalDelta(fixture.mvag, 3);
-    delta.graph_views[0].upserts.push_back({0, n - 1, 1.0});
-    delta.graph_views[0].upserts.push_back({1, n / 2, 1.0});
-    core::MultiViewGraph edited = fixture.mvag;
-    std::vector<bool> affected;
-    ASSERT_TRUE(serve::ApplyDelta(&edited, delta, &affected).ok());
-    auto edited_views = core::ComputeViewLaplacians(edited);
-    ASSERT_TRUE(edited_views.ok()) << fixture.name;
-    core::LaplacianAggregator edited_aggregator(&*edited_views);
-    std::vector<bool> changed(static_cast<size_t>(n), false);
-    for (const serve::EdgeRemoval& e : delta.graph_views[0].removals) {
-      changed[e.u] = changed[e.v] = true;
-    }
-    for (const serve::EdgeUpsert& e : delta.graph_views[0].upserts) {
-      changed[e.u] = changed[e.v] = true;
-    }
-
     for (double ratio : {0.05, 0.1, 0.25}) {
       coarse::CoarsenOptions options;
       options.ratio = ratio;
       const coarse::CoarsePlan want =
           reference::BuildPlan(aggregator.pattern(), *views, options);
       EXPECT_LT(want.coarse_rows, n) << fixture.name;
-      coarse::CoarsePlan want_repaired = want;
-      reference::RepairPlan(edited_aggregator.pattern(), *edited_views,
-                            changed, &want_repaired);
       for (int threads : {1, 2, 4}) {
         SCOPED_TRACE(fixture.name + " ratio=" + std::to_string(ratio) +
                      " threads=" + std::to_string(threads));
         util::ThreadPool::SetGlobalThreads(threads);
-        const coarse::CoarsePlan got =
-            coarse::BuildCoarsePlan(aggregator.pattern(), *views, options);
-        ExpectSamePlan(want, got);
-        coarse::CoarsePlan repaired = got;
-        coarse::RepairCoarsePlan(edited_aggregator.pattern(), *edited_views,
-                                 changed, &repaired);
-        ExpectSamePlan(want_repaired, repaired);
+        ExpectSamePlan(want, coarse::BuildCoarsePlan(aggregator.pattern(),
+                                                     *views, options));
       }
     }
   }
@@ -682,23 +619,25 @@ TEST(FastTierTest, FallsBackToExactWithoutCompanion) {
 // Delta maintenance of the companion
 // ---------------------------------------------------------------------------
 
-TEST(CoarseUpdateTest, ValueOnlyDeltaMatchesReregistration) {
-  const CoarseFixture f = CoarseFixture::Make(600, 3, 81);
+/// Registers `mvag` as "g", applies `delta` through UpdateGraph, and holds
+/// the updated companion to a fresh registration "h" of the post-delta
+/// graph: the same plan, the same contracted views, and a fast solve that
+/// serves fast with the same weights and labels.
+void ExpectUpdatedCompanionMatchesReregistration(
+    const core::MultiViewGraph& mvag, const serve::GraphDelta& delta) {
   serve::GraphRegistry registry;
-  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
-
-  const serve::GraphDelta delta = WeightDelta(f.mvag, 40, 2.5);
+  ASSERT_TRUE(registry.Register("g", mvag).ok());
   auto updated = registry.UpdateGraph("g", delta);
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-  ASSERT_NE((*updated)->coarse, nullptr);
+  EXPECT_EQ((*updated)->epoch, 1);
 
-  core::MultiViewGraph post = f.mvag;
+  core::MultiViewGraph post = mvag;
   std::vector<bool> affected;
   ASSERT_TRUE(serve::ApplyDelta(&post, delta, &affected).ok());
   auto fresh = registry.Register("h", post);
   ASSERT_TRUE(fresh.ok());
   ASSERT_NE((*fresh)->coarse, nullptr);
-
+  ASSERT_NE((*updated)->coarse, nullptr);
   ExpectSamePlan((*fresh)->coarse->plan, (*updated)->coarse->plan);
   ExpectSameViews((*fresh)->coarse->views, (*updated)->coarse->views);
 
@@ -712,60 +651,52 @@ TEST(CoarseUpdateTest, ValueOnlyDeltaMatchesReregistration) {
   EXPECT_EQ(via_update.labels, via_fresh.labels);
 }
 
-TEST(CoarseUpdateTest, LargePatternDeltaMatchesReregistration) {
-  // 120 removed edges touch far more rows than the 5% churn threshold, so
-  // the registry re-coarsens from scratch — which must be indistinguishable
-  // from registering the post-delta graph fresh.
-  const CoarseFixture f = CoarseFixture::Make(600, 3, 91);
-  serve::GraphRegistry registry;
-  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
-
-  const serve::GraphDelta delta = RemovalDelta(f.mvag, 120);
-  auto updated = registry.UpdateGraph("g", delta);
-  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-  ASSERT_NE((*updated)->coarse, nullptr);
-
-  core::MultiViewGraph post = f.mvag;
-  std::vector<bool> affected;
-  ASSERT_TRUE(serve::ApplyDelta(&post, delta, &affected).ok());
-  auto fresh = registry.Register("h", post);
-  ASSERT_TRUE(fresh.ok());
-  ASSERT_NE((*fresh)->coarse, nullptr);
-
-  ExpectSamePlan((*fresh)->coarse->plan, (*updated)->coarse->plan);
-  ExpectSameViews((*fresh)->coarse->views, (*updated)->coarse->views);
-
-  serve::Engine engine(&registry);
-  const serve::SolveResponse via_update =
-      SolveTier(&engine, "g", serve::Quality::kFast);
-  const serve::SolveResponse via_fresh =
-      SolveTier(&engine, "h", serve::Quality::kFast);
-  EXPECT_EQ(via_update.integration.weights, via_fresh.integration.weights);
-  EXPECT_EQ(via_update.labels, via_fresh.labels);
+TEST(CoarseUpdateTest, ValueOnlyDeltaMatchesReregistration) {
+  const CoarseFixture f = CoarseFixture::Make(600, 3, 81);
+  ExpectUpdatedCompanionMatchesReregistration(f.mvag,
+                                              WeightDelta(f.mvag, 40, 2.5));
 }
 
-TEST(CoarseUpdateTest, SmallPatternDeltaRepairsCompanionInPlace) {
-  const CoarseFixture f = CoarseFixture::Make(600, 3, 101);
+TEST(CoarseUpdateTest, PatternDeltaOfAnySizeMatchesReregistration) {
+  // Every pattern delta re-plans from scratch, so however few rows it
+  // touches (2 removed edges) or however many (120), the updated companion
+  // is indistinguishable from registering the post-delta graph fresh.
+  const CoarseFixture f = CoarseFixture::Make(600, 3, 91);
+  for (size_t removals : {2, 120}) {
+    SCOPED_TRACE("removals=" + std::to_string(removals));
+    ExpectUpdatedCompanionMatchesReregistration(f.mvag,
+                                                RemovalDelta(f.mvag, removals));
+  }
+}
+
+TEST(CoarseUpdateTest, EditAfterAnEpochWithoutCompanionBuildsTheFreshOne) {
+  // Two edgeless views: nothing can merge, so registration builds no
+  // companion. One delta then inserts the same SBM's edges into both
+  // views; the next epoch must hold the companion a fresh registration of
+  // the result builds, and serve fast from it.
+  const int64_t n = 400;
+  const int k = 4;
+  Rng rng(151);
+  const std::vector<int32_t> labels = data::BalancedLabels(n, k, &rng);
+  core::MultiViewGraph edgeless(n, k);
+  edgeless.AddGraphView(graph::Graph(n));
+  edgeless.AddGraphView(graph::Graph(n));
   serve::GraphRegistry registry;
-  auto registered = registry.Register("g", f.mvag);
-  ASSERT_TRUE(registered.ok());
-  const coarse::CoarsePlan before = (*registered)->coarse->plan;
+  auto registered = registry.Register("g", edgeless);
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+  ASSERT_EQ((*registered)->coarse, nullptr);
 
-  auto updated = registry.UpdateGraph("g", RemovalDelta(f.mvag, 2));
-  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-  ASSERT_NE((*updated)->coarse, nullptr);
-  EXPECT_EQ((*updated)->epoch, 1);
-
-  // The repaired plan is still a valid canonical partition of all 600 rows
-  // (it need not equal a from-scratch coarsening — see DESIGN.md).
-  ExpectValidCanonicalPlan((*updated)->coarse->plan);
-  EXPECT_EQ((*updated)->coarse->plan.fine_rows, before.fine_rows);
-
-  serve::Engine engine(&registry);
-  const serve::SolveResponse fast =
-      SolveTier(&engine, "g", serve::Quality::kFast);
-  EXPECT_EQ(fast.stats.tier_served, serve::Quality::kFast);
-  EXPECT_EQ(fast.labels.size(), static_cast<size_t>(600));
+  const graph::Graph sbm = data::SbmGraph(labels, k, 0.10, 0.01, &rng);
+  serve::GraphDelta delta;
+  for (int view : {0, 1}) {
+    serve::GraphViewDelta edits;
+    edits.view = view;
+    for (const graph::Edge& e : sbm.edges()) {
+      edits.upserts.push_back({e.u, e.v, e.weight});
+    }
+    delta.graph_views.push_back(std::move(edits));
+  }
+  ExpectUpdatedCompanionMatchesReregistration(edgeless, delta);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 // Incremental-update tests: GraphDelta application, copy-on-write epochs,
 // value-only vs pattern-changing delta handling (pattern_id stamp reuse),
 // the zero-allocation hot path of a value-only update + re-solve, history
-// independence (after seeded random delta sequences every exact-sized
-// answer equals a fresh registration's, at SGLA_THREADS=1,4), and
-// UpdateGraph racing evict/re-register (TSAN-clean).
+// independence (after seeded random delta sequences every answer at every
+// tier, and the coarse companion behind the fast one, equals a fresh
+// registration's, at SGLA_THREADS=1,4), and UpdateGraph racing
+// evict/re-register (TSAN-clean).
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <new>
 #include <string>
 #include <thread>
@@ -512,12 +514,15 @@ TEST(EngineUpdateTest, WarmStartFlagIsIgnored) {
 }
 
 // ---------------------------------------------------------------------------
-// History independence: an answer is a function of the graph alone. Seeded
-// random delta sequences — edge upserts and removals, attribute rows, and
-// view add/remove/mask/unmask — go through Engine::UpdateGraph with cold,
-// warm_start and quality=refined solves in between. Then a cold, a
-// warm_start and a refined solve must each equal, bit for bit, a cold solve
-// on a fresh registration of the final active views, at SGLA_THREADS=1,4.
+// History independence: an answer is a function of the graph alone, at
+// every tier. Seeded random delta sequences — edge upserts and removals,
+// attribute rows, and view add/remove/mask/unmask — go through
+// Engine::UpdateGraph with cold, warm_start, quality=refined and
+// quality=fast solves in between. Then a cold, a warm_start and a refined
+// solve must each equal, bit for bit, a cold solve on a fresh registration
+// of the final active views; a fast solve must equal the fresh
+// registration's fast solve, and the coarse companion (plan and contracted
+// views) the fresh one, at SGLA_THREADS=1,4.
 // ---------------------------------------------------------------------------
 
 /// The test's own copy of what a history engine serves: the MVAG and its
@@ -549,8 +554,10 @@ int CountActive(const std::vector<bool>& active) {
 
 /// One random delta that ApplyDelta accepts against `g`: its kind is drawn
 /// among edge upserts (re-weights plus inserts), edge removals, attribute
-/// rows and the four lifecycle ops, redrawn when `g` cannot take it.
-serve::GraphDelta RandomDelta(const TrackedGraph& g, Rng* rng) {
+/// rows and, with `lifecycle`, the four lifecycle ops, redrawn when `g`
+/// cannot take it.
+serve::GraphDelta RandomDelta(const TrackedGraph& g, bool lifecycle,
+                              Rng* rng) {
   const core::MultiViewGraph& mvag = g.mvag;
   const int64_t n = mvag.num_nodes();
   const int k = mvag.num_clusters();
@@ -563,7 +570,7 @@ serve::GraphDelta RandomDelta(const TrackedGraph& g, Rng* rng) {
   };
   serve::GraphDelta delta;
   while (delta.empty()) {
-    switch (rng->UniformInt(0, 6)) {
+    switch (rng->UniformInt(0, lifecycle ? 6 : 2)) {
       case 0: {  // edge upserts: re-weight existing edges, insert new ones
         if (graph_views == 0) break;
         serve::GraphViewDelta edits;
@@ -667,7 +674,79 @@ core::MultiViewGraph ActiveSubset(const TrackedGraph& g) {
   return subset;
 }
 
-TEST(HistoryIndependenceTest, ExactSizedAnswersMatchAFreshRegistration) {
+/// Registers the tracked graph for `seed`, runs `deltas` seeded random
+/// deltas through Engine::UpdateGraph with every kind of solve in between,
+/// then holds every tier to a fresh registration of the final active views.
+void ExpectEveryTierMatchesAFreshRegistration(uint64_t seed, bool lifecycle,
+                                              int deltas) {
+  TrackedGraph g = MakeTrackedGraph(360, 3, seed);
+  serve::GraphRegistry registry;
+  serve::Engine engine(&registry);
+  ASSERT_TRUE(engine.RegisterGraph("g", g.mvag).ok());
+  Rng rng(seed * 7919);
+  for (int d = 0; d < deltas; ++d) {
+    const serve::GraphDelta delta = RandomDelta(g, lifecycle, &rng);
+    serve::DeltaEffects effects;
+    ASSERT_TRUE(serve::ApplyDelta(&g.mvag, delta, g.active, &effects).ok());
+    g.active = effects.active;
+    auto updated = engine.UpdateGraph("g", delta);
+    ASSERT_TRUE(updated.ok()) << "delta " << d << ": "
+                              << updated.status().ToString();
+    // Every kind of solve between deltas, so nothing a solve might leave
+    // behind goes unexercised.
+    switch (d % 4) {
+      case 0: (void)Solve(&engine, "g"); break;
+      case 1: (void)Solve(&engine, "g", /*warm=*/true); break;
+      case 2: (void)Solve(&engine, "g", false, serve::Quality::kRefined); break;
+      default: (void)Solve(&engine, "g", false, serve::Quality::kFast); break;
+    }
+  }
+
+  serve::GraphRegistry fresh_registry;
+  serve::Engine fresh_engine(&fresh_registry);
+  ASSERT_TRUE(fresh_engine.RegisterGraph("g", ActiveSubset(g)).ok());
+  const serve::SolveResponse fresh = Solve(&fresh_engine, "g");
+
+  const serve::SolveResponse cold = Solve(&engine, "g");
+  const serve::SolveResponse warm = Solve(&engine, "g", /*warm=*/true);
+  const serve::SolveResponse refined =
+      Solve(&engine, "g", false, serve::Quality::kRefined);
+  for (const serve::SolveResponse* r : {&cold, &warm, &refined}) {
+    SCOPED_TRACE(r == &cold ? "cold" : r == &warm ? "warm" : "refined");
+    ExpectSameIntegration(r->integration, fresh.integration);
+    EXPECT_EQ(r->labels, fresh.labels);
+    EXPECT_EQ(r->stats.tier_served, serve::Quality::kExact);
+    EXPECT_FALSE(r->stats.warm_started);
+  }
+
+  // The fast tier: the companion itself, then what it answers.
+  const std::shared_ptr<const serve::GraphEntry> entry = registry.Find("g");
+  const std::shared_ptr<const serve::GraphEntry> fresh_entry =
+      fresh_registry.Find("g");
+  ASSERT_NE(fresh_entry->coarse, nullptr);
+  ASSERT_NE(entry->coarse, nullptr);
+  const serve::CoarseGraphEntry& got = *entry->coarse;
+  const serve::CoarseGraphEntry& want = *fresh_entry->coarse;
+  EXPECT_EQ(got.plan.coarse_rows, want.plan.coarse_rows);
+  EXPECT_EQ(got.plan.fine_to_coarse, want.plan.fine_to_coarse);
+  EXPECT_EQ(got.plan.cluster_size, want.plan.cluster_size);
+  ASSERT_EQ(got.views.size(), want.views.size());
+  for (size_t v = 0; v < want.views.size(); ++v) {
+    EXPECT_EQ(got.views[v].row_ptr, want.views[v].row_ptr) << "view " << v;
+    EXPECT_EQ(got.views[v].col_idx, want.views[v].col_idx) << "view " << v;
+    EXPECT_EQ(got.views[v].values, want.views[v].values) << "view " << v;
+  }
+  const serve::SolveResponse fast =
+      Solve(&engine, "g", false, serve::Quality::kFast);
+  const serve::SolveResponse fresh_fast =
+      Solve(&fresh_engine, "g", false, serve::Quality::kFast);
+  EXPECT_EQ(fresh_fast.stats.tier_served, serve::Quality::kFast);
+  EXPECT_EQ(fast.stats.tier_served, serve::Quality::kFast);
+  ExpectSameIntegration(fast.integration, fresh_fast.integration);
+  EXPECT_EQ(fast.labels, fresh_fast.labels);
+}
+
+TEST(HistoryIndependenceTest, EveryTierMatchesAFreshRegistration) {
   // Fixed before the first run; a failing seed is a defect, not a reason to
   // pick another.
   const uint64_t kSeeds[] = {17, 29, 41, 53, 67, 79};
@@ -676,48 +755,15 @@ TEST(HistoryIndependenceTest, ExactSizedAnswersMatchAFreshRegistration) {
   for (int threads : {1, 4}) {
     util::ThreadPool::SetGlobalThreads(threads);
     for (uint64_t seed : kSeeds) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " seed=" + std::to_string(seed));
-      TrackedGraph g = MakeTrackedGraph(360, 3, seed);
-      serve::GraphRegistry registry;
-      serve::Engine engine(&registry);
-      ASSERT_TRUE(engine.RegisterGraph("g", g.mvag).ok());
-      Rng rng(seed * 7919);
-      for (int d = 0; d < kDeltas; ++d) {
-        const serve::GraphDelta delta = RandomDelta(g, &rng);
-        serve::DeltaEffects effects;
-        ASSERT_TRUE(
-            serve::ApplyDelta(&g.mvag, delta, g.active, &effects).ok());
-        g.active = effects.active;
-        auto updated = engine.UpdateGraph("g", delta);
-        ASSERT_TRUE(updated.ok()) << "delta " << d << ": "
-                                  << updated.status().ToString();
-        // Every kind of solve between deltas, so nothing a solve might
-        // leave behind goes unexercised.
-        switch (d % 3) {
-          case 0: (void)Solve(&engine, "g"); break;
-          case 1: (void)Solve(&engine, "g", /*warm=*/true); break;
-          default:
-            (void)Solve(&engine, "g", false, serve::Quality::kRefined);
-            break;
-        }
-      }
-
-      serve::GraphRegistry fresh_registry;
-      serve::Engine fresh_engine(&fresh_registry);
-      ASSERT_TRUE(fresh_engine.RegisterGraph("g", ActiveSubset(g)).ok());
-      const serve::SolveResponse fresh = Solve(&fresh_engine, "g");
-
-      const serve::SolveResponse cold = Solve(&engine, "g");
-      const serve::SolveResponse warm = Solve(&engine, "g", /*warm=*/true);
-      const serve::SolveResponse refined =
-          Solve(&engine, "g", false, serve::Quality::kRefined);
-      for (const serve::SolveResponse* r : {&cold, &warm, &refined}) {
-        SCOPED_TRACE(r == &cold ? "cold" : r == &warm ? "warm" : "refined");
-        ExpectSameIntegration(r->integration, fresh.integration);
-        EXPECT_EQ(r->labels, fresh.labels);
-        EXPECT_EQ(r->stats.tier_served, serve::Quality::kExact);
-        EXPECT_FALSE(r->stats.warm_started);
+      // Two sequences per seed: edits mixed with lifecycle ops, and edits
+      // alone. A lifecycle op rebuilds the serving state without a donor,
+      // so only the edits-only sequence carries one companion forward
+      // through every epoch.
+      for (bool lifecycle : {true, false}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " seed=" + std::to_string(seed) +
+                     (lifecycle ? " edits+lifecycle" : " edits"));
+        ExpectEveryTierMatchesAFreshRegistration(seed, lifecycle, kDeltas);
       }
     }
   }

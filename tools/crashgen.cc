@@ -2,8 +2,9 @@
 // .github/workflows/ci.yml and DESIGN.md "Durability & recovery").
 //
 // The parent first runs one UNINTERRUPTED pipeline — register a fixed SBM
-// fixture, stream a deterministic delta sequence, solve — in a purely
-// in-memory child (no --data-dir) and keeps its solve fingerprint as the
+// fixture, stream a deterministic delta sequence, solve at the exact and
+// the fast tier — in a purely in-memory child (no --data-dir) and keeps its
+// fingerprint (registry state, coarse companion, solves) as the
 // reference. Each trial then runs the same pipeline in a persistent child
 // (fresh data dir) and SIGKILLs it at a seeded-random instant — anywhere
 // from mid-registration through mid-WAL-append to mid-solve — one or more
@@ -199,12 +200,7 @@ int RunChild(const std::string& data_dir, const std::string& fingerprint_path,
                  epoch, stats.deltas_replayed, stats.duplicates_skipped,
                  stats.wal_tail_truncated ? 1 : 0);
   } else {
-    serve::RegisterOptions options;
-    // Exact-tier fingerprints only: the coarse companion's post-delta repair
-    // drift is legitimate (see DESIGN.md "Tiered serving"), so the bit-
-    // identity contract under test is the exact path's.
-    options.coarsen_ratio = 0.0;
-    auto registered = engine.RegisterGraph(kGraphId, BuildFixture(), options);
+    auto registered = engine.RegisterGraph(kGraphId, BuildFixture());
     if (!registered.ok()) {
       std::fprintf(stderr, "child: register failed: %s\n",
                    registered.status().ToString().c_str());
@@ -244,27 +240,53 @@ int RunChild(const std::string& data_dir, const std::string& fingerprint_path,
                   v, HashCsr(entry->views[v]), entry->active[v] ? 1 : 0);
     out << line;
   }
+  // The fast tier's companion is part of the contract: recovery rebuilds
+  // it from the checkpoint, so it must equal the one the in-memory run
+  // carried through every epoch.
+  if (entry->coarse == nullptr) {
+    out << "coarse none\n";
+  } else {
+    const serve::CoarseGraphEntry& coarse = *entry->coarse;
+    std::snprintf(line, sizeof(line),
+                  "coarse rows=%" PRId64 " map=%016" PRIx64 "\n",
+                  coarse.plan.coarse_rows,
+                  HashVector(coarse.plan.fine_to_coarse));
+    out << line;
+    for (size_t v = 0; v < coarse.views.size(); ++v) {
+      std::snprintf(line, sizeof(line), "coarse view[%zu]=%016" PRIx64 "\n",
+                    v, HashCsr(coarse.views[v]));
+      out << line;
+    }
+  }
   for (serve::Algorithm algorithm :
        {serve::Algorithm::kSgla, serve::Algorithm::kSglaPlus}) {
-    serve::SolveRequest request;
-    request.graph_id = kGraphId;
-    request.algorithm = algorithm;
-    request.options.base.max_evaluations = 16;
-    auto response = engine.Solve(request);
-    if (!response.ok()) {
-      std::fprintf(stderr, "child: solve failed: %s\n",
-                   response.status().ToString().c_str());
-      return 3;
+    for (serve::Quality quality :
+         {serve::Quality::kExact, serve::Quality::kFast}) {
+      serve::SolveRequest request;
+      request.graph_id = kGraphId;
+      request.algorithm = algorithm;
+      request.quality = quality;
+      request.options.base.max_evaluations = 16;
+      auto response = engine.Solve(request);
+      if (!response.ok()) {
+        std::fprintf(stderr, "child: solve failed: %s\n",
+                     response.status().ToString().c_str());
+        return 3;
+      }
+      std::snprintf(
+          line, sizeof(line),
+          "%s %s served=%s weights=%016" PRIx64 " history=%016" PRIx64
+          " laplacian=%016" PRIx64 " labels=%016" PRIx64 "\n",
+          algorithm == serve::Algorithm::kSgla ? "sgla" : "sgla+",
+          quality == serve::Quality::kExact ? "exact" : "fast",
+          response->stats.tier_served == serve::Quality::kFast ? "fast"
+                                                               : "exact",
+          HashVector(response->integration.weights),
+          HashVector(response->integration.objective_history),
+          HashCsr(response->integration.laplacian),
+          HashVector(response->labels));
+      out << line;
     }
-    std::snprintf(line, sizeof(line),
-                  "%s weights=%016" PRIx64 " history=%016" PRIx64
-                  " laplacian=%016" PRIx64 " labels=%016" PRIx64 "\n",
-                  algorithm == serve::Algorithm::kSgla ? "sgla" : "sgla+",
-                  HashVector(response->integration.weights),
-                  HashVector(response->integration.objective_history),
-                  HashCsr(response->integration.laplacian),
-                  HashVector(response->labels));
-    out << line;
   }
   if (!WriteFileAtomic(fingerprint_path, out.str())) {
     std::fprintf(stderr, "child: cannot write %s\n",
@@ -427,7 +449,11 @@ int main(int argc, char** argv) {
   std::string data_dir;
   std::string fingerprint;
   int trials = 4;
-  int64_t deltas = 14;
+  // 20 epochs end on edits applied after the last lifecycle op (the unmask
+  // at 18) and checkpointed at 20, so a recovery that rebuilds the coarse
+  // companion from that checkpoint is held against one the reference
+  // carried through edit epochs.
+  int64_t deltas = 20;
   uint64_t seed = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
