@@ -20,39 +20,28 @@ int main() {
   std::printf("=== Fig. 10: varying the number of weight-vector samples in "
               "SGLA+ (delta_s vs r+1 default) ===\n");
   for (const auto& dataset : datasets) {
-    const std::string cache_key = "fig10_" + dataset;
-    std::vector<double> row;  // per delta: acc, nmi, seconds
-    if (!bench::LoadCachedRow(cache_key, &row)) {
-      const core::MultiViewGraph& mvag = bench::GetDataset(dataset);
-      const std::vector<la::CsrMatrix>& views = bench::GetViewLaplacians(dataset);
-      for (int delta : deltas) {
-        core::SglaPlusOptions options;
-        options.sample_delta = delta;
-        Stopwatch stopwatch;
-        auto result = core::SglaPlus(views, mvag.num_clusters(), options);
-        const double seconds = stopwatch.Seconds();
-        double acc = 0.0, nmi = 0.0;
-        if (result.ok()) {
-          auto labels =
-              cluster::SpectralClustering(result->laplacian, mvag.num_clusters());
-          if (labels.ok()) {
-            eval::ClusteringQuality q =
-                eval::EvaluateClustering(*labels, mvag.labels());
-            acc = q.accuracy;
-            nmi = q.nmi;
-          }
-        }
-        row.push_back(acc);
-        row.push_back(nmi);
-        row.push_back(seconds);
-      }
-      bench::StoreCachedRow(cache_key, row);
-    }
+    const core::MultiViewGraph& mvag = bench::GetDataset(dataset);
+    const std::vector<la::CsrMatrix>& views = bench::GetViewLaplacians(dataset);
     std::printf("\n--- %s ---\n", dataset.c_str());
     std::printf("%8s %8s %8s %10s\n", "delta_s", "Acc", "NMI", "time(s)");
-    for (size_t d = 0; d < deltas.size(); ++d) {
-      std::printf("%+8d %8.3f %8.3f %10.3f\n", deltas[d], row[3 * d],
-                  row[3 * d + 1], row[3 * d + 2]);
+    for (int delta : deltas) {
+      core::SglaPlusOptions options;
+      options.sample_delta = delta;
+      Stopwatch stopwatch;
+      auto result = core::SglaPlus(views, mvag.num_clusters(), options);
+      const double seconds = stopwatch.Seconds();
+      double acc = 0.0, nmi = 0.0;
+      if (result.ok()) {
+        auto labels =
+            cluster::SpectralClustering(result->laplacian, mvag.num_clusters());
+        if (labels.ok()) {
+          eval::ClusteringQuality q =
+              eval::EvaluateClustering(*labels, mvag.labels());
+          acc = q.accuracy;
+          nmi = q.nmi;
+        }
+      }
+      std::printf("%+8d %8.3f %8.3f %10.3f\n", delta, acc, nmi, seconds);
     }
   }
   std::printf("\npaper shape check: quality rises until delta_s=0 then "

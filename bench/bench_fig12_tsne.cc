@@ -1,7 +1,8 @@
 // Fig. 12: t-SNE visualization of node embeddings on the RM and Yelp
 // stand-ins. The paper shows scatter plots; this harness reports the
 // quantitative counterpart — the 2-D silhouette score per method (higher =
-// classes better separated) — and dumps the coordinates to CSV for plotting.
+// classes better separated) — and dumps the coordinates for plotting to
+// fig12_<dataset>_<method>.csv in the working directory.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -18,21 +19,10 @@
 int main() {
   using namespace sgla;
   std::printf("=== Fig. 12: t-SNE silhouette of embeddings (CSV coordinate "
-              "dumps in %s) ===\n\n", bench::CacheDir().c_str());
+              "dumps in the working directory) ===\n\n");
   std::printf("%-10s %-10s %12s\n", "dataset", "method", "silhouette");
 
   for (const std::string dataset : {"rm", "yelp"}) {
-    // Cached silhouette row: [sgla+, lmgec, mvagc] (t-SNE is minutes of work).
-    std::vector<double> cached;
-    if (bench::LoadCachedRow("fig12_" + dataset, &cached) && cached.size() == 3) {
-      const char* names[] = {"SGLA+", "LMGEC", "MvAGC"};
-      for (int m = 0; m < 3; ++m) {
-        std::printf("%-10s %-10s %12.3f (cached)\n", dataset.c_str(), names[m],
-                    cached[static_cast<size_t>(m)]);
-      }
-      continue;
-    }
-    std::vector<double> silhouettes;
     const core::MultiViewGraph& mvag = bench::GetDataset(dataset);
     const std::vector<la::CsrMatrix>& views = bench::GetViewLaplacians(dataset);
 
@@ -71,20 +61,15 @@ int main() {
         kept_labels.push_back(mvag.labels()[static_cast<size_t>(idx)]);
       }
       const double silhouette = eval::SilhouetteScore(*coords, kept_labels);
-      silhouettes.push_back(silhouette);
       std::printf("%-10s %-10s %12.3f\n", dataset.c_str(), method.c_str(),
                   silhouette);
 
-      std::ofstream csv(bench::CacheDir() + "/fig12_" + dataset + "_" + method +
-                        ".csv");
+      std::ofstream csv("fig12_" + dataset + "_" + method + ".csv");
       csv << "x,y,label\n";
       for (int64_t i = 0; i < coords->rows(); ++i) {
         csv << (*coords)(i, 0) << "," << (*coords)(i, 1) << ","
             << kept_labels[static_cast<size_t>(i)] << "\n";
       }
-    }
-    if (silhouettes.size() == 3) {
-      bench::StoreCachedRow("fig12_" + dataset, silhouettes);
     }
   }
   std::printf("\nreading note: the paper's Fig. 12 is a qualitative plot; the "

@@ -24,23 +24,18 @@ int main() {
   const double step = 0.1;
   const int cells = static_cast<int>(1.0 / step) + 1;
 
-  // True objective h on the grid (cached — each cell is an eigensolve).
+  // True objective h on the grid (each cell is an eigensolve).
+  core::SpectralObjective objective(&views, k);
   std::vector<double> h_grid;
-  if (!bench::LoadCachedRow("fig3_grid", &h_grid)) {
-    core::SpectralObjective objective(&views, k);
-    for (int i = 0; i < cells; ++i) {
-      for (int j = 0; j + i < cells; ++j) {
-        const double w1 = i * step, w2 = j * step;
-        auto value = objective.Evaluate({w1, w2, 1.0 - w1 - w2});
-        h_grid.push_back(value.ok() ? value->h : NAN);
-      }
+  for (int i = 0; i < cells; ++i) {
+    for (int j = 0; j + i < cells; ++j) {
+      const double w1 = i * step, w2 = j * step;
+      auto value = objective.Evaluate({w1, w2, 1.0 - w1 - w2});
+      h_grid.push_back(value.ok() ? value->h : NAN);
     }
-    bench::StoreCachedRow("fig3_grid", h_grid);
   }
 
   // Surrogate fitted from the paper's r+1 samples.
-  core::ObjectiveOptions obj_options;
-  core::SpectralObjective objective(&views, k, obj_options);
   std::vector<la::Vector> samples = core::SglaPlusSamples(3);
   la::Vector values;
   for (const la::Vector& w : samples) {

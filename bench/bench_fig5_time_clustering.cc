@@ -2,6 +2,8 @@
 // (log-scale bars in the paper; rows here). Also reports peak RSS, matching
 // the paper's memory-efficiency discussion (Sec. VI-B).
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common.h"
 #include "data/datasets.h"
@@ -18,10 +20,14 @@ int main() {
   for (const auto& d : datasets) std::printf(" %10.10s", d.c_str());
   std::printf("\n");
 
+  // runs[method][dataset], each run once; the speedup lines reuse them.
+  std::vector<std::vector<bench::ClusteringRun>> runs;
   for (const auto& method : methods) {
     std::printf("%-11s", method.c_str());
+    runs.emplace_back();
     for (const auto& dataset : datasets) {
-      bench::ClusteringRun run = bench::RunClustering(method, dataset);
+      runs.back().push_back(bench::RunClustering(method, dataset));
+      const bench::ClusteringRun& run = runs.back().back();
       if (run.ok) {
         std::printf(" %10.3f", run.seconds);
       } else {
@@ -33,21 +39,22 @@ int main() {
 
   // Speedup line the paper highlights: SGLA+ vs the strongest baseline time.
   std::printf("\nSGLA+ speedup vs slowest successful baseline per dataset:\n");
-  for (const auto& dataset : datasets) {
-    const double fast = bench::RunClustering("SGLA+", dataset).seconds;
+  for (size_t d = 0; d < datasets.size(); ++d) {
+    double fast = 0.0;
     double slowest = 0.0;
     std::string who;
-    for (const auto& method : methods) {
-      if (method == "SGLA" || method == "SGLA+") continue;
-      bench::ClusteringRun run = bench::RunClustering(method, dataset);
+    for (size_t m = 0; m < methods.size(); ++m) {
+      const bench::ClusteringRun& run = runs[m][d];
+      if (methods[m] == "SGLA+") fast = run.seconds;
+      if (methods[m] == "SGLA" || methods[m] == "SGLA+") continue;
       if (run.ok && run.seconds > slowest) {
         slowest = run.seconds;
-        who = method;
+        who = methods[m];
       }
     }
     if (fast > 0.0 && slowest > 0.0) {
-      std::printf("  %-18s %6.1fx (vs %s)\n", dataset.c_str(), slowest / fast,
-                  who.c_str());
+      std::printf("  %-18s %6.1fx (vs %s)\n", datasets[d].c_str(),
+                  slowest / fast, who.c_str());
     }
   }
   std::printf("\npeak RSS of this bench process: %.2f GB\n",

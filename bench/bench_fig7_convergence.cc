@@ -20,33 +20,25 @@ int main() {
 
     std::printf("=== Fig. 7 (%s): h(w) and Acc vs iteration t ===\n",
                 dataset.c_str());
-    const std::string cache_key = "fig7_" + dataset;
-    std::vector<double> row;
-    if (!bench::LoadCachedRow(cache_key, &row)) {
-      auto result = core::Sgla(views, k);
-      if (!result.ok()) {
-        std::fprintf(stderr, "SGLA failed: %s\n", result.status().ToString().c_str());
-        return 1;
-      }
-      core::LaplacianAggregator aggregator(&views);
-      for (size_t t = 0; t < result->objective_history.size(); ++t) {
-        const la::CsrMatrix& laplacian =
-            aggregator.Aggregate(result->weight_history[t]);
-        auto labels = cluster::SpectralClustering(laplacian, k);
-        const double acc =
-            labels.ok() ? eval::ClusteringAccuracy(*labels, mvag.labels()) : 0.0;
-        row.push_back(result->objective_history[t]);
-        row.push_back(acc);
-      }
-      bench::StoreCachedRow(cache_key, row);
+    auto result = core::Sgla(views, k);
+    if (!result.ok()) {
+      std::fprintf(stderr, "SGLA failed: %s\n", result.status().ToString().c_str());
+      return 1;
     }
+    core::LaplacianAggregator aggregator(&views);
     std::printf("%4s %10s %8s\n", "t", "h(w)", "Acc");
     double best_h = 1e30;
     int converged_at = -1;
-    for (size_t t = 0; t * 2 + 1 < row.size(); ++t) {
-      std::printf("%4zu %10.4f %8.3f\n", t + 1, row[2 * t], row[2 * t + 1]);
-      if (row[2 * t] < best_h - 1e-4) {
-        best_h = row[2 * t];
+    for (size_t t = 0; t < result->objective_history.size(); ++t) {
+      const la::CsrMatrix& laplacian =
+          aggregator.Aggregate(result->weight_history[t]);
+      auto labels = cluster::SpectralClustering(laplacian, k);
+      const double acc =
+          labels.ok() ? eval::ClusteringAccuracy(*labels, mvag.labels()) : 0.0;
+      const double h = result->objective_history[t];
+      std::printf("%4zu %10.4f %8.3f\n", t + 1, h, acc);
+      if (h < best_h - 1e-4) {
+        best_h = h;
         converged_at = static_cast<int>(t + 1);
       }
     }

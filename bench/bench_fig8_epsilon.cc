@@ -36,37 +36,29 @@ int main() {
   std::printf("\n");
 
   for (const auto& dataset : datasets) {
-    const std::string cache_key = "fig8_" + dataset;
-    std::vector<double> row;  // acc..., seconds...
-    if (!bench::LoadCachedRow(cache_key, &row)) {
-      const core::MultiViewGraph& mvag = bench::GetDataset(dataset);
-      const std::vector<la::CsrMatrix>& views = bench::GetViewLaplacians(dataset);
-      std::vector<double> accs, times;
-      for (double eps : epsilons) {
-        core::SglaOptions options;
-        options.epsilon = eps;
-        Stopwatch stopwatch;
-        auto result = core::Sgla(views, mvag.num_clusters(), options);
-        double acc = 0.0;
-        if (result.ok()) {
-          auto labels =
-              cluster::SpectralClustering(result->laplacian, mvag.num_clusters());
-          if (labels.ok()) acc = eval::ClusteringAccuracy(*labels, mvag.labels());
-        }
-        accs.push_back(acc);
-        times.push_back(stopwatch.Seconds());
+    const core::MultiViewGraph& mvag = bench::GetDataset(dataset);
+    const std::vector<la::CsrMatrix>& views = bench::GetViewLaplacians(dataset);
+    std::vector<double> accs, times;
+    for (double eps : epsilons) {
+      core::SglaOptions options;
+      options.epsilon = eps;
+      Stopwatch stopwatch;
+      auto result = core::Sgla(views, mvag.num_clusters(), options);
+      double acc = 0.0;
+      if (result.ok()) {
+        auto labels =
+            cluster::SpectralClustering(result->laplacian, mvag.num_clusters());
+        if (labels.ok()) acc = eval::ClusteringAccuracy(*labels, mvag.labels());
       }
-      row = accs;
-      row.insert(row.end(), times.begin(), times.end());
-      bench::StoreCachedRow(cache_key, row);
+      accs.push_back(acc);
+      times.push_back(stopwatch.Seconds());
     }
-    const size_t half = epsilons.size();
-    const double base_time = row[half + 1];  // epsilon = 1e-3 column
+    const double base_time = times[1];  // epsilon = 1e-3 column
     std::printf("%-18s", dataset.c_str());
-    for (size_t e = 0; e < half; ++e) std::printf("  %11.3f", row[e]);
-    for (size_t e = 0; e < half; ++e) {
+    for (double acc : accs) std::printf("  %11.3f", acc);
+    for (double seconds : times) {
       const double delta =
-          base_time > 0.0 ? (row[half + e] - base_time) / base_time * 100.0 : 0.0;
+          base_time > 0.0 ? (seconds - base_time) / base_time * 100.0 : 0.0;
       std::printf("  %+10.1f%%", delta);
     }
     std::printf("\n");

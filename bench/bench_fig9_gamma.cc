@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/spectral_clustering.h"
@@ -26,44 +27,45 @@ int main() {
     std::printf("(MAG-* rows skipped; set SGLA_BENCH_FULL=1 to include them)\n");
   }
 
+  // rows[dataset] = Acc per gamma, then NMI per gamma; both tables print
+  // from this one sweep.
+  std::vector<std::vector<double>> rows;
+  for (const auto& dataset : datasets) {
+    const core::MultiViewGraph& mvag = bench::GetDataset(dataset);
+    const std::vector<la::CsrMatrix>& views = bench::GetViewLaplacians(dataset);
+    std::vector<double> accs, nmis;
+    for (double g : gammas) {
+      core::SglaPlusOptions options;
+      options.base.objective.gamma = g;
+      auto result = core::SglaPlus(views, mvag.num_clusters(), options);
+      double acc = 0.0, nmi = 0.0;
+      if (result.ok()) {
+        auto labels =
+            cluster::SpectralClustering(result->laplacian, mvag.num_clusters());
+        if (labels.ok()) {
+          eval::ClusteringQuality q =
+              eval::EvaluateClustering(*labels, mvag.labels());
+          acc = q.accuracy;
+          nmi = q.nmi;
+        }
+      }
+      accs.push_back(acc);
+      nmis.push_back(nmi);
+    }
+    accs.insert(accs.end(), nmis.begin(), nmis.end());
+    rows.push_back(std::move(accs));
+  }
+
   std::printf("=== Fig. 9: varying gamma for SGLA+ ===\n\n");
   for (const std::string metric : {"Acc", "NMI"}) {
     std::printf("%-18s", (metric + " \\ gamma").c_str());
     for (double g : gammas) std::printf(" %8.1f", g);
     std::printf("\n");
-    for (const auto& dataset : datasets) {
-      const std::string cache_key = "fig9_" + dataset;
-      std::vector<double> row;  // acc per gamma, then nmi per gamma
-      if (!bench::LoadCachedRow(cache_key, &row)) {
-        const core::MultiViewGraph& mvag = bench::GetDataset(dataset);
-        const std::vector<la::CsrMatrix>& views = bench::GetViewLaplacians(dataset);
-        std::vector<double> accs, nmis;
-        for (double g : gammas) {
-          core::SglaPlusOptions options;
-          options.base.objective.gamma = g;
-          auto result = core::SglaPlus(views, mvag.num_clusters(), options);
-          double acc = 0.0, nmi = 0.0;
-          if (result.ok()) {
-            auto labels =
-                cluster::SpectralClustering(result->laplacian, mvag.num_clusters());
-            if (labels.ok()) {
-              eval::ClusteringQuality q =
-                  eval::EvaluateClustering(*labels, mvag.labels());
-              acc = q.accuracy;
-              nmi = q.nmi;
-            }
-          }
-          accs.push_back(acc);
-          nmis.push_back(nmi);
-        }
-        row = accs;
-        row.insert(row.end(), nmis.begin(), nmis.end());
-        bench::StoreCachedRow(cache_key, row);
-      }
-      const size_t offset = metric == "Acc" ? 0 : gammas.size();
-      std::printf("%-18s", dataset.c_str());
+    const size_t offset = metric == "Acc" ? 0 : gammas.size();
+    for (size_t d = 0; d < datasets.size(); ++d) {
+      std::printf("%-18s", datasets[d].c_str());
       for (size_t g = 0; g < gammas.size(); ++g) {
-        std::printf(" %8.3f", row[offset + g]);
+        std::printf(" %8.3f", rows[d][offset + g]);
       }
       std::printf("\n");
     }

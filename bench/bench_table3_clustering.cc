@@ -4,8 +4,8 @@
 //
 // Exit status is the paper-shape check: 1 unless SGLA and SGLA+ both rank
 // strictly better than every real baseline (Best-1view is an oracle and
-// does not count). CI runs it at SGLA_BENCH_SCALE=0.1 on a fresh
-// SGLA_BENCH_CACHE.
+// does not count). CI runs it at SGLA_BENCH_SCALE=0.1. Every run computes
+// every cell from the code it was built from; no result is read from disk.
 #include <cmath>
 #include <cstdio>
 #include <limits>

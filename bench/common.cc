@@ -1,15 +1,9 @@
 #include "common.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "baselines/fixed_weight.h"
 #include "baselines/lmgec_lite.h"
@@ -20,7 +14,6 @@
 #include "core/integration.h"
 #include "core/view_laplacian.h"
 #include "data/datasets.h"
-#include "data/io.h"
 #include "embed/netmf.h"
 #include "embed/sketchne.h"
 #include "eval/logreg.h"
@@ -32,21 +25,6 @@ namespace bench {
 namespace {
 
 constexpr int64_t kNetMfMaxNodes = 9000;
-
-std::string Sanitize(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    out += (std::isalnum(static_cast<unsigned char>(c)) != 0) ? static_cast<char>(std::tolower(c)) : '_';
-  }
-  return out;
-}
-
-std::string ScaleTag() {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "s%03d",
-                static_cast<int>(BenchScale() * 100.0 + 0.5));
-  return buffer;
-}
 
 graph::KnnOptions KnnFor(const std::string& dataset) {
   graph::KnnOptions knn;
@@ -83,30 +61,12 @@ double BenchScale() {
   return scale;
 }
 
-const std::string& CacheDir() {
-  static const std::string dir = [] {
-    const char* env = std::getenv("SGLA_BENCH_CACHE");
-    std::string d = env != nullptr ? env : "/tmp/sgla_bench_cache";
-    ::mkdir(d.c_str(), 0755);
-    return d;
-  }();
-  return dir;
-}
-
 const core::MultiViewGraph& GetDataset(const std::string& name) {
   static std::map<std::string, core::MultiViewGraph> cache;
   auto it = cache.find(name);
   if (it != cache.end()) return it->second;
-
-  const std::string path =
-      CacheDir() + "/mvag_" + Sanitize(name) + "_" + ScaleTag() + ".bin";
-  Result<core::MultiViewGraph> loaded = data::LoadMvag(path);
-  if (loaded.ok()) {
-    return cache.emplace(name, std::move(*loaded)).first->second;
-  }
   Result<core::MultiViewGraph> made = data::MakeDataset(name, BenchScale());
   SGLA_CHECK(made.ok()) << made.status().ToString();
-  SGLA_CHECK_OK(data::SaveMvag(*made, path));
   return cache.emplace(name, std::move(*made)).first->second;
 }
 
@@ -119,41 +79,13 @@ const std::vector<la::CsrMatrix>& GetViewLaplacians(const std::string& name,
   static std::map<std::string, Entry> cache;
   auto it = cache.find(name);
   if (it == cache.end()) {
+    const core::MultiViewGraph& mvag = GetDataset(name);
+    Stopwatch stopwatch;
+    auto views = core::ComputeViewLaplacians(mvag, KnnFor(name));
+    SGLA_CHECK(views.ok()) << views.status().ToString();
     Entry entry;
-    const std::string base =
-        CacheDir() + "/lap_" + Sanitize(name) + "_" + ScaleTag();
-    const std::string meta_path = base + ".meta";
-    std::ifstream meta(meta_path);
-    int count = 0;
-    double cached_seconds = 0.0;
-    bool loaded = false;
-    if (meta >> count >> cached_seconds && count > 0) {
-      loaded = true;
-      for (int v = 0; v < count && loaded; ++v) {
-        auto m = data::LoadCsr(base + "_" + std::to_string(v) + ".csr");
-        if (m.ok()) {
-          entry.views.push_back(std::move(*m));
-        } else {
-          loaded = false;
-          entry.views.clear();
-        }
-      }
-      entry.seconds = cached_seconds;
-    }
-    if (!loaded) {
-      const core::MultiViewGraph& mvag = GetDataset(name);
-      Stopwatch stopwatch;
-      auto views = core::ComputeViewLaplacians(mvag, KnnFor(name));
-      SGLA_CHECK(views.ok()) << views.status().ToString();
-      entry.seconds = stopwatch.Seconds();
-      entry.views = std::move(*views);
-      for (size_t v = 0; v < entry.views.size(); ++v) {
-        SGLA_CHECK_OK(
-            data::SaveCsr(entry.views[v], base + "_" + std::to_string(v) + ".csr"));
-      }
-      std::ofstream out(meta_path);
-      out << entry.views.size() << " " << entry.seconds << "\n";
-    }
+    entry.seconds = stopwatch.Seconds();
+    entry.views = std::move(*views);
     it = cache.emplace(name, std::move(entry)).first;
   }
   if (build_seconds != nullptr) *build_seconds = it->second.seconds;
@@ -165,10 +97,8 @@ std::vector<std::string> ClusteringMethods() {
           "Graph-Agg", "Best-1view", "SGLA",  "SGLA+"};
 }
 
-namespace {
-
-ClusteringRun ComputeClustering(const std::string& method,
-                                const std::string& dataset) {
+ClusteringRun RunClustering(const std::string& method,
+                            const std::string& dataset) {
   ClusteringRun run;
   const core::MultiViewGraph& mvag = GetDataset(dataset);
   const int k = mvag.num_clusters();
@@ -290,37 +220,6 @@ ClusteringRun ComputeClustering(const std::string& method,
   return run;
 }
 
-std::string ResultPath(const std::string& kind, const std::string& method,
-                       const std::string& dataset) {
-  return CacheDir() + "/" + kind + "_" + Sanitize(method) + "_" +
-         Sanitize(dataset) + "_" + ScaleTag() + ".txt";
-}
-
-}  // namespace
-
-ClusteringRun RunClustering(const std::string& method, const std::string& dataset) {
-  const std::string path = ResultPath("clu", method, dataset);
-  {
-    std::ifstream in(path);
-    int ok = 0;
-    ClusteringRun run;
-    if (in >> ok >> run.seconds >> run.quality.accuracy >> run.quality.macro_f1 >>
-        run.quality.nmi >> run.quality.ari >> run.quality.purity) {
-      run.ok = ok != 0;
-      std::getline(in, run.note);
-      std::getline(in, run.note);
-      return run;
-    }
-  }
-  ClusteringRun run = ComputeClustering(method, dataset);
-  std::ofstream out(path);
-  out << (run.ok ? 1 : 0) << " " << run.seconds << " " << run.quality.accuracy
-      << " " << run.quality.macro_f1 << " " << run.quality.nmi << " "
-      << run.quality.ari << " " << run.quality.purity << "\n"
-      << run.note << "\n";
-  return run;
-}
-
 std::vector<std::string> EmbeddingMethods() {
   return {"AttrSVD", "WMSC-sp", "MvAGC", "LMGEC", "Equal-w",
           "Graph-Agg", "SGLA",  "SGLA+"};
@@ -333,10 +232,8 @@ double TrainFraction(const std::string& dataset) {
   return 0.2;
 }
 
-namespace {
-
-EmbeddingRun ComputeEmbedding(const std::string& method,
-                              const std::string& dataset) {
+EmbeddingRun RunEmbedding(const std::string& method,
+                          const std::string& dataset) {
   EmbeddingRun run;
   const core::MultiViewGraph& mvag = GetDataset(dataset);
   const int k = mvag.num_clusters();
@@ -414,44 +311,6 @@ EmbeddingRun ComputeEmbedding(const std::string& method,
   run.micro_f1 = quality->micro_f1;
   run.ok = true;
   return run;
-}
-
-}  // namespace
-
-EmbeddingRun RunEmbedding(const std::string& method, const std::string& dataset) {
-  const std::string path = ResultPath("emb", method, dataset);
-  {
-    std::ifstream in(path);
-    int ok = 0;
-    EmbeddingRun run;
-    if (in >> ok >> run.seconds >> run.macro_f1 >> run.micro_f1) {
-      run.ok = ok != 0;
-      std::getline(in, run.note);
-      std::getline(in, run.note);
-      return run;
-    }
-  }
-  EmbeddingRun run = ComputeEmbedding(method, dataset);
-  std::ofstream out(path);
-  out << (run.ok ? 1 : 0) << " " << run.seconds << " " << run.macro_f1 << " "
-      << run.micro_f1 << "\n"
-      << run.note << "\n";
-  return run;
-}
-
-bool LoadCachedRow(const std::string& key, std::vector<double>* values) {
-  std::ifstream in(CacheDir() + "/row_" + Sanitize(key) + "_" + ScaleTag() + ".txt");
-  if (!in) return false;
-  values->clear();
-  double v = 0.0;
-  while (in >> v) values->push_back(v);
-  return !values->empty();
-}
-
-void StoreCachedRow(const std::string& key, const std::vector<double>& values) {
-  std::ofstream out(CacheDir() + "/row_" + Sanitize(key) + "_" + ScaleTag() + ".txt");
-  for (double v : values) out << v << " ";
-  out << "\n";
 }
 
 std::vector<double> OverallRanks(

@@ -15,16 +15,14 @@ namespace bench {
 /// default 1.0). Lower it for a quick pass: SGLA_BENCH_SCALE=0.1.
 double BenchScale();
 
-/// Result cache directory (env SGLA_BENCH_CACHE, default
-/// /tmp/sgla_bench_cache). Datasets, view Laplacians and per-method results
-/// are cached here so every bench binary shares one computation.
-const std::string& CacheDir();
-
-/// Memoized dataset access (in-memory + on-disk cache).
+/// Dataset access, memoized for the life of the process. Nothing is read
+/// from or written to disk: every bench run measures the code it was built
+/// from.
 const core::MultiViewGraph& GetDataset(const std::string& name);
 
-/// Memoized view Laplacians; *build_seconds (optional) receives the wall time
-/// it took to build them the first time (KNN graphs dominate).
+/// View Laplacians, memoized for the life of the process; *build_seconds
+/// (optional) receives the wall time it took to build them the first time
+/// (KNN graphs dominate).
 const std::vector<la::CsrMatrix>& GetViewLaplacians(const std::string& name,
                                                     double* build_seconds = nullptr);
 
@@ -42,7 +40,7 @@ struct ClusteringRun {
 /// Methods in table order.
 std::vector<std::string> ClusteringMethods();
 
-/// Runs (or loads from cache) one clustering method on one dataset.
+/// Runs one clustering method on one dataset (computed on every call).
 ClusteringRun RunClustering(const std::string& method, const std::string& dataset);
 
 // ---------------------------------------------------------------------------
@@ -58,6 +56,7 @@ struct EmbeddingRun {
 };
 
 std::vector<std::string> EmbeddingMethods();
+/// Runs one embedding method on one dataset (computed on every call).
 EmbeddingRun RunEmbedding(const std::string& method, const std::string& dataset);
 
 /// Label-fraction used to train the Table IV classifier for this dataset
@@ -68,11 +67,6 @@ double TrainFraction(const std::string& dataset);
 /// (the "Overall rank" column of Tables III/IV). Failed runs rank last.
 std::vector<double> OverallRanks(
     const std::vector<std::vector<std::vector<double>>>& metric_values);
-
-/// Generic numeric-row cache for the parameter-sweep figures (Fig. 3/7-11):
-/// sweeps re-run instantly on repeated bench invocations.
-bool LoadCachedRow(const std::string& key, std::vector<double>* values);
-void StoreCachedRow(const std::string& key, const std::vector<double>& values);
 
 }  // namespace bench
 }  // namespace sgla

@@ -101,14 +101,6 @@ const char* IsaName(Isa isa) {
   return "scalar";
 }
 
-std::vector<Isa> CompiledIsas() {
-  std::vector<Isa> out;
-  for (Isa isa : kAllIsas) {
-    if (TableFor(isa) != nullptr) out.push_back(isa);
-  }
-  return out;
-}
-
 std::vector<Isa> AvailableIsas() {
   std::vector<Isa> out;
   for (Isa isa : kAllIsas) {

@@ -28,10 +28,6 @@ const KernelTable* ActiveTable();
 Isa ActiveIsa();
 const char* ActiveIsaName();
 
-/// ISAs whose translation unit was compiled into this binary (always
-/// includes kScalar), ascending.
-std::vector<Isa> CompiledIsas();
-
 /// Compiled ISAs the *host* can execute (cpuid-checked), ascending. The
 /// last entry is what auto-detection picks.
 std::vector<Isa> AvailableIsas();

@@ -7,7 +7,8 @@
 
 #include <utility>
 
-#include "data/io.h"
+#include "graph/graph.h"
+#include "la/dense.h"
 #include "persist/wal.h"
 #include "rpc/wire.h"
 
@@ -15,30 +16,96 @@ namespace sgla {
 namespace persist {
 namespace {
 
+using rpc::GetU32;
+using rpc::GetU64;
+using rpc::PutU32;
+using rpc::PutU64;
+
 constexpr uint64_t kCheckpointMagic = 0x53474c41636b7031ull;  // "SGLAckp1"
 constexpr uint32_t kCheckpointVersion = 1;
 // [u64 magic][u32 version][u32 payload length][u32 payload crc]
 constexpr size_t kFileHeaderBytes = 20;
 constexpr uint32_t kMaxCheckpointBytes = 1u << 30;
+constexpr uint64_t kGraphMagic = 0x53474c416d7667ull;  // "SGLAmvg"
+/// More views than this in one graph block is corruption, not data.
+constexpr uint64_t kMaxViewsPerKind = 64;
 
-void PutU32(uint32_t v, uint8_t* out) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
+/// The graph block that closes every checkpoint payload: magic, i64 nodes,
+/// i64 clusters, I32Vec labels; a u64 graph-view count, then per view i64
+/// nodes, I64Vec endpoints (u, v per edge) and F64Vec weights; a u64
+/// attribute-view count, then per view i64 rows, i64 cols and F64Vec values.
+/// The vectors are written element by element so no edge list is copied.
+void EncodeGraph(const core::MultiViewGraph& mvag, rpc::WireWriter* w) {
+  w->U64(kGraphMagic);
+  w->I64(mvag.num_nodes());
+  w->I64(mvag.num_clusters());
+  w->I32Vec(mvag.labels());
+  w->U64(mvag.graph_views().size());
+  for (const graph::Graph& g : mvag.graph_views()) {
+    w->I64(g.num_nodes());
+    w->U64(2 * g.edges().size());
+    for (const graph::Edge& e : g.edges()) {
+      w->I64(e.u);
+      w->I64(e.v);
+    }
+    w->U64(g.edges().size());
+    for (const graph::Edge& e : g.edges()) w->F64(e.weight);
+  }
+  w->U64(mvag.attribute_views().size());
+  for (const la::DenseMatrix& x : mvag.attribute_views()) {
+    w->I64(x.rows());
+    w->I64(x.cols());
+    w->F64Vec(x.data());
+  }
 }
 
-void PutU64(uint64_t v, uint8_t* out) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
-}
+/// Inverse of EncodeGraph; false on truncation, a bad magic, more than
+/// kMaxViewsPerKind views of a kind, or a shape lie. Every count is checked
+/// against the bytes left before it sizes anything, so a forged count
+/// rejects without allocating.
+bool DecodeGraph(rpc::WireReader* r, core::MultiViewGraph* mvag) {
+  uint64_t magic = 0, count = 0;
+  int64_t nodes = 0, clusters = 0;
+  std::vector<int32_t> labels;
+  if (!r->U64(&magic) || magic != kGraphMagic || !r->I64(&nodes) ||
+      !r->I64(&clusters) || !r->I32Vec(&labels) || nodes < 0) {
+    return false;
+  }
+  *mvag = core::MultiViewGraph(nodes, static_cast<int>(clusters));
+  mvag->set_labels(std::move(labels));
 
-uint32_t GetU32(const uint8_t* in) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(in[i]) << (8 * i);
-  return v;
-}
+  if (!r->U64(&count) || count > kMaxViewsPerKind) return false;
+  for (uint64_t v = 0; v < count; ++v) {
+    int64_t view_nodes = 0;
+    uint64_t endpoints = 0, weights = 0;
+    if (!r->I64(&view_nodes) || !r->U64(&endpoints) ||
+        !r->CheckCount(endpoints, 8) || endpoints % 2 != 0) {
+      return false;
+    }
+    std::vector<graph::Edge> edges(endpoints / 2);
+    for (graph::Edge& e : edges) {
+      if (!r->I64(&e.u) || !r->I64(&e.v)) return false;
+    }
+    if (!r->U64(&weights) || weights != edges.size()) return false;
+    for (graph::Edge& e : edges) {
+      if (!r->F64(&e.weight)) return false;
+    }
+    mvag->AddGraphView(graph::Graph::FromEdges(view_nodes, std::move(edges)));
+  }
 
-uint64_t GetU64(const uint8_t* in) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(in[i]) << (8 * i);
-  return v;
+  if (!r->U64(&count) || count > kMaxViewsPerKind) return false;
+  for (uint64_t v = 0; v < count; ++v) {
+    int64_t rows = 0, cols = 0;
+    std::vector<double> values;
+    if (!r->I64(&rows) || !r->I64(&cols) || !r->F64Vec(&values) ||
+        !la::ShapeHolds(rows, cols, values.size())) {
+      return false;
+    }
+    la::DenseMatrix x(rows, cols);
+    x.data() = std::move(values);
+    mvag->AddAttributeView(std::move(x));
+  }
+  return true;
 }
 
 uint64_t Fnv1a(const std::string& s) {
@@ -106,10 +173,8 @@ void EncodeCheckpoint(const CheckpointData& data, std::vector<uint8_t>* out) {
     w.U8(data.active[v] ? 1 : 0);
   }
   w.U64(data.views_signature);
-  std::string mvag_bytes;
-  data::SaveMvagBytes(data.mvag, &mvag_bytes);
+  EncodeGraph(data.mvag, &w);
   *out = w.TakeBuffer();
-  out->insert(out->end(), mvag_bytes.begin(), mvag_bytes.end());
 }
 
 Result<CheckpointData> DecodeCheckpoint(const uint8_t* data, size_t size) {
@@ -144,12 +209,11 @@ Result<CheckpointData> DecodeCheckpoint(const uint8_t* data, size_t size) {
   if (!r.U64(&ck.views_signature)) {
     return InvalidArgument("corrupt checkpoint signature");
   }
-  size_t consumed = 0;
-  auto mvag = data::LoadMvagBytes(r.cursor(), r.remaining(), &consumed);
-  if (!mvag.ok()) return mvag.status();
-  ck.mvag = std::move(*mvag);
-  if (!r.Skip(consumed) || !r.Finish()) {
-    return InvalidArgument("trailing bytes after checkpoint MVAG block");
+  if (!DecodeGraph(&r, &ck.mvag)) {
+    return InvalidArgument("corrupt checkpoint graph block");
+  }
+  if (!r.Finish()) {
+    return InvalidArgument("trailing bytes after checkpoint graph block");
   }
   if (ck.view_uids.size() !=
       ck.mvag.graph_views().size() + ck.mvag.attribute_views().size()) {

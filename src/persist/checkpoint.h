@@ -45,9 +45,9 @@ std::string CheckpointFileName(const std::string& id, uint64_t reg_uid);
 /// Serializes `data` as one checkpoint payload (no file header/CRC).
 void EncodeCheckpoint(const CheckpointData& data, std::vector<uint8_t>* out);
 
-/// Parses a payload. Every count is bounds-checked before it sizes an
-/// allocation and the embedded MVAG block goes through data::LoadMvagBytes'
-/// full validation — hostile bytes reject with a typed error, never crash.
+/// Parses a payload. Every count, the embedded graph block's included, is
+/// checked against the bytes left before it sizes an allocation — hostile
+/// bytes reject with a typed error, never crash or overallocate.
 Result<CheckpointData> DecodeCheckpoint(const uint8_t* data, size_t size);
 
 /// Atomic durable write: payload + CRC32 to `path + ".tmp"`, fsync, rename

@@ -7,9 +7,16 @@
 
 #include <utility>
 
+#include "rpc/wire.h"
+
 namespace sgla {
 namespace persist {
 namespace {
+
+using rpc::GetU32;
+using rpc::GetU64;
+using rpc::PutU32;
+using rpc::PutU64;
 
 constexpr uint64_t kWalMagic = 0x53474c4177616c31ull;  // "SGLAwal1"
 constexpr uint32_t kWalVersion = 1;
@@ -18,26 +25,6 @@ constexpr size_t kFrameBytes = 8;  // u32 len + u32 crc
 /// A record announcing more than this is corruption, not data: no SGLA
 /// delta approaches it (mirrors rpc::kMaxPayloadBytes).
 constexpr uint32_t kMaxRecordBytes = 256u << 20;
-
-void PutU32(uint32_t v, uint8_t* out) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-void PutU64(uint64_t v, uint8_t* out) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-uint32_t GetU32(const uint8_t* in) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(in[i]) << (8 * i);
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* in) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(in[i]) << (8 * i);
-  return v;
-}
 
 Status WriteAll(int fd, const uint8_t* data, size_t size,
                 const char* what) {

@@ -11,7 +11,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -40,7 +39,7 @@ Server::Server(serve::Engine* engine, const ServerOptions& options)
     : engine_(engine),
       options_(options),
       quota_(options.tenant_max_inflight),
-      control_queue_(std::max(1, options.control_workers)) {}
+      control_queue_(1) {}
 
 Server::~Server() { Shutdown(); }
 
@@ -349,7 +348,7 @@ void Server::DispatchSolve(Connection* conn, uint64_t request_id,
   request.robust = wire.robust;
 
   serve::SubmitOptions submit;
-  submit.coalesce = wire.coalesce && options_.allow_coalescing;
+  submit.coalesce = wire.coalesce;
 
   // Account BEFORE TrySubmit: the completion callback can run (and post)
   // before TrySubmit even returns.

@@ -28,14 +28,6 @@ struct ServerOptions {
   /// disables per-tenant admission. The engine's EngineOptions::max_pending
   /// is the global backstop underneath this.
   int64_t tenant_max_inflight = 64;
-  /// Workers of the control queue that runs Register/Update/Evict — these
-  /// can be expensive (registration runs KNN) and must not stall the event
-  /// loop or occupy solve sessions.
-  int control_workers = 1;
-  /// Honor the per-request coalesce flag (default). Off forces every solve
-  /// to run physically — the A/B switch the load generator uses to
-  /// demonstrate coalescing.
-  bool allow_coalescing = true;
   /// Drain deadline for Shutdown(): once it elapses, connections whose
   /// peers will not take their remaining reply bytes are force-closed so
   /// Shutdown() cannot block forever on a stalled reader. In-flight engine
@@ -141,6 +133,9 @@ class Server {
   serve::Engine* engine_;
   ServerOptions options_;
   TenantQuota quota_;
+  /// One worker runs Register/Update/Evict in arrival order: they can be
+  /// expensive (registration runs KNN) and must not stall the event loop or
+  /// occupy solve sessions.
   util::TaskQueue control_queue_;
 
   int listen_fd_ = -1;

@@ -2,7 +2,6 @@
 
 namespace sgla {
 namespace rpc {
-namespace {
 
 void PutU32(uint32_t v, uint8_t* out) {
   out[0] = static_cast<uint8_t>(v);
@@ -26,6 +25,8 @@ uint64_t GetU64(const uint8_t* in) {
   for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(in[i]) << (8 * i);
   return v;
 }
+
+namespace {
 
 bool KnownFrameType(uint8_t type) {
   switch (static_cast<FrameType>(type)) {
@@ -125,11 +126,6 @@ bool WireReader::CheckCount(uint64_t count, size_t elem_bytes) {
     return false;
   }
   return true;
-}
-
-bool WireReader::Skip(size_t n) {
-  const uint8_t* p;
-  return Take(n, &p);
 }
 
 bool WireReader::U8(uint8_t* v) {

@@ -59,6 +59,13 @@ struct FrameHeader {
   uint64_t request_id = 0;
 };
 
+/// Little-endian fixed-width integers at a raw pointer: the one copy the
+/// frame header, WireWriter/WireReader and the persist file headers share.
+void PutU32(uint32_t v, uint8_t* out);
+void PutU64(uint64_t v, uint8_t* out);
+uint32_t GetU32(const uint8_t* in);
+uint64_t GetU64(const uint8_t* in);
+
 /// Serializes the 16-byte header into `out[0..15]`.
 void EncodeFrameHeader(const FrameHeader& header, uint8_t* out);
 
@@ -114,14 +121,6 @@ class WireReader {
   bool ok() const { return ok_; }
   /// True iff every byte was consumed and no read failed.
   bool Finish() const { return ok_ && offset_ == size_; }
-
-  /// Raw view of the unread suffix, for embedded sections that carry their
-  /// own framing (persist checkpoints embed the data:: MVAG block verbatim).
-  /// The caller parses from cursor() and then Skip()s what it consumed, so
-  /// Finish() keeps enforcing exhaustion.
-  const uint8_t* cursor() const { return data_ + offset_; }
-  size_t remaining() const { return ok_ ? size_ - offset_ : 0; }
-  bool Skip(size_t n);
 
   /// Guards count-prefixed containers: a hostile count must not drive a
   /// multi-GiB resize/reserve before the bounds check catches it. Each

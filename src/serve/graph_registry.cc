@@ -438,14 +438,6 @@ std::shared_ptr<const GraphEntry> GraphRegistry::Find(
   return it == graphs_.end() ? nullptr : it->second;
 }
 
-std::vector<std::string> GraphRegistry::Ids() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> ids;
-  ids.reserve(graphs_.size());
-  for (const auto& entry : graphs_) ids.push_back(entry.first);
-  return ids;
-}
-
 size_t GraphRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return graphs_.size();

@@ -234,7 +234,6 @@ class GraphRegistry {
   /// graph alive across a concurrent Evict.
   std::shared_ptr<const GraphEntry> Find(const std::string& id) const;
 
-  std::vector<std::string> Ids() const;
   size_t size() const;
 
  private:

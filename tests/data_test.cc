@@ -1,6 +1,5 @@
-// Dataset generator + binary IO round trips, covering the bench cache layer.
+// Dataset generator and the paper-dataset stand-ins.
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -8,17 +7,10 @@
 
 #include "data/datasets.h"
 #include "data/generator.h"
-#include "data/io.h"
-#include "la/sparse.h"
 #include "util/rng.h"
 
 namespace sgla {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
-}
 
 TEST(GeneratorTest, BalancedLabelsAreBalanced) {
   Rng rng(61);
@@ -76,106 +68,6 @@ TEST(DatasetsTest, YelpStandInHasThreeViews) {
   auto mvag = data::MakeDataset("yelp", 0.1);
   ASSERT_TRUE(mvag.ok());
   EXPECT_EQ(mvag->num_views(), 3);
-}
-
-TEST(IoTest, CsrRoundTrip) {
-  Rng rng(63);
-  std::vector<la::Triplet> entries;
-  for (int i = 0; i < 200; ++i) {
-    entries.push_back({rng.UniformInt(0, 49), rng.UniformInt(0, 39),
-                       rng.Gaussian()});
-  }
-  const la::CsrMatrix m = la::FromTriplets(50, 40, std::move(entries));
-  const std::string path = TempPath("sgla_io_test.csr");
-  ASSERT_TRUE(data::SaveCsr(m, path).ok());
-  auto loaded = data::LoadCsr(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->rows, m.rows);
-  EXPECT_EQ(loaded->cols, m.cols);
-  EXPECT_EQ(loaded->row_ptr, m.row_ptr);
-  EXPECT_EQ(loaded->col_idx, m.col_idx);
-  EXPECT_EQ(loaded->values, m.values);
-  std::remove(path.c_str());
-  EXPECT_FALSE(data::LoadCsr(path).ok());
-}
-
-/// The bytes of an MVAG block holding one attribute view whose stored
-/// shape is (rows, cols) over `doubles` values, in data::SaveMvagBytes'
-/// layout.
-std::string AttributeBlockBytes(int64_t rows, int64_t cols, size_t doubles) {
-  std::string bytes;
-  const auto put = [&bytes](const void* p, size_t n) {
-    bytes.append(static_cast<const char*>(p), n);
-  };
-  const auto put_u64 = [&put](uint64_t v) { put(&v, sizeof v); };
-  const auto put_i64 = [&put](int64_t v) { put(&v, sizeof v); };
-  put_u64(0x53474c416d7667ull);  // "SGLAmvg"
-  put_i64(rows > 0 ? rows : 1);  // nodes
-  put_i64(3);                    // clusters
-  put_u64(0);                    // no labels
-  put_u64(0);                    // no graph views
-  put_u64(1);                    // one attribute view
-  put_i64(rows);
-  put_i64(cols);
-  put_u64(doubles);
-  const std::vector<double> values(doubles, 1.0);
-  put(values.data(), doubles * sizeof(double));
-  return bytes;
-}
-
-TEST(IoTest, MvagShapeLiesAreTypedInvalidArgument) {
-  struct Shape {
-    int64_t rows;
-    int64_t cols;
-    size_t doubles;
-  };
-  // The first two products wrap to the value count in 64 bits; the third
-  // is a negative shape whose product is positive.
-  const Shape lies[] = {{512, int64_t{1} << 55, 0},
-                        {3, int64_t{0x5555555555555556}, 2},
-                        {-2, -1, 2}};
-  for (const Shape& lie : lies) {
-    SCOPED_TRACE(lie.cols);
-    const std::string bytes = AttributeBlockBytes(lie.rows, lie.cols,
-                                                  lie.doubles);
-    auto loaded = data::LoadMvagBytes(
-        reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size(),
-        nullptr);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
-        << loaded.status().ToString();
-  }
-  const std::string honest = AttributeBlockBytes(2, 3, 6);
-  auto loaded = data::LoadMvagBytes(
-      reinterpret_cast<const uint8_t*>(honest.data()), honest.size(),
-      nullptr);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->attribute_views().size(), 1u);
-  EXPECT_EQ(loaded->attribute_views()[0].rows(), 2);
-  EXPECT_EQ(loaded->attribute_views()[0].cols(), 3);
-}
-
-TEST(IoTest, MvagRoundTrip) {
-  auto mvag = data::MakeDataset("rm", 1.0);
-  ASSERT_TRUE(mvag.ok());
-  const std::string path = TempPath("sgla_io_test.mvag");
-  ASSERT_TRUE(data::SaveMvag(*mvag, path).ok());
-  auto loaded = data::LoadMvag(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_nodes(), mvag->num_nodes());
-  EXPECT_EQ(loaded->num_clusters(), mvag->num_clusters());
-  EXPECT_EQ(loaded->labels(), mvag->labels());
-  ASSERT_EQ(loaded->graph_views().size(), mvag->graph_views().size());
-  for (size_t v = 0; v < mvag->graph_views().size(); ++v) {
-    EXPECT_EQ(loaded->graph_views()[v].num_edges(),
-              mvag->graph_views()[v].num_edges());
-  }
-  ASSERT_EQ(loaded->attribute_views().size(), mvag->attribute_views().size());
-  for (size_t v = 0; v < mvag->attribute_views().size(); ++v) {
-    EXPECT_EQ(loaded->attribute_views()[v].data(),
-              mvag->attribute_views()[v].data());
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

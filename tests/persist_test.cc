@@ -1,11 +1,12 @@
 // Durability tests: WAL framing (round-trip, torn tail, bit-flipped CRC,
 // group commit), checkpoint encode/decode under hostile bytes (every
-// single-byte corruption and every truncation must reject with a typed
-// error, never crash), Store recovery semantics (duplicate / gap /
-// foreign-registration records), engine-level recovery bit-identity across
-// close + reopen including lifecycle deltas, the recovery-failure gate
-// (mutations refuse on an unreadable directory), checkpoint compaction, and
-// a TSAN hammer racing WAL appends against Solve/Update/Evict/Checkpoint.
+// single-byte corruption, truncation and forged count must reject with a
+// typed error, never crash) and its pinned encoding, Store recovery
+// semantics (duplicate / gap / foreign-registration records), engine-level
+// recovery bit-identity across close + reopen including lifecycle deltas,
+// the recovery-failure gate (mutations refuse on an unreadable directory),
+// checkpoint compaction, and a TSAN hammer racing WAL appends against
+// Solve/Update/Evict/Checkpoint.
 #include <dirent.h>
 #include <stdlib.h>
 #include <sys/stat.h>
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "persist/checkpoint.h"
 #include "persist/store.h"
 #include "persist/wal.h"
+#include "rpc/wire.h"
 #include "serve/engine.h"
 #include "serve/graph_delta.h"
 #include "serve/graph_registry.h"
@@ -98,13 +101,6 @@ std::string FindCheckpointFile(const std::string& dir) {
   return "";
 }
 
-void PutU32(uint32_t value, uint8_t* out) {
-  out[0] = static_cast<uint8_t>(value);
-  out[1] = static_cast<uint8_t>(value >> 8);
-  out[2] = static_cast<uint8_t>(value >> 16);
-  out[3] = static_cast<uint8_t>(value >> 24);
-}
-
 /// Appends one correctly-framed record to a closed WAL file, bypassing the
 /// Wal class — how the recovery tests plant duplicate / gap / foreign
 /// records that a healthy writer would never produce.
@@ -112,8 +108,8 @@ void AppendWalFrame(const std::string& path,
                     const std::vector<uint8_t>& payload) {
   std::ofstream out(path, std::ios::binary | std::ios::app);
   uint8_t frame[8];
-  PutU32(static_cast<uint32_t>(payload.size()), frame);
-  PutU32(persist::Crc32(payload.data(), payload.size()), frame + 4);
+  rpc::PutU32(static_cast<uint32_t>(payload.size()), frame);
+  rpc::PutU32(persist::Crc32(payload.data(), payload.size()), frame + 4);
   out.write(reinterpret_cast<const char*>(frame), sizeof(frame));
   out.write(reinterpret_cast<const char*>(payload.data()),
             static_cast<std::streamsize>(payload.size()));
@@ -436,7 +432,38 @@ TEST(CheckpointTest, SaveLoadRoundTrips) {
   EXPECT_EQ(loaded->active, data.active);
   EXPECT_EQ(loaded->views_signature, data.views_signature);
   EXPECT_EQ(loaded->mvag.num_nodes(), data.mvag.num_nodes());
-  EXPECT_EQ(loaded->mvag.num_views(), data.mvag.num_views());
+  EXPECT_EQ(loaded->mvag.num_clusters(), data.mvag.num_clusters());
+  EXPECT_EQ(loaded->mvag.labels(), data.mvag.labels());
+  ASSERT_EQ(loaded->mvag.graph_views().size(), data.mvag.graph_views().size());
+  for (size_t v = 0; v < data.mvag.graph_views().size(); ++v) {
+    const graph::Graph& want = data.mvag.graph_views()[v];
+    const graph::Graph& got = loaded->mvag.graph_views()[v];
+    EXPECT_EQ(got.num_nodes(), want.num_nodes());
+    ASSERT_EQ(got.num_edges(), want.num_edges());
+    for (size_t e = 0; e < want.edges().size(); ++e) {
+      EXPECT_EQ(got.edges()[e].u, want.edges()[e].u);
+      EXPECT_EQ(got.edges()[e].v, want.edges()[e].v);
+      EXPECT_EQ(got.edges()[e].weight, want.edges()[e].weight);
+    }
+  }
+  ASSERT_EQ(loaded->mvag.attribute_views().size(),
+            data.mvag.attribute_views().size());
+  for (size_t v = 0; v < data.mvag.attribute_views().size(); ++v) {
+    EXPECT_EQ(loaded->mvag.attribute_views()[v].rows(),
+              data.mvag.attribute_views()[v].rows());
+    EXPECT_EQ(loaded->mvag.attribute_views()[v].data(),
+              data.mvag.attribute_views()[v].data());
+  }
+}
+
+TEST(CheckpointTest, EncodingIsByteStable) {
+  // Size and CRC of this payload as checkpoint version 1 has always encoded
+  // it. If they move, data directories written earlier stop recovering:
+  // bump kCheckpointVersion instead.
+  std::vector<uint8_t> payload;
+  persist::EncodeCheckpoint(MakeCheckpointData(), &payload);
+  EXPECT_EQ(payload.size(), 3283u);
+  EXPECT_EQ(persist::Crc32(payload.data(), payload.size()), 0x7405cab2u);
 }
 
 TEST(CheckpointTest, EverySingleByteCorruptionIsRejected) {
@@ -457,25 +484,108 @@ TEST(CheckpointTest, EverySingleByteCorruptionIsRejected) {
   }
 }
 
+/// The opening fields of a checkpoint graph block, encoded as the
+/// checkpoint encodes them: magic, 2 nodes, 3 clusters, then `words` as
+/// u64s (counts and sizes; i64 fields share the encoding).
+rpc::WireWriter GraphBlock(std::initializer_list<uint64_t> words) {
+  rpc::WireWriter w;
+  w.U64(0x53474c416d7667ull);  // "SGLAmvg"
+  w.I64(2);
+  w.I64(3);
+  for (uint64_t word : words) w.U64(word);
+  return w;
+}
+
+/// MakeCheckpointData()'s payload with its graph block replaced by
+/// `block`. The header lists one view uid, so an honest block holding one
+/// view decodes.
+std::vector<uint8_t> PayloadWithGraphBlock(const rpc::WireWriter& block) {
+  persist::CheckpointData data = MakeCheckpointData();
+  data.view_uids = {1};
+  data.active = {true};
+  data.mvag = core::MultiViewGraph();
+  std::vector<uint8_t> payload;
+  persist::EncodeCheckpoint(data, &payload);
+  // An empty graph's block is six 8-byte fields: magic, nodes, clusters,
+  // and the label, graph-view and attribute-view counts.
+  payload.resize(payload.size() - 6 * 8);
+  payload.insert(payload.end(), block.buffer().begin(), block.buffer().end());
+  return payload;
+}
+
+void ExpectInvalidArgument(const std::vector<uint8_t>& payload) {
+  auto decoded = persist::DecodeCheckpoint(payload.data(), payload.size());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+      << decoded.status().ToString();
+}
+
 TEST(CheckpointTest, HostileCountsAndTruncationsNeverCrashDecode) {
   std::vector<uint8_t> payload;
   persist::EncodeCheckpoint(MakeCheckpointData(), &payload);
   ASSERT_TRUE(persist::DecodeCheckpoint(payload.data(), payload.size()).ok());
-  // Every proper prefix must reject: a count that promises more bytes than
-  // remain (the truncation moves the "hostile count" boundary through every
-  // field, uid counts and MVAG sizes included) is an error, not a crash or
-  // an overallocation.
+  // Every proper prefix must reject with a typed error, never crash. A
+  // prefix only cuts honest fields short; the forged counts below promise
+  // more bytes than the payload holds.
   for (size_t len = 0; len < payload.size();
        len += (len < 64 ? 1 : 13)) {
     auto decoded = persist::DecodeCheckpoint(payload.data(), len);
     EXPECT_FALSE(decoded.ok()) << "prefix of " << len << " bytes accepted";
   }
-  // Direct hostile count: the payload opens with the id's u32 length;
-  // promising 4 GiB of id must reject instead of sizing a string by it.
+  // The payload opens with the id's u32 length; promising 4 GiB of id must
+  // reject instead of sizing a string by it.
   std::vector<uint8_t> huge = payload;
   huge[0] = huge[1] = huge[2] = huge[3] = 0xff;
-  auto decoded = persist::DecodeCheckpoint(huge.data(), huge.size());
-  EXPECT_FALSE(decoded.ok());
+  ExpectInvalidArgument(huge);
+
+  // One forged count of the graph block each, with no bytes behind it. A
+  // count is checked against the bytes left before it sizes a vector: 2^28
+  // labels alone would be 1 GiB. View counts above 64 are corruption.
+  constexpr uint64_t kForged = uint64_t{1} << 28;
+  const struct {
+    const char* what;
+    rpc::WireWriter block;
+  } forgeries[] = {
+      {"labels", GraphBlock({kForged})},
+      {"graph view count", GraphBlock({0, 65})},
+      {"endpoints", GraphBlock({0, 1, 2, kForged})},
+      {"weights", GraphBlock({0, 1, 2, 2, 0, 1, kForged})},
+      {"attribute view count", GraphBlock({0, 0, 65})},
+      {"attribute values", GraphBlock({0, 0, 1, 2, kForged / 2, kForged})},
+  };
+  for (const auto& forgery : forgeries) {
+    SCOPED_TRACE(forgery.what);
+    ExpectInvalidArgument(PayloadWithGraphBlock(forgery.block));
+  }
+
+  // Attribute shapes that lie about their value count: the first two
+  // products wrap to the count in 64 bits; the third is a negative shape
+  // whose product is positive.
+  const struct {
+    int64_t rows;
+    int64_t cols;
+    size_t doubles;
+  } lies[] = {{512, int64_t{1} << 55, 0},
+              {3, int64_t{0x5555555555555556}, 2},
+              {-2, -1, 2}};
+  for (const auto& lie : lies) {
+    SCOPED_TRACE(lie.cols);
+    rpc::WireWriter block = GraphBlock({0, 0, 1});
+    block.I64(lie.rows);
+    block.I64(lie.cols);
+    block.F64Vec(std::vector<double>(lie.doubles, 1.0));
+    ExpectInvalidArgument(PayloadWithGraphBlock(block));
+  }
+  rpc::WireWriter honest = GraphBlock({0, 0, 1});
+  honest.I64(2);
+  honest.I64(3);
+  honest.F64Vec(std::vector<double>(6, 1.0));
+  const std::vector<uint8_t> bytes = PayloadWithGraphBlock(honest);
+  auto decoded = persist::DecodeCheckpoint(bytes.data(), bytes.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->mvag.attribute_views().size(), 1u);
+  EXPECT_EQ(decoded->mvag.attribute_views()[0].rows(), 2);
+  EXPECT_EQ(decoded->mvag.attribute_views()[0].cols(), 3);
 }
 
 // ---------------------------------------------------------------------------

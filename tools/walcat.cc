@@ -21,6 +21,7 @@
 #include "persist/checkpoint.h"
 #include "persist/store.h"
 #include "persist/wal.h"
+#include "rpc/wire.h"
 
 namespace sgla {
 namespace {
@@ -33,16 +34,8 @@ constexpr size_t kWalHeaderBytes = 16;
 constexpr size_t kWalFrameBytes = 8;  // u32 len + u32 crc
 constexpr uint32_t kMaxRecordBytes = 256u << 20;
 
-uint32_t GetU32(const uint8_t* in) {
-  return static_cast<uint32_t>(in[0]) | static_cast<uint32_t>(in[1]) << 8 |
-         static_cast<uint32_t>(in[2]) << 16 |
-         static_cast<uint32_t>(in[3]) << 24;
-}
-
-uint64_t GetU64(const uint8_t* in) {
-  return static_cast<uint64_t>(GetU32(in)) |
-         static_cast<uint64_t>(GetU32(in + 4)) << 32;
-}
+using rpc::GetU32;
+using rpc::GetU64;
 
 bool ReadWhole(const std::string& path, std::vector<uint8_t>* out) {
   std::ifstream in(path, std::ios::binary);
