@@ -7,7 +7,7 @@
 
 #include "cluster/spectral_clustering.h"
 #include "common.h"
-#include "core/sgla_plus.h"
+#include "core/integration.h"
 #include "eval/clustering_metrics.h"
 #include "util/stopwatch.h"
 

@@ -6,15 +6,35 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/lmgec_lite.h"
 #include "baselines/mvagc_lite.h"
 #include "common.h"
-#include "core/sgla_plus.h"
+#include "core/integration.h"
 #include "embed/netmf.h"
 #include "eval/silhouette.h"
 #include "eval/tsne.h"
+
+namespace {
+
+// The row of a method with no silhouette: '-' and the failure, like Table IV
+// prints for a method that did not run.
+void PrintMissing(const std::string& dataset, const std::string& method,
+                  const sgla::Status& status) {
+  std::printf("%-10s %-10s %12s (%s)\n", dataset.c_str(), method.c_str(), "-",
+              status.ToString().c_str());
+}
+
+// A baseline's embedding, or why it has none.
+template <typename BaselineResult>
+sgla::Result<sgla::la::DenseMatrix> EmbeddingOf(BaselineResult result) {
+  if (!result.ok()) return result.status();
+  return std::move(result->embedding);
+}
+
+}  // namespace
 
 int main() {
   using namespace sgla;
@@ -26,34 +46,31 @@ int main() {
     const core::MultiViewGraph& mvag = bench::GetDataset(dataset);
     const std::vector<la::CsrMatrix>& views = bench::GetViewLaplacians(dataset);
 
-    // Three embeddings: SGLA+ (ours) and the two strongest feasible baselines.
-    std::vector<std::pair<std::string, la::DenseMatrix>> embeddings;
+    // Three embeddings: SGLA+ (ours) and the two strongest feasible
+    // baselines. A method that fails keeps its row, with the failure.
+    std::vector<std::pair<std::string, Result<la::DenseMatrix>>> embeddings;
     {
       auto integration = core::SglaPlus(views, mvag.num_clusters());
-      if (integration.ok()) {
-        embed::NetMfOptions netmf;
-        auto embedding = embed::NetMf(integration->laplacian, netmf);
-        if (embedding.ok()) embeddings.emplace_back("SGLA+", std::move(*embedding));
-      }
+      embeddings.emplace_back(
+          "SGLA+", integration.ok()
+                       ? embed::NetMf(integration->laplacian, {})
+                       : Result<la::DenseMatrix>(integration.status()));
     }
-    {
-      auto lmgec = baselines::LmgecLite(mvag);
-      if (lmgec.ok()) embeddings.emplace_back("LMGEC", std::move(lmgec->embedding));
-    }
-    {
-      auto mvagc = baselines::MvagcLite(mvag);
-      if (mvagc.ok()) embeddings.emplace_back("MvAGC", std::move(mvagc->embedding));
-    }
+    embeddings.emplace_back("LMGEC", EmbeddingOf(baselines::LmgecLite(mvag)));
+    embeddings.emplace_back("MvAGC", EmbeddingOf(baselines::MvagcLite(mvag)));
 
     for (auto& [method, embedding] : embeddings) {
+      if (!embedding.ok()) {
+        PrintMissing(dataset, method, embedding.status());
+        continue;
+      }
       eval::TsneOptions tsne;
       tsne.max_iterations = 300;
       tsne.max_points = 1500;
       std::vector<int64_t> kept;
-      auto coords = eval::Tsne(embedding, tsne, &kept);
+      auto coords = eval::Tsne(*embedding, tsne, &kept);
       if (!coords.ok()) {
-        std::printf("%-10s %-10s %12s (%s)\n", dataset.c_str(), method.c_str(),
-                    "-", coords.status().ToString().c_str());
+        PrintMissing(dataset, method, coords.status());
         continue;
       }
       std::vector<int32_t> kept_labels;

@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "common.h"
+#include "core/integration.h"
 #include "core/objective.h"
-#include "util/logging.h"
-#include "core/sgla_plus.h"
 #include "opt/quadratic_model.h"
+#include "util/logging.h"
 
 int main() {
   using namespace sgla;

@@ -8,7 +8,7 @@
 #include "cluster/spectral_clustering.h"
 #include "common.h"
 #include "core/aggregator.h"
-#include "core/sgla.h"
+#include "core/integration.h"
 #include "eval/clustering_metrics.h"
 
 int main() {

@@ -9,7 +9,7 @@
 
 #include "cluster/spectral_clustering.h"
 #include "common.h"
-#include "core/sgla.h"
+#include "core/integration.h"
 #include "data/datasets.h"
 #include "eval/clustering_metrics.h"
 #include "util/stopwatch.h"

@@ -10,7 +10,7 @@
 
 #include "cluster/spectral_clustering.h"
 #include "common.h"
-#include "core/sgla_plus.h"
+#include "core/integration.h"
 #include "data/datasets.h"
 #include "eval/clustering_metrics.h"
 

@@ -13,8 +13,10 @@ Flags (combinable, e.g. `--asan --bench-smoke`):
   --ubsan        UndefinedBehaviorSanitizer build in build-ubsan/
                  (findings abort: -fno-sanitize-recover=undefined)
   --bench-smoke  skip ctest; run the Engine microbenches at a tiny time
-                 budget and write BENCH_engine.json (per-kernel ns +
-                 allocs_per_iter; the steady-state benches must report 0)
+                 budget, 10 interleaved repetitions each, and write
+                 BENCH_engine.json (per-kernel ns + allocs_per_iter; the
+                 steady-state benches must report 0; perf_gate.py gates the
+                 median repetition)
   --rpc-load     skip ctest; run the closed-loop RPC load generator at a
                  small fixed budget and write BENCH_rpc.json (p50/p95/p99
                  latency; gated by scripts/perf_gate.py --latency)
@@ -115,12 +117,20 @@ cmake --build "${build_dir}" -j "${jobs}"
 if [[ "${bench_smoke}" == "1" ]]; then
   # Perf-trajectory smoke: run the engine-layer microbenches at a tiny time
   # budget and archive per-kernel ns + allocation counts (the steady-state
-  # objective benches must report allocs_per_iter == 0). The JSON is
+  # objective benches must report allocs_per_iter == 0). Ten repetitions
+  # per bench, shuffled across the whole run: a single 0.05 s run of a bench
+  # that fits only a few iterations in it (BM_CoarsenGraph, the end-to-end
+  # solves) is one draw of the host's noise, and back-to-back repetitions
+  # share one burst of it. perf_gate.py gates the median repetition. The
+  # console shows the aggregates; the JSON keeps every repetition. It is
   # machine-readable google-benchmark output; future PRs diff it.
   if [[ -x "${build_dir}/bench_micro_substrates" ]]; then
     "${build_dir}/bench_micro_substrates" \
       --benchmark_filter='Engine|Isa|Coarsen' \
       --benchmark_min_time=0.05 \
+      --benchmark_repetitions=10 \
+      --benchmark_enable_random_interleaving=true \
+      --benchmark_display_aggregates_only=true \
       --benchmark_out=BENCH_engine.json \
       --benchmark_out_format=json
     echo "check.sh: wrote BENCH_engine.json"

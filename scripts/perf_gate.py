@@ -5,7 +5,12 @@ Usage:
   perf_gate.py BASELINE.json CURRENT.json             # microbench mode
   perf_gate.py --latency BASELINE.json CURRENT.json   # RPC tail-latency mode
 
-Microbench mode — three checks:
+Microbench mode — three checks, over one entry per bench name: a bench run
+with --benchmark_repetitions appears once per repetition, and the gate reads
+the median repetition's time and the largest allocs_per_iter (aggregate rows
+are skipped). Every timing-gated bench in CURRENT must carry at least
+MIN_REPETITIONS (5) repetitions — a single 0.05 s run of a bench that fits a
+handful of iterations is one draw of the host's noise.
 
 1. **Zero-allocation contract (hard fail).** The steady-state engine benches
    (`BM_EngineObjectiveSteadyState`, `BM_EngineAggregateSteadyState`) must
@@ -64,6 +69,7 @@ WARN_RATIO = 1.2
 # regressions the median normalization cancels out. Loose on purpose —
 # baseline-vs-runner machine variance alone is routinely ~2x.
 RAW_FAIL_RATIO = 3.0
+MIN_REPETITIONS = 5
 P99_FAIL_RATIO = 4.0
 P99_WARN_RATIO = 2.0
 ALLOC_GATED = ("BM_EngineObjectiveSteadyState", "BM_EngineAggregateSteadyState")
@@ -89,15 +95,30 @@ def timed_field(name):
 
 
 def load_benches(path):
+    """One entry per bench name: the median of each time over its
+    repetitions, the largest allocs_per_iter (the zero-allocation contract
+    holds in every repetition), and the repetition count."""
     with open(path) as f:
         report = json.load(f)
-    benches = {}
+    runs = {}
     for bench in report.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
         name = bench.get("name", "")
         if name:
-            benches[name] = bench
+            runs.setdefault(name, []).append(bench)
+    benches = {}
+    for name, repetitions in runs.items():
+        merged = {"repetitions": len(repetitions)}
+        for field in ("cpu_time", "real_time"):
+            values = [r[field] for r in repetitions if r.get(field) is not None]
+            if values:
+                merged[field] = statistics.median(values)
+        allocs = [r["allocs_per_iter"] for r in repetitions
+                  if r.get("allocs_per_iter") is not None]
+        if allocs:
+            merged["allocs_per_iter"] = max(allocs)
+        benches[name] = merged
     return benches
 
 
@@ -119,7 +140,14 @@ def microbench_gate(baseline_path, current_path):
     if alloc_checked == 0:
         failures.append("no steady-state engine benches found in current run")
 
-    # 2 + 3. Machine-normalized ratios plus the absolute raw ceiling.
+    # 2 + 3. Machine-normalized ratios plus the absolute raw ceiling, each
+    # on the median of at least MIN_REPETITIONS repetitions.
+    for name, bench in sorted(current.items()):
+        if (name.startswith(TIMING_GATED)
+                and bench["repetitions"] < MIN_REPETITIONS):
+            failures.append(
+                f"{name}: {bench['repetitions']} repetition(s) "
+                f"(gate needs the median of {MIN_REPETITIONS})")
     ratios = {}
     informational = {}
     for name, bench in current.items():

@@ -32,9 +32,10 @@ constexpr uint64_t kMaxViewsPerKind = 64;
 
 /// The graph block that closes every checkpoint payload: magic, i64 nodes,
 /// i64 clusters, I32Vec labels; a u64 graph-view count, then per view i64
-/// nodes, I64Vec endpoints (u, v per edge) and F64Vec weights; a u64
-/// attribute-view count, then per view i64 rows, i64 cols and F64Vec values.
-/// The vectors are written element by element so no edge list is copied.
+/// nodes, a u64 count of i64 endpoints (u, v per edge) and F64Vec weights;
+/// a u64 attribute-view count, then per view i64 rows, i64 cols and F64Vec
+/// values. The vectors are written element by element so no edge list is
+/// copied.
 void EncodeGraph(const core::MultiViewGraph& mvag, rpc::WireWriter* w) {
   w->U64(kGraphMagic);
   w->I64(mvag.num_nodes());
@@ -157,7 +158,7 @@ void EncodeCheckpoint(const CheckpointData& data, std::vector<uint8_t>* out) {
   w.U64(data.reg_uid);
   w.I64(data.epoch);
   w.I32(data.options.shards);  // retired: kept in the layout, ignored
-  w.U8(data.options.updatable ? 1 : 0);
+  w.U8(1);  // retired `updatable`: kept in the layout, ignored on read
   w.U8(data.options.robust_views ? 1 : 0);
   w.F64(data.options.coarsen_ratio);
   w.I32(data.options.knn.k);
@@ -180,17 +181,17 @@ void EncodeCheckpoint(const CheckpointData& data, std::vector<uint8_t>* out) {
 Result<CheckpointData> DecodeCheckpoint(const uint8_t* data, size_t size) {
   rpc::WireReader r(data, size);
   CheckpointData ck;
-  uint8_t updatable = 0, robust = 0;
+  uint8_t retired_updatable = 0, robust = 0;
   uint64_t uid_count = 0, active_count = 0;
   bool ok = r.Str(&ck.id) && r.U64(&ck.reg_uid) && r.I64(&ck.epoch) &&
-            r.I32(&ck.options.shards) && r.U8(&updatable) && r.U8(&robust) &&
-            r.F64(&ck.options.coarsen_ratio) && r.I32(&ck.options.knn.k) &&
+            r.I32(&ck.options.shards) && r.U8(&retired_updatable) &&
+            r.U8(&robust) && r.F64(&ck.options.coarsen_ratio) &&
+            r.I32(&ck.options.knn.k) &&
             r.I64(&ck.options.knn.exact_threshold) &&
             r.I32(&ck.options.knn.trees) && r.I32(&ck.options.knn.leaf_size) &&
             r.U64(&ck.options.knn.seed) && r.U64(&ck.next_view_uid) &&
             r.U64(&uid_count) && r.CheckCount(uid_count, 8);
   if (!ok) return InvalidArgument("corrupt checkpoint header");
-  ck.options.updatable = updatable != 0;
   ck.options.robust_views = robust != 0;
   ck.view_uids.resize(uid_count);
   for (uint64_t& uid : ck.view_uids) {

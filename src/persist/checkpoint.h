@@ -16,7 +16,7 @@ namespace persist {
 /// registration options a recovered Restore() must repeat verbatim (KNN
 /// options, coarsen ratio — a recovered solve is bit-identical only if the
 /// serving state is rebuilt with the same knobs; the retired shard count
-/// keeps its slot and is ignored), and the
+/// and `updatable` byte keep their slots and are ignored), and the
 /// mutable state the epochs accumulated (epoch counter, view uids, activity
 /// mask, uid allocator).
 struct CheckpointData {

@@ -154,11 +154,8 @@ Result<std::unique_ptr<Store>> Store::Open(const StoreOptions& options,
     state.views_signature = ck.views_signature;
     auto entry = registry->Restore(ck.id, ck.mvag, ck.options, state);
     if (!entry.ok()) return entry.status();
-    GraphMeta meta;
-    meta.reg_uid = ck.reg_uid;
-    meta.options = ck.options;
-    meta.order = std::make_shared<std::mutex>();
-    store->graphs_.emplace(ck.id, std::move(meta));
+    store->graphs_.emplace(
+        ck.id, GraphMeta{ck.reg_uid, 0, std::make_shared<std::mutex>()});
     store->next_reg_uid_ =
         std::max(store->next_reg_uid_, ck.reg_uid + 1);
     ++store->recovery_.graphs_recovered;
@@ -238,97 +235,105 @@ Status Store::Replay(const uint8_t* payload, size_t size) {
   return OkStatus();
 }
 
+Result<Store::Locked> Store::Lock(const std::string& id) {
+  Locked locked;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = graphs_.find(id);
+    if (it == graphs_.end()) {
+      if (registry_->Find(id) == nullptr) {
+        return NotFound("graph '" + id + "' is not registered");
+      }
+      return FailedPrecondition(
+          "graph '" + id +
+          "' is not tracked by the data directory (registered straight on "
+          "the registry); evict it there and register it durably");
+    }
+    locked.order = it->second.order;
+    locked.reg_uid = it->second.reg_uid;
+  }
+  locked.lock = std::unique_lock<std::mutex>(*locked.order);
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = graphs_.find(id);
+  if (it == graphs_.end() || it->second.reg_uid != locked.reg_uid) {
+    return NotFound("graph '" + id +
+                    "' was evicted or replaced while waiting for its lock");
+  }
+  return locked;
+}
+
 Result<std::shared_ptr<const serve::GraphEntry>> Store::Register(
     const std::string& id, const core::MultiViewGraph& mvag,
     const serve::RegisterOptions& options) {
-  // Serialized against Evict so a concurrent evict of the same id cannot
-  // interleave between the registry publish and the checkpoint write.
-  std::lock_guard<std::mutex> ops_lock(ops_mutex_);
-  auto entry = registry_->Register(id, mvag, options);
-  if (!entry.ok()) return entry;
-
-  uint64_t reg_uid;
+  // The new registration's lock is held from before the registry publishes
+  // it until its checkpoint is durable: an Update, Evict or Checkpoint that
+  // finds the id meanwhile waits, then sees either the durable
+  // registration or none.
+  auto order = std::make_shared<std::mutex>();
+  std::lock_guard<std::mutex> order_lock(*order);
+  uint64_t reg_uid = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (graphs_.count(id) != 0) {
+      return FailedPrecondition("graph '" + id +
+                                "' is already registered (evict it first)");
+    }
     reg_uid = next_reg_uid_++;
+    graphs_.emplace(id, GraphMeta{reg_uid, 0, order});
   }
-  CheckpointData ck;
-  ck.id = id;
-  ck.reg_uid = reg_uid;
-  ck.epoch = (*entry)->epoch;
-  ck.options = options;
-  ck.next_view_uid = (*entry)->views.size() + 1;
-  ck.view_uids = (*entry)->view_uids;
-  ck.active = (*entry)->active;
-  ck.views_signature = (*entry)->views_signature;
-  ck.mvag = mvag;
-  Status saved = SaveCheckpoint(ck, CheckpointPath(id, reg_uid));
-  if (!saved.ok()) {
+  auto entry = registry_->Register(id, mvag, options);
+  Status saved = entry.status();
+  if (entry.ok()) {
+    CheckpointData ck;
+    ck.id = id;
+    ck.reg_uid = reg_uid;
+    ck.epoch = (*entry)->epoch;
+    ck.options = options;
+    ck.next_view_uid = (*entry)->views.size() + 1;
+    ck.view_uids = (*entry)->view_uids;
+    ck.active = (*entry)->active;
+    ck.views_signature = (*entry)->views_signature;
+    ck.mvag = mvag;
+    saved = SaveCheckpoint(ck, CheckpointPath(id, reg_uid));
     // Registration is durable or it did not happen: roll back the registry
     // rather than serve a graph a restart would forget.
-    registry_->Evict(id);
-    return saved;
+    if (!saved.ok()) registry_->Evict(id);
   }
-  {
+  if (!saved.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
-    GraphMeta meta;
-    meta.reg_uid = reg_uid;
-    meta.options = options;
-    meta.order = std::make_shared<std::mutex>();
-    graphs_[id] = std::move(meta);
+    graphs_.erase(id);
+    return saved;
   }
   return entry;
 }
 
 Result<std::shared_ptr<const serve::GraphEntry>> Store::Update(
     const std::string& id, const serve::GraphDelta& delta) {
-  std::shared_ptr<std::mutex> order;
-  uint64_t reg_uid = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = graphs_.find(id);
-    if (it == graphs_.end()) {
-      // Not tracked durably (registered before persistence was configured,
-      // or straight on the registry); apply without logging.
-      return registry_->UpdateGraph(id, delta);
-    }
-    order = it->second.order;
-    reg_uid = it->second.reg_uid;
-  }
+  // Applying the delta and enqueueing its record happen under the
+  // registration's lock, so the log's per-graph record order is the epoch
+  // order replay requires. The durable wait happens outside it — that is
+  // where cross-thread group commits form.
+  auto locked = Lock(id);
+  if (!locked.ok()) return locked.status();
+  auto entry = registry_->UpdateGraph(id, delta);
+  if (!entry.ok() || delta.empty()) return entry;  // empty: nothing to log
 
+  WalRecord record;
+  record.kind = WalRecord::Kind::kDelta;
+  record.reg_uid = locked->reg_uid;
+  record.id = id;
+  record.epoch = (*entry)->epoch;
+  record.delta = delta;
+  std::vector<uint8_t> payload;
+  EncodeWalRecord(record, &payload);
   Result<uint64_t> ticket = Status(StatusCode::kInternal, "unset");
   int64_t pending_now = 0;
-  std::shared_ptr<const serve::GraphEntry> updated;
   {
-    // The per-graph order lock pins (registry epoch assignment -> WAL
-    // enqueue) as one step, so the log's record order per graph equals the
-    // epoch order replay requires. The durable wait happens outside it —
-    // that is where cross-thread group commits form.
-    std::lock_guard<std::mutex> order_lock(*order);
-    auto entry = registry_->UpdateGraph(id, delta);
-    if (!entry.ok()) return entry;
-    if (delta.empty()) return entry;  // no epoch bump, nothing to log
-    updated = *entry;
-
-    WalRecord record;
-    record.kind = WalRecord::Kind::kDelta;
-    record.reg_uid = reg_uid;
-    record.id = id;
-    record.epoch = updated->epoch;
-    record.delta = delta;
-    std::vector<uint8_t> payload;
-    EncodeWalRecord(record, &payload);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = graphs_.find(id);
-      if (it == graphs_.end() || it->second.reg_uid != reg_uid) {
-        // Evicted while we applied; the evict record supersedes the delta.
-        return updated;
-      }
-      ticket = wal_->Enqueue(payload);
-      if (ticket.ok()) pending_now = ++it->second.pending;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    ticket = wal_->Enqueue(payload);
+    if (ticket.ok()) pending_now = ++graphs_[id].pending;
   }
+  locked->lock.unlock();
   if (!ticket.ok()) return ticket.status();
   Status durable = wal_->Wait(*ticket);
   if (!durable.ok()) return durable;
@@ -340,98 +345,70 @@ Result<std::shared_ptr<const serve::GraphEntry>> Store::Update(
     // retries.
     Checkpoint(id);
   }
-  return updated;
+  return entry;
 }
 
 bool Store::Evict(const std::string& id) {
-  std::lock_guard<std::mutex> ops_lock(ops_mutex_);
-  if (!registry_->Evict(id)) return false;
-
-  uint64_t reg_uid = 0;
+  auto locked = Lock(id);
+  if (!locked.ok()) return false;
+  registry_->Evict(id);
+  WalRecord record;
+  record.kind = WalRecord::Kind::kEvict;
+  record.reg_uid = locked->reg_uid;
+  record.id = id;
+  std::vector<uint8_t> payload;
+  EncodeWalRecord(record, &payload);
   Result<uint64_t> ticket = Status(StatusCode::kInternal, "unset");
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = graphs_.find(id);
-    if (it == graphs_.end()) return true;  // was not durably tracked
-    reg_uid = it->second.reg_uid;
-    WalRecord record;
-    record.kind = WalRecord::Kind::kEvict;
-    record.reg_uid = reg_uid;
-    record.id = id;
-    std::vector<uint8_t> payload;
-    EncodeWalRecord(record, &payload);
     ticket = wal_->Enqueue(payload);
-    graphs_.erase(it);
+    graphs_.erase(id);
   }
+  locked->lock.unlock();
   // The record lands before the unlink: a crash between the two replays the
   // evict and removes the file then. A sticky WAL error leaves the stale
   // checkpoint behind — recovery then resurrects an evicted graph, which is
   // the conservative failure (never loses data, and the WAL is already
   // refusing all writes loudly).
   if (ticket.ok() && wal_->Wait(*ticket).ok()) {
-    ::unlink(CheckpointPath(id, reg_uid).c_str());
+    ::unlink(CheckpointPath(id, locked->reg_uid).c_str());
   }
   return true;
 }
 
 Result<int64_t> Store::Checkpoint(const std::string& id) {
-  uint64_t reg_uid = 0;
-  int64_t covered = 0;
-  serve::RegisterOptions options;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = graphs_.find(id);
-    if (it == graphs_.end()) {
-      return NotFound("graph '" + id + "' is not durably tracked");
-    }
-    reg_uid = it->second.reg_uid;
-    options = it->second.options;
-    // Records counted now were enqueued before the snapshot below, so the
-    // snapshot covers them; records landing after it must stay in
-    // `pending`, or Rotate could truncate a record no checkpoint holds.
-    covered = it->second.pending;
-  }
+  // Under the registration's lock no record of this graph can be enqueued
+  // and no evict can run, so the snapshot covers every record counted in
+  // `pending` and the file cannot outlive an evict.
+  auto locked = Lock(id);
+  if (!locked.ok()) return locked.status();
   auto snapshot = registry_->SnapshotSource(id);
   if (!snapshot.ok()) return snapshot.status();
 
   CheckpointData ck;
   ck.id = id;
-  ck.reg_uid = reg_uid;
+  ck.reg_uid = locked->reg_uid;
   ck.epoch = snapshot->entry->epoch;
-  ck.options = options;
+  ck.options = snapshot->options;
   ck.next_view_uid = snapshot->next_view_uid;
   ck.view_uids = snapshot->entry->view_uids;
   ck.active = snapshot->entry->active;
   ck.views_signature = snapshot->entry->views_signature;
   ck.mvag = std::move(snapshot->mvag);
-  Status saved = SaveCheckpoint(ck, CheckpointPath(id, reg_uid));
+  Status saved = SaveCheckpoint(ck, CheckpointPath(id, locked->reg_uid));
   if (!saved.ok()) return saved;
 
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = graphs_.find(id);
-    if (it == graphs_.end() || it->second.reg_uid != reg_uid) {
-      // Evicted (or evicted + re-registered) while the file was being
-      // written: our rename may have landed after the evict's unlink and
-      // resurrected a dead registration's checkpoint. Remove it — recovery
-      // must never see a checkpoint the evict record no longer covers.
-      ::unlink(CheckpointPath(id, reg_uid).c_str());
-      return NotFound("graph '" + id + "' was evicted during checkpoint");
-    }
-    // Subtract only the records the snapshot provably covers; records
-    // enqueued after it keep `pending` non-zero so Rotate cannot truncate
-    // them before a later checkpoint holds them.
-    it->second.pending = std::max<int64_t>(0, it->second.pending - covered);
-    bool all_covered = true;
-    for (const auto& graph : graphs_) {
-      all_covered = all_covered && graph.second.pending == 0;
-    }
-    if (all_covered && wal_ != nullptr) {
-      // Every tracked graph's records are inside some checkpoint; the log
-      // is pure history. Enqueue also runs under mutex_, so nothing can
-      // slip in while Rotate drains and truncates (its contract).
-      wal_->Rotate();
-    }
+  std::lock_guard<std::mutex> lock(mutex_);
+  graphs_[id].pending = 0;
+  bool all_covered = true;
+  for (const auto& graph : graphs_) {
+    all_covered = all_covered && graph.second.pending == 0;
+  }
+  if (all_covered) {
+    // Every tracked graph's records are inside some checkpoint; the log is
+    // pure history. Enqueue also runs under mutex_, so nothing can slip in
+    // while Rotate drains and truncates (its contract).
+    wal_->Rotate();
   }
   return ck.epoch;
 }

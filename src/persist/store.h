@@ -59,7 +59,12 @@ struct RecoveryStats {
 /// checkpoint; Update appends a group-committed WAL record; Evict appends an
 /// evict record and unlinks the checkpoint (the record covers a crash
 /// between the two); Checkpoint compacts a graph's WAL suffix into a fresh
-/// checkpoint and truncates the log once every graph is covered.
+/// checkpoint and truncates the log once every graph is covered. Each
+/// registration has one lock under which its registry state and its log
+/// move together, so no call acknowledges a change the log does not hold.
+/// The Store acts only on graphs it tracks (registered through it or
+/// recovered by it): Update on a graph registered straight on the registry
+/// is FailedPrecondition, and Evict and Checkpoint leave such a graph alone.
 ///
 /// Open() recovers: the newest valid checkpoint per graph restores through
 /// GraphRegistry::Restore, then the WAL suffix replays through the ordinary
@@ -80,6 +85,8 @@ class Store {
   Result<std::shared_ptr<const serve::GraphEntry>> Update(
       const std::string& id, const serve::GraphDelta& delta);
 
+  /// False when the Store does not track `id` (unknown, or registered
+  /// straight on the registry, which this leaves alone).
   bool Evict(const std::string& id);
 
   /// Snapshots the graph consistently (under its update lock), writes the
@@ -102,21 +109,37 @@ class Store {
   struct GraphMeta {
     uint64_t reg_uid = 0;
     int64_t pending = 0;  ///< WAL records since the last checkpoint
-    serve::RegisterOptions options;
-    /// Serializes (registry update -> WAL enqueue) per graph, so the log's
-    /// per-graph record order always matches the epoch order. Shared so a
-    /// waiter survives the meta entry being erased by a concurrent evict.
+    /// The registration's lock: its registry state and its WAL move
+    /// together under it. Register holds it from before the registry
+    /// publish until the checkpoint is durable, Update from applying the
+    /// delta to enqueueing its record (so the log's per-graph record order
+    /// is the epoch order), Evict around the registry evict, the evict
+    /// record and the erase, and Checkpoint from its snapshot to resetting
+    /// `pending`. Shared so a waiter survives the meta being erased.
     std::shared_ptr<std::mutex> order;
   };
+
+  /// A tracked registration whose order mutex `lock` holds; `order` is
+  /// declared first so the lock is released before the mutex can go.
+  struct Locked {
+    std::shared_ptr<std::mutex> order;
+    std::unique_lock<std::mutex> lock;
+    uint64_t reg_uid = 0;
+  };
+
+  /// Takes `id`'s order lock and re-checks under it that the registration
+  /// found is still the id's. NotFound when the id is unknown or was
+  /// evicted while the lock was awaited; FailedPrecondition when the
+  /// registry serves the id but this Store does not track it.
+  Result<Locked> Lock(const std::string& id);
 
   const StoreOptions options_;
   serve::GraphRegistry* const registry_;
   RecoveryStats recovery_;
   std::unique_ptr<Wal> wal_;
-  /// Serializes Register against Evict (never held across solves; both ops
-  /// are rare). Updates take only the per-graph order mutex.
-  std::mutex ops_mutex_;
-  mutable std::mutex mutex_;  ///< guards graphs_ and next_reg_uid_
+  /// Guards graphs_ and next_reg_uid_, and every Wal::Enqueue, so a
+  /// Checkpoint can decide on and run Wal::Rotate with no append in between.
+  mutable std::mutex mutex_;
   std::unordered_map<std::string, GraphMeta> graphs_;
   uint64_t next_reg_uid_ = 1;
 };

@@ -43,6 +43,9 @@ Status WriteAll(int fd, const uint8_t* data, size_t size,
 
 Status ReadWhole(int fd, std::vector<uint8_t>* out) {
   out->clear();
+  if (::lseek(fd, 0, SEEK_SET) < 0) {
+    return Internal(std::string("WAL seek failed: ") + ::strerror(errno));
+  }
   uint8_t buffer[1 << 16];
   for (;;) {
     const ssize_t n = ::read(fd, buffer, sizeof(buffer));
@@ -76,6 +79,34 @@ uint32_t Crc32(const uint8_t* data, size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+Result<WalScan> ScanWal(int fd, const std::string& path) {
+  WalScan scan;
+  Status read = ReadWhole(fd, &scan.bytes);
+  if (!read.ok()) return read;
+  const std::vector<uint8_t>& bytes = scan.bytes;
+  if (bytes.size() < kHeaderBytes) return scan;
+  if (GetU64(bytes.data()) != kWalMagic) {
+    return InvalidArgument("WAL '" + path + "' has a bad magic number");
+  }
+  if (GetU32(bytes.data() + 8) != kWalVersion) {
+    return InvalidArgument("WAL '" + path + "' has unsupported version " +
+                           std::to_string(GetU32(bytes.data() + 8)));
+  }
+  scan.has_header = true;
+  size_t offset = kHeaderBytes;
+  while (offset + kFrameBytes <= bytes.size()) {
+    const uint32_t length = GetU32(bytes.data() + offset);
+    const uint32_t crc = GetU32(bytes.data() + offset + 4);
+    if (length > kMaxRecordBytes) break;
+    if (offset + kFrameBytes + length > bytes.size()) break;
+    if (Crc32(bytes.data() + offset + kFrameBytes, length) != crc) break;
+    scan.records.emplace_back(offset + kFrameBytes, length);
+    offset += kFrameBytes + length;
+  }
+  scan.valid_bytes = offset;
+  return scan;
+}
+
 Wal::Wal(int fd, bool fsync) : fd_(fd), fsync_(fsync) {
   committer_ = std::thread([this] { CommitterLoop(); });
 }
@@ -92,14 +123,14 @@ Result<std::unique_ptr<Wal>> Wal::Open(
   if (fd < 0) {
     return Internal("cannot open WAL '" + path + "': " + ::strerror(errno));
   }
-  std::vector<uint8_t> bytes;
-  Status read = ReadWhole(fd, &bytes);
-  if (!read.ok()) {
+  auto scan = ScanWal(fd, path);
+  if (!scan.ok()) {
     ::close(fd);
-    return read;
+    return scan.status();
   }
+  const std::vector<uint8_t>& bytes = scan->bytes;
 
-  if (bytes.size() < kHeaderBytes) {
+  if (!scan->has_header) {
     // Empty (fresh) log, or a crash tore the initial header write itself —
     // nothing could have been acknowledged yet, so start clean.
     stats->tail_truncated = !bytes.empty();
@@ -126,32 +157,9 @@ Result<std::unique_ptr<Wal>> Wal::Open(
     return std::unique_ptr<Wal>(new Wal(fd, options.fsync));
   }
 
-  if (GetU64(bytes.data()) != kWalMagic) {
-    ::close(fd);
-    return InvalidArgument("WAL '" + path + "' has a bad magic number");
-  }
-  if (GetU32(bytes.data() + 8) != kWalVersion) {
-    ::close(fd);
-    return InvalidArgument("WAL '" + path + "' has unsupported version " +
-                           std::to_string(GetU32(bytes.data() + 8)));
-  }
-
-  // Scan the frames: the valid prefix replays, the first bad frame and
-  // everything after it is the torn tail and truncates off.
-  size_t offset = kHeaderBytes;
-  size_t good = offset;
-  std::vector<std::pair<size_t, size_t>> records;  // payload offset, size
-  while (offset + kFrameBytes <= bytes.size()) {
-    const uint32_t length = GetU32(bytes.data() + offset);
-    const uint32_t crc = GetU32(bytes.data() + offset + 4);
-    if (length > kMaxRecordBytes) break;
-    if (offset + kFrameBytes + length > bytes.size()) break;
-    const uint8_t* payload = bytes.data() + offset + kFrameBytes;
-    if (Crc32(payload, length) != crc) break;
-    records.emplace_back(offset + kFrameBytes, length);
-    offset += kFrameBytes + length;
-    good = offset;
-  }
+  // The valid prefix replays; the first bad frame and everything after it
+  // is the torn tail and truncates off.
+  const size_t good = scan->valid_bytes;
   if (good < bytes.size()) {
     stats->tail_truncated = true;
     stats->truncated_bytes = bytes.size() - good;
@@ -171,7 +179,7 @@ Result<std::unique_ptr<Wal>> Wal::Open(
     return Internal("cannot seek WAL '" + path + "': " + ::strerror(errno));
   }
 
-  for (const auto& record : records) {
+  for (const auto& record : scan->records) {
     Status replayed = replay(bytes.data() + record.first, record.second);
     if (!replayed.ok()) {
       ::close(fd);

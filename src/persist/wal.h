@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -18,6 +19,28 @@ namespace persist {
 /// Self-contained IEEE CRC32 (reflected, polynomial 0xEDB88320) — the frame
 /// checksum of WAL records and checkpoint payloads. No zlib dependency.
 uint32_t Crc32(const uint8_t* data, size_t size);
+
+/// A read-only scan of one log file: its bytes, and the CRC-valid frames of
+/// its prefix.
+struct WalScan {
+  std::vector<uint8_t> bytes;  ///< the whole file
+  /// False when the file is shorter than the 16-byte header: a fresh log, or
+  /// a crash that tore the header write itself.
+  bool has_header = false;
+  /// Payload offset into `bytes` and payload length of each valid record,
+  /// in append order.
+  std::vector<std::pair<size_t, uint32_t>> records;
+  /// End of the valid prefix; bytes past it are the torn tail.
+  size_t valid_bytes = 0;
+};
+
+/// Reads the file open at `fd` (named `path`, for messages) from offset 0
+/// and scans it the way Wal::Open does, changing nothing: the first frame
+/// that is short, oversized, or fails its CRC ends the valid prefix. A bad
+/// magic or version is InvalidArgument — the log identity itself is gone —
+/// and a failed read is Internal. Wal::Open keeps exactly the valid prefix
+/// and replays `records`; sgla_walcat prints them.
+Result<WalScan> ScanWal(int fd, const std::string& path);
 
 /// What the startup scan found in an existing log.
 struct WalOpenStats {
@@ -40,10 +63,10 @@ struct WalOpenStats {
 /// write+fsync — that is the group commit: N appenders racing a slow fsync
 /// pay one fsync, not N (fsyncs() exposes the batching for tests).
 ///
-/// Open() scans an existing log record by record. The first frame that is
-/// short, oversized, or fails its CRC ends the valid prefix: everything
-/// before it replays through the callback, everything from it on is
-/// truncated off (a torn tail is exactly the bytes of appends that never
+/// Open() scans an existing log record by record (ScanWal). The first frame
+/// that is short, oversized, or fails its CRC ends the valid prefix:
+/// everything before it replays through the callback, everything from it on
+/// is truncated off (a torn tail is exactly the bytes of appends that never
 /// returned, so cutting them loses nothing that was acknowledged). A file
 /// whose *header* is corrupt is a typed error, not a truncation — the log
 /// identity itself is gone and silently starting fresh could serve wrong

@@ -229,20 +229,19 @@ bool DecodeHelloRequest(WireReader* r, HelloRequest* msg) {
 void EncodeRegisterRequest(const RegisterRequest& msg, WireWriter* w) {
   w->Str(msg.id);
   w->I32(msg.shards);
-  w->U8(msg.updatable ? 1 : 0);
+  w->U8(1);  // retired `updatable`: every graph accepts updates
   w->I32(msg.knn_k);
   w->U8(msg.robust_views ? 1 : 0);
   EncodeMvag(msg.mvag, w);
 }
 
 bool DecodeRegisterRequest(WireReader* r, RegisterRequest* msg) {
-  uint8_t updatable, robust_views;
-  if (!r->Str(&msg->id) || !r->I32(&msg->shards) || !r->U8(&updatable) ||
-      !r->I32(&msg->knn_k) || !r->U8(&robust_views) ||
-      !DecodeMvag(r, &msg->mvag)) {
+  uint8_t retired_updatable, robust_views;
+  if (!r->Str(&msg->id) || !r->I32(&msg->shards) ||
+      !r->U8(&retired_updatable) || !r->I32(&msg->knn_k) ||
+      !r->U8(&robust_views) || !DecodeMvag(r, &msg->mvag)) {
     return false;
   }
-  msg->updatable = updatable != 0;
   msg->robust_views = robust_views != 0;
   return r->Finish();
 }

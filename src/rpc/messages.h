@@ -36,8 +36,8 @@ struct RegisterRequest {
   std::string id;
   core::MultiViewGraph mvag;  ///< ground-truth labels do not travel
   /// Retired row-shard count: still on the wire, accepted and ignored.
+  /// (The retired `updatable` byte after it is written as 1 and ignored.)
   int32_t shards = 1;
-  bool updatable = true;
   /// KNN neighbor count for attribute views; 0 = server default.
   int32_t knn_k = 0;
   /// Registration-time robust default: every solve on this graph runs the

@@ -444,7 +444,6 @@ void Server::DispatchControl(Connection* conn, const FrameHeader& header,
           break;
         }
         serve::RegisterOptions options;
-        options.updatable = request.updatable;
         if (request.knn_k > 0) options.knn.k = request.knn_k;
         options.robust_views = request.robust_views;
         auto entry = engine_->RegisterGraph(request.id, request.mvag, options);

@@ -105,11 +105,6 @@ void WireWriter::I32Vec(const std::vector<int32_t>& v) {
   for (int32_t x : v) I32(x);
 }
 
-void WireWriter::I64Vec(const std::vector<int64_t>& v) {
-  U64(v.size());
-  for (int64_t x : v) I64(x);
-}
-
 bool WireReader::Take(size_t n, const uint8_t** out) {
   if (!ok_ || size_ - offset_ < n) {
     ok_ = false;
@@ -195,16 +190,6 @@ bool WireReader::I32Vec(std::vector<int32_t>* v) {
   v->resize(count);
   for (int32_t& x : *v) {
     if (!I32(&x)) return false;
-  }
-  return true;
-}
-
-bool WireReader::I64Vec(std::vector<int64_t>* v) {
-  uint64_t count;
-  if (!U64(&count) || !CheckCount(count, 8)) return false;
-  v->resize(count);
-  for (int64_t& x : *v) {
-    if (!I64(&x)) return false;
   }
   return true;
 }

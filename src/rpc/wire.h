@@ -89,7 +89,6 @@ class WireWriter {
   void Str(const std::string& s);          ///< u32 length + bytes
   void F64Vec(const std::vector<double>& v);   ///< u64 count + raw doubles
   void I32Vec(const std::vector<int32_t>& v);  ///< u64 count + i32s
-  void I64Vec(const std::vector<int64_t>& v);  ///< u64 count + i64s
 
   const std::vector<uint8_t>& buffer() const { return buffer_; }
   std::vector<uint8_t> TakeBuffer() { return std::move(buffer_); }
@@ -116,7 +115,6 @@ class WireReader {
   bool Str(std::string* s);
   bool F64Vec(std::vector<double>* v);
   bool I32Vec(std::vector<int32_t>* v);
-  bool I64Vec(std::vector<int64_t>* v);
 
   bool ok() const { return ok_; }
   /// True iff every byte was consumed and no read failed.

@@ -33,18 +33,17 @@ uint64_t ActiveViewsSignature(const std::vector<uint64_t>& uids,
 // similarity + re-normalize); attribute views average the fine attribute
 // rows per cluster and re-run that view's KNN on the coarse attributes, so
 // the coarse view reflects coarse-level neighborhoods instead of a
-// contraction of fine KNN edges. Without a source graph (RegisterViews)
-// every view contracts directly — the registry cannot tell them apart.
+// contraction of fine KNN edges.
 Result<la::CsrMatrix> ContractOneView(const la::CsrMatrix& fine,
                                       size_t global,
                                       const coarse::CoarsePlan& plan,
-                                      const core::MultiViewGraph* mvag,
+                                      const core::MultiViewGraph& mvag,
                                       const graph::KnnOptions& knn) {
-  if (mvag == nullptr || global < mvag->graph_views().size()) {
+  if (global < mvag.graph_views().size()) {
     return coarse::ContractView(fine, plan);
   }
   const la::DenseMatrix& attributes =
-      mvag->attribute_views()[global - mvag->graph_views().size()];
+      mvag.attribute_views()[global - mvag.graph_views().size()];
   core::MultiViewGraph coarse_mvag(plan.coarse_rows, 0);
   coarse_mvag.AddAttributeView(coarse::AverageRows(attributes, plan));
   return core::ComputeViewLaplacian(coarse_mvag, 0, knn);
@@ -63,10 +62,11 @@ bool SamePatterns(const std::vector<la::CsrMatrix>& a,
   return true;
 }
 
-// Builds the coarse companion for `entry`, or null when coarsening is off,
-// the graph is too small, or the matching achieved no reduction. The
-// companion is best-effort: a view that fails to contract (degenerate coarse
-// KNN) drops the companion rather than the registration. Contracts the
+// Builds the coarse companion for `entry`, or null when coarsening is off
+// (`options.coarsen_ratio` not positive), the graph is too small, or the
+// matching achieved no reduction. The companion is best-effort: a view that
+// fails to contract (degenerate coarse KNN) drops the companion rather than
+// the registration. Contracts the
 // SERVING views — with a masked entry the companion covers the active subset
 // only, matching what a fresh registration of that subset would build.
 //
@@ -75,10 +75,11 @@ bool SamePatterns(const std::vector<la::CsrMatrix>& a,
 // it is carried, and so is each coarse view whose fine view the delta did
 // not touch (`affected`, global view order). Everything else is rebuilt.
 std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
-    const GraphEntry& entry, const core::MultiViewGraph* mvag,
-    const graph::KnnOptions& knn, const CoarseGraphEntry* donor,
+    const GraphEntry& entry, const core::MultiViewGraph& mvag,
+    const RegisterOptions& options, const CoarseGraphEntry* donor,
     const std::vector<bool>& affected) {
-  if (entry.coarsen_ratio <= 0.0 || entry.num_nodes < kMinCoarsenFineRows) {
+  if (!(options.coarsen_ratio > 0.0) ||
+      entry.num_nodes < kMinCoarsenFineRows) {
     return nullptr;
   }
   const std::vector<la::CsrMatrix>& fine = entry.serving_views();
@@ -86,10 +87,10 @@ std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
   if (donor != nullptr) {
     companion->plan = donor->plan;
   } else {
-    coarse::CoarsenOptions options;
-    options.ratio = entry.coarsen_ratio;
+    coarse::CoarsenOptions coarsen;
+    coarsen.ratio = options.coarsen_ratio;
     companion->plan = coarse::BuildCoarsePlan(entry.aggregator->pattern(),
-                                              fine, options);
+                                              fine, coarsen);
     if (companion->plan.coarse_rows >= entry.num_nodes ||
         companion->plan.coarse_rows < 2) {
       return nullptr;
@@ -105,7 +106,8 @@ std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
       companion->views.push_back(donor->views[v]);
       continue;
     }
-    auto view = ContractOneView(fine[v], global, companion->plan, mvag, knn);
+    auto view =
+        ContractOneView(fine[v], global, companion->plan, mvag, options.knn);
     if (!view.ok()) return nullptr;
     companion->views.push_back(std::move(*view));
   }
@@ -117,13 +119,13 @@ std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
   return std::unique_ptr<const CoarseGraphEntry>(companion.release());
 }
 
-// Builds an entry's serving state from its views, view_uids, active mask and
-// coarsen_ratio: first the active subset (views_signature, and the compacted
-// active_views / active_to_global, left empty when everything is active so
-// serving reads `views` directly), then the aggregator over it, then the
-// coarse companion. Registration, recovery and every UpdateGraph epoch build
-// through here, so an entry serves exactly what a fresh registration of its
-// active subset would.
+// Builds an entry's serving state from its views, view_uids and active mask
+// and the graph's source (`mvag`, `options`): first the active subset
+// (views_signature, and the compacted active_views / active_to_global, left
+// empty when everything is active so serving reads `views` directly), then
+// the aggregator over it, then the coarse companion. Registration, recovery
+// and every UpdateGraph epoch build through here, so an entry serves exactly
+// what a fresh registration of its active subset would.
 //
 // `donor` is an edit epoch's predecessor (same view set, same active mask;
 // null for registration, recovery and lifecycle epochs) and `affected` marks
@@ -133,8 +135,9 @@ std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
 // solve workspaces skip rebinding) and the companion reuses the plan, the
 // untouched coarse views and, when the coarse patterns match, the coarse
 // aggregator. Any pattern change re-plans from scratch.
-void BuildServingState(GraphEntry* entry, const core::MultiViewGraph* mvag,
-                       const graph::KnnOptions& knn, const GraphEntry* donor,
+void BuildServingState(GraphEntry* entry, const core::MultiViewGraph& mvag,
+                       const RegisterOptions& options,
+                       const GraphEntry* donor,
                        const std::vector<bool>& affected) {
   entry->views_signature =
       ActiveViewsSignature(entry->view_uids, entry->active);
@@ -159,74 +162,12 @@ void BuildServingState(GraphEntry* entry, const core::MultiViewGraph* mvag,
                                                     *donor->aggregator)
                     : new core::LaplacianAggregator(&serving));
   entry->coarse =
-      BuildCoarseEntry(*entry, mvag, knn,
+      BuildCoarseEntry(*entry, mvag, options,
                        same_patterns ? donor->coarse.get() : nullptr,
                        affected);
 }
 
 }  // namespace
-
-Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Publish(
-    std::shared_ptr<GraphEntry> entry, const RegisterOptions& options,
-    std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,
-    const RestoreState& state) {
-  // The default state is a fresh registration: epoch 0, every view active,
-  // uids 1..V (an update source's AddView continues from next_view_uid). A
-  // checkpointed state is validated against the rebuilt views first —
-  // contradictory state rejects rather than serving a graph whose lifecycle
-  // stamps would lie.
-  if (!state.view_uids.empty() &&
-      state.view_uids.size() != entry->views.size()) {
-    return InvalidArgument("restore state for '" + entry->id + "' carries " +
-                           std::to_string(state.view_uids.size()) +
-                           " view uids for " +
-                           std::to_string(entry->views.size()) + " views");
-  }
-  if (!state.active.empty()) {
-    if (state.active.size() != entry->views.size()) {
-      return InvalidArgument("restore state for '" + entry->id +
-                             "' activity mask does not match the view count");
-    }
-    bool any_active = false;
-    for (size_t v = 0; v < state.active.size(); ++v) {
-      any_active = any_active || state.active[v];
-    }
-    if (!any_active) {
-      return InvalidArgument("restore state for '" + entry->id +
-                             "' masks every view");
-    }
-  }
-  entry->view_uids = state.view_uids;
-  if (entry->view_uids.empty()) {
-    for (size_t v = 0; v < entry->views.size(); ++v) {
-      entry->view_uids.push_back(static_cast<uint64_t>(v) + 1);
-    }
-  }
-  entry->active = state.active;
-  if (entry->active.empty()) entry->active.assign(entry->views.size(), true);
-  if (state.views_signature != 0 &&
-      state.views_signature !=
-          ActiveViewsSignature(entry->view_uids, entry->active)) {
-    return InvalidArgument("restore state for '" + entry->id +
-                           "' active-set signature mismatch");
-  }
-  entry->epoch = state.epoch;
-  entry->robust_views = options.robust_views;
-  entry->coarsen_ratio = options.coarsen_ratio > 0.0 ? options.coarsen_ratio
-                                                     : 0.0;
-  BuildServingState(entry.get(), mvag, options.knn, /*donor=*/nullptr, {});
-  std::shared_ptr<const GraphEntry> published = std::move(entry);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto inserted = graphs_.emplace(published->id, published);
-  if (!inserted.second) {
-    return FailedPrecondition("graph '" + published->id +
-                              "' is already registered (evict it first)");
-  }
-  // The update source rides along only when registration itself succeeded
-  // (and only for the MultiViewGraph overloads, which pass one).
-  if (source != nullptr) sources_[published->id] = std::move(source);
-  return published;
-}
 
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Register(
     const std::string& id, const core::MultiViewGraph& mvag,
@@ -246,24 +187,70 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Restore(
   entry->num_nodes = mvag.num_nodes();
   entry->num_clusters = mvag.num_clusters();
   entry->views = std::move(*views);
+
+  // The default state is a fresh registration: epoch 0, every view active,
+  // uids 1..V (AddView continues from next_view_uid). A checkpointed state
+  // is validated against the rebuilt views first — contradictory state
+  // rejects rather than serving a graph whose lifecycle stamps would lie.
+  if (!state.view_uids.empty() &&
+      state.view_uids.size() != entry->views.size()) {
+    return InvalidArgument("restore state for '" + id + "' carries " +
+                           std::to_string(state.view_uids.size()) +
+                           " view uids for " +
+                           std::to_string(entry->views.size()) + " views");
+  }
+  if (!state.active.empty()) {
+    if (state.active.size() != entry->views.size()) {
+      return InvalidArgument("restore state for '" + id +
+                             "' activity mask does not match the view count");
+    }
+    bool any_active = false;
+    for (size_t v = 0; v < state.active.size(); ++v) {
+      any_active = any_active || state.active[v];
+    }
+    if (!any_active) {
+      return InvalidArgument("restore state for '" + id +
+                             "' masks every view");
+    }
+  }
+  entry->view_uids = state.view_uids;
+  if (entry->view_uids.empty()) {
+    for (size_t v = 0; v < entry->views.size(); ++v) {
+      entry->view_uids.push_back(static_cast<uint64_t>(v) + 1);
+    }
+  }
+  entry->active = state.active;
+  if (entry->active.empty()) entry->active.assign(entry->views.size(), true);
+  if (state.views_signature != 0 &&
+      state.views_signature !=
+          ActiveViewsSignature(entry->view_uids, entry->active)) {
+    return InvalidArgument("restore state for '" + id +
+                           "' active-set signature mismatch");
+  }
+  entry->epoch = state.epoch;
+  entry->robust_views = options.robust_views;
+
   // The working copy UpdateGraph deltas accumulate into. Roughly doubles
   // the registration-time graph footprint, in exchange for updates that
-  // touch only what a delta changed; options.updatable = false declines.
-  std::shared_ptr<GraphSource> source;
-  if (options.updatable) {
-    source = std::make_shared<GraphSource>();
-    source->mvag = mvag;
-    source->knn = options.knn;
-    // A fresh registration consumes uids 1..V (see Publish); AddView
-    // continues after them unless the checkpoint says otherwise.
-    source->next_view_uid = state.next_view_uid != 0
-                                ? state.next_view_uid
-                                : entry->views.size() + 1;
+  // touch only what a delta changed and checkpoints that need no caller.
+  auto source = std::make_shared<GraphSource>();
+  source->mvag = mvag;
+  source->options = options;
+  source->next_view_uid = state.next_view_uid != 0
+                              ? state.next_view_uid
+                              : entry->views.size() + 1;
+  BuildServingState(entry.get(), source->mvag, source->options,
+                    /*donor=*/nullptr, {});
+  std::shared_ptr<const GraphEntry> published = std::move(entry);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!graphs_.emplace(id, Record{published, std::move(source)}).second) {
+    return FailedPrecondition("graph '" + id +
+                              "' is already registered (evict it first)");
   }
-  return Publish(std::move(entry), options, std::move(source), &mvag, state);
+  return published;
 }
 
-Result<SourceSnapshot> GraphRegistry::SnapshotSource(
+Result<GraphRegistry::LockedRecord> GraphRegistry::LockRecord(
     const std::string& id) const {
   std::shared_ptr<GraphSource> source;
   {
@@ -272,98 +259,53 @@ Result<SourceSnapshot> GraphRegistry::SnapshotSource(
     if (it == graphs_.end()) {
       return NotFound("graph '" + id + "' is not registered");
     }
-    auto sit = sources_.find(id);
-    if (sit == sources_.end()) {
-      return FailedPrecondition(
-          "graph '" + id +
-          "' carries no update source (RegisterViews entry or "
-          "updatable=false); nothing to snapshot");
-    }
-    source = sit->second;
+    source = it->second.source;
   }
-  // The per-id update lock makes the (mvag, entry) pair consistent: no delta
-  // can apply between copying the graph and re-reading the entry. The entry
-  // re-fetch below mirrors UpdateGraph's evict/replace race check.
-  std::lock_guard<std::mutex> update_lock(source->mutex);
-  SourceSnapshot snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = graphs_.find(id);
-    auto sit = sources_.find(id);
-    if (it == graphs_.end() || sit == sources_.end() ||
-        sit->second != source) {
-      return NotFound("graph '" + id +
-                      "' was evicted or replaced during the snapshot");
-    }
-    snapshot.entry = it->second;
+  // A concurrent update may publish a newer epoch while we wait, and deltas
+  // always apply on the latest; a concurrent evict (or evict + re-register,
+  // which installs a fresh source) fails the caller instead of resurrecting
+  // the id with stale state.
+  LockedRecord locked;
+  locked.lock = std::unique_lock<std::mutex>(source->mutex);
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = graphs_.find(id);
+  if (it == graphs_.end() || it->second.source != source) {
+    return NotFound("graph '" + id +
+                    "' was evicted or replaced while waiting for its "
+                    "update lock");
   }
-  snapshot.mvag = source->mvag;
-  snapshot.knn = source->knn;
-  snapshot.next_view_uid = source->next_view_uid;
-  return snapshot;
+  locked.record = it->second;
+  return locked;
 }
 
-Result<std::shared_ptr<const GraphEntry>> GraphRegistry::RegisterViews(
-    const std::string& id, std::vector<la::CsrMatrix> views,
-    int num_clusters, const RegisterOptions& options) {
-  if (views.empty()) {
-    return InvalidArgument("RegisterViews needs at least one view");
-  }
-  auto entry = std::make_shared<GraphEntry>();
-  entry->id = id;
-  entry->num_nodes = views[0].rows;
-  entry->num_clusters = num_clusters;
-  entry->views = std::move(views);
-  return Publish(std::move(entry), options, nullptr, nullptr, RestoreState{});
+Result<SourceSnapshot> GraphRegistry::SnapshotSource(
+    const std::string& id) const {
+  auto locked = LockRecord(id);
+  if (!locked.ok()) return locked.status();
+  const GraphSource& source = *locked->record.source;
+  SourceSnapshot snapshot;
+  snapshot.mvag = source.mvag;
+  snapshot.options = source.options;
+  snapshot.next_view_uid = source.next_view_uid;
+  snapshot.entry = locked->record.entry;
+  return snapshot;
 }
 
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
     const std::string& id, const GraphDelta& delta) {
-  std::shared_ptr<GraphSource> source;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = graphs_.find(id);
-    if (it == graphs_.end()) {
-      return NotFound("graph '" + id + "' is not registered");
-    }
-    auto sit = sources_.find(id);
-    if (sit == sources_.end()) {
-      return FailedPrecondition(
-          "graph '" + id +
-          "' carries no update source (RegisterViews entry or "
-          "updatable=false); evict and re-register to change it");
-    }
-    source = sit->second;
-  }
-
   // Updates serialize per id; the registry map lock is never held across
   // the delta application or the rebuild below.
-  std::lock_guard<std::mutex> update_lock(source->mutex);
-
-  // Re-fetch the entry now that we own the update lock: a concurrent update
-  // may have published a newer epoch while we waited, and deltas always
-  // apply on the latest. A concurrent evict (or evict + re-register, which
-  // installs a fresh source) fails the update instead of resurrecting the
-  // id with stale state.
-  std::shared_ptr<const GraphEntry> old;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = graphs_.find(id);
-    auto sit = sources_.find(id);
-    if (it == graphs_.end() || sit == sources_.end() ||
-        sit->second != source) {
-      return NotFound("graph '" + id +
-                      "' was evicted or replaced during the update");
-    }
-    old = it->second;
-  }
+  auto locked = LockRecord(id);
+  if (!locked.ok()) return locked.status();
+  GraphSource& source = *locked->record.source;
+  const std::shared_ptr<const GraphEntry> old = locked->record.entry;
   if (delta.empty()) return old;
 
   // Validate-then-apply: a rejected delta leaves the source untouched. The
   // published entry's activity mask is authoritative here — we hold the
   // update lock, so no other epoch can flip it concurrently.
   DeltaEffects effects;
-  Status applied = ApplyDelta(&source->mvag, delta, old->active, &effects);
+  Status applied = ApplyDelta(&source.mvag, delta, old->active, &effects);
   if (!applied.ok()) return applied;
 
   // Copy-on-write next epoch, one loop for edits and lifecycle ops alike:
@@ -378,7 +320,6 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   entry->epoch = old->epoch + 1;
   entry->num_nodes = old->num_nodes;
   entry->num_clusters = old->num_clusters;
-  entry->coarsen_ratio = old->coarsen_ratio;
   entry->robust_views = old->robust_views;
   entry->active = effects.active;
   const size_t post = effects.carried_from.size();
@@ -388,13 +329,13 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
     const int from = effects.carried_from[v];
     entry->view_uids[v] = from >= 0
                               ? old->view_uids[static_cast<size_t>(from)]
-                              : source->next_view_uid++;
+                              : source.next_view_uid++;
     if (from >= 0 && !effects.affected[v]) {
       entry->views[v] = old->views[static_cast<size_t>(from)];
       continue;
     }
     auto laplacian = core::ComputeViewLaplacian(
-        source->mvag, static_cast<int>(v), source->knn);
+        source.mvag, static_cast<int>(v), source.options.knn);
     // Unreachable after validation; if it ever fires the source may lead the
     // published epoch — evict and re-register to resynchronize.
     if (!laplacian.ok()) return laplacian.status();
@@ -403,7 +344,7 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::UpdateGraph(
   // A lifecycle op reshapes the view set, so nothing of the previous serving
   // state lines up with the new one; an edit epoch offers its predecessor
   // as the donor (DESIGN.md "Incremental updates").
-  BuildServingState(entry.get(), &source->mvag, source->knn,
+  BuildServingState(entry.get(), source.mvag, source.options,
                     effects.lifecycle ? nullptr : old.get(), effects.affected);
   return SwapIn(old, std::move(entry));
 }
@@ -417,17 +358,16 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::SwapIn(
   std::shared_ptr<const GraphEntry> published = std::move(next);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = graphs_.find(old->id);
-  if (it == graphs_.end() || it->second != old) {
+  if (it == graphs_.end() || it->second.entry != old) {
     return NotFound("graph '" + old->id +
                     "' was evicted or replaced during the update");
   }
-  it->second = published;
+  it->second.entry = published;
   return published;
 }
 
 bool GraphRegistry::Evict(const std::string& id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  sources_.erase(id);
   return graphs_.erase(id) > 0;
 }
 
@@ -435,7 +375,7 @@ std::shared_ptr<const GraphEntry> GraphRegistry::Find(
     const std::string& id) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = graphs_.find(id);
-  return it == graphs_.end() ? nullptr : it->second;
+  return it == graphs_.end() ? nullptr : it->second.entry;
 }
 
 size_t GraphRegistry::size() const {

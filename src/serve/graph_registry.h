@@ -28,11 +28,6 @@ struct RegisterOptions {
   /// served through the one unsharded path (DESIGN.md "Row sharding
   /// (removed)").
   int shards = 1;
-  /// Keep a working copy of the MultiViewGraph so UpdateGraph can apply
-  /// deltas (default). Costs roughly the registration-time graph footprint
-  /// again; read-only deployments set false to decline, and UpdateGraph
-  /// then fails with FailedPrecondition like a RegisterViews entry.
-  bool updatable = true;
   /// Coarse-companion reduction ratio for the tiered serving path (see
   /// DESIGN.md "Tiered serving"): registration builds a multilevel
   /// heavy-edge coarsening of the union pattern targeting ~ratio * n coarse
@@ -119,11 +114,8 @@ struct GraphEntry {
   /// entries are therefore handed out only behind shared_ptr and never moved.
   /// Aggregates serving_views() — the compacted subset when masked.
   std::unique_ptr<core::LaplacianAggregator> aggregator;
-  /// The ratio the entry was registered with, carried across epochs so
-  /// UpdateGraph can rebuild the companion consistently. 0 when disabled.
-  double coarsen_ratio = 0.0;
-  /// Present iff the graph was registered with coarsen_ratio > 0 and the
-  /// matching achieved an actual reduction; fast solves read it.
+  /// Present iff the graph was registered with RegisterOptions::coarsen_ratio
+  /// > 0 and the matching achieved an actual reduction; fast solves read it.
   std::unique_ptr<const CoarseGraphEntry> coarse;
 };
 
@@ -144,23 +136,27 @@ struct RestoreState {
   uint64_t views_signature = 0;
 };
 
-/// A consistent copy of one graph's update source plus the entry snapshot it
+/// A consistent copy of one graph's source (the graph, the options it was
+/// registered with and the uid allocator) plus the entry snapshot it
 /// corresponds to, taken under the per-id update lock (so no delta lands
 /// between the two). What Engine::Checkpoint persists.
 struct SourceSnapshot {
   core::MultiViewGraph mvag;
-  graph::KnnOptions knn;
+  RegisterOptions options;
   uint64_t next_view_uid = 0;
   std::shared_ptr<const GraphEntry> entry;
 };
 
 /// Registers/evicts MultiViewGraphs by id and hands out shared snapshots.
-/// Eviction only unlinks the entry from the map: solves that already hold
-/// the shared_ptr keep a fully valid graph until they finish (no
-/// use-after-evict by construction), and the entry is destroyed when the
-/// last holder drops it. All methods are thread-safe; the expensive
-/// per-graph precomputation (KNN graphs, Laplacians, union pattern) runs
-/// outside the registry lock.
+/// Every registered graph is one record: its published entry and its source
+/// (the working copy of the graph that deltas accumulate into, the options
+/// it was registered with, the view-uid allocator), so every graph accepts
+/// updates and checkpoints. Eviction only unlinks the record from the map:
+/// solves that already hold the entry's shared_ptr keep a fully valid graph
+/// until they finish (no use-after-evict by construction), and the entry is
+/// destroyed when the last holder drops it. All methods are thread-safe; the
+/// expensive per-graph precomputation (KNN graphs, Laplacians, union
+/// pattern) runs outside the registry lock.
 class GraphRegistry {
  public:
   /// Restore() from a default RestoreState: precomputes view Laplacians
@@ -172,20 +168,11 @@ class GraphRegistry {
       const std::string& id, const core::MultiViewGraph& mvag,
       const RegisterOptions& options = {});
 
-  /// Registers already-computed view Laplacians (callers that precompute or
-  /// share views across registries). Fails on duplicate id or empty views.
-  Result<std::shared_ptr<const GraphEntry>> RegisterViews(
-      const std::string& id, std::vector<la::CsrMatrix> views,
-      int num_clusters, const RegisterOptions& options = {});
-
-  /// Applies a delta to a graph registered through one of the
-  /// MultiViewGraph overloads (RegisterViews entries carry no source graph
-  /// and fail with FailedPrecondition) and publishes the next epoch behind
-  /// the same copy-on-write snapshot scheme: in-flight solves keep their
+  /// Applies a delta to the graph's source and publishes the next epoch
+  /// behind the copy-on-write snapshot scheme: in-flight solves keep their
   /// epoch, the next Find() sees the new one. Per id, updates serialize on
-  /// an internal mutex; an update that loses a race against Evict (or
-  /// evict + re-register) fails with NotFound / FailedPrecondition without
-  /// publishing anything.
+  /// the source's mutex; an update that loses a race against Evict (or
+  /// evict + re-register) fails with NotFound without publishing anything.
   ///
   /// Every epoch, edit or lifecycle, builds its serving state (aggregator,
   /// coarse companion) through the one builder Register and Restore use, so
@@ -220,10 +207,9 @@ class GraphRegistry {
       const std::string& id, const core::MultiViewGraph& mvag,
       const RegisterOptions& options, const RestoreState& state);
 
-  /// A consistent (mvag, entry) pair for `id`, taken under the per-id update
-  /// lock so no delta can land between copying the graph and snapshotting
-  /// the entry. Fails like UpdateGraph on RegisterViews / updatable=false
-  /// entries (there is no source to snapshot).
+  /// A consistent (source, entry) pair for `id`, taken under the per-id
+  /// update lock so no delta can land between copying the graph and
+  /// snapshotting the entry. NotFound for an unknown id.
   Result<SourceSnapshot> SnapshotSource(const std::string& id) const;
 
   /// Unlinks the entry; returns false if the id was not registered. The id
@@ -237,27 +223,41 @@ class GraphRegistry {
   size_t size() const;
 
  private:
-  /// Mutable per-id update state, kept only for graphs registered with a
-  /// MultiViewGraph source. `mvag` is the registry's own working copy the
-  /// deltas accumulate into; `mutex` serializes UpdateGraph calls per id
-  /// (the registry map lock is never held across the expensive rebuild).
+  /// Mutable per-id update state. `mvag` is the registry's own working copy
+  /// the deltas accumulate into, `options` the registration's options every
+  /// epoch rebuilds with; `mutex` serializes UpdateGraph and SnapshotSource
+  /// per id (the registry map lock is never held across the expensive
+  /// rebuild).
   struct GraphSource {
     core::MultiViewGraph mvag;
-    graph::KnnOptions knn;
+    RegisterOptions options;
     /// Next view uid AddView hands out (registration consumed 1..V).
     /// Mutated only under `mutex`, like `mvag`.
     uint64_t next_view_uid = 1;
     std::mutex mutex;
   };
 
-  /// Installs `state` (validated against entry->views), builds the serving
-  /// state and inserts the entry under a new id. `mvag` (may be null for
-  /// RegisterViews entries) lets the coarse builder re-run attribute-view KNN
-  /// on the averaged coarse attributes.
-  Result<std::shared_ptr<const GraphEntry>> Publish(
-      std::shared_ptr<GraphEntry> entry, const RegisterOptions& options,
-      std::shared_ptr<GraphSource> source, const core::MultiViewGraph* mvag,
-      const RestoreState& state);
+  /// One registered graph. The source is never null, and a re-registration
+  /// under the same id gets a fresh one, so comparing sources tells an
+  /// update whether its graph was evicted or replaced while it waited.
+  struct Record {
+    std::shared_ptr<const GraphEntry> entry;
+    std::shared_ptr<GraphSource> source;
+  };
+
+  /// A record whose source mutex `lock` holds. `record` is declared first so
+  /// the lock is released before the record can drop the last reference to
+  /// the source that owns the mutex.
+  struct LockedRecord {
+    Record record;
+    std::unique_lock<std::mutex> lock;
+  };
+
+  /// Takes `id`'s source mutex and re-reads the record under it, so the
+  /// entry is the latest epoch and no delta lands until the caller releases
+  /// the lock. NotFound if the id is unknown, or was evicted or replaced
+  /// while the lock was awaited.
+  Result<LockedRecord> LockRecord(const std::string& id) const;
 
   /// UpdateGraph's publish: replaces `old` with `next` iff `old` is still
   /// the current entry for its id; NotFound otherwise.
@@ -266,11 +266,7 @@ class GraphRegistry {
       std::shared_ptr<GraphEntry> next);
 
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const GraphEntry>> graphs_;
-  /// Update sources, same keys as graphs_ (absent for RegisterViews
-  /// entries); under mutex_. Values are shared so UpdateGraph can work on a
-  /// source after dropping the map lock.
-  std::unordered_map<std::string, std::shared_ptr<GraphSource>> sources_;
+  std::unordered_map<std::string, Record> graphs_;  ///< under mutex_
 };
 
 }  // namespace serve

@@ -161,7 +161,7 @@ TEST(GraphRegistryTest, EvictReregisterRacingSnapshotLookupsIsClean) {
   const GraphFixture f = GraphFixture::Make(160, 2, 111);
   const GraphFixture g = GraphFixture::Make(224, 2, 121);
   serve::GraphRegistry registry;
-  ASSERT_TRUE(registry.RegisterViews("g", f.views, 2).ok());
+  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
   const int64_t nnz_f = f.views[0].nnz();
   const int64_t nnz_g = g.views[0].nnz();
 
@@ -174,7 +174,7 @@ TEST(GraphRegistryTest, EvictReregisterRacingSnapshotLookupsIsClean) {
       const GraphFixture& mine = w == 0 ? f : g;
       for (int i = 0; i < kIterations; ++i) {
         registry.Evict("g");  // may lose the race to the other writer
-        (void)registry.RegisterViews("g", mine.views, 2);
+        (void)registry.Register("g", mine.mvag);
       }
     });
   }

@@ -1,17 +1,21 @@
 // Durability tests: WAL framing (round-trip, torn tail, bit-flipped CRC,
-// group commit), checkpoint encode/decode under hostile bytes (every
-// single-byte corruption, truncation and forged count must reject with a
-// typed error, never crash) and its pinned encoding, Store recovery
-// semantics (duplicate / gap / foreign-registration records), engine-level
-// recovery bit-identity across close + reopen including lifecycle deltas,
-// the recovery-failure gate (mutations refuse on an unreadable directory),
-// checkpoint compaction, and a TSAN hammer racing WAL appends against
+// group commit, the read-only scan against what Open keeps), checkpoint
+// encode/decode under hostile bytes (every single-byte corruption,
+// truncation and forged count must reject with a typed error, never crash)
+// and its pinned encoding, Store recovery semantics (duplicate / gap /
+// foreign-registration records), engine-level recovery bit-identity across
+// close + reopen including lifecycle deltas, the recovery-failure gate
+// (mutations refuse on an unreadable directory), checkpoint compaction,
+// updates racing registration and evict + re-register (every acknowledged
+// update must recover), and a TSAN hammer racing WAL appends against
 // Solve/Update/Evict/Checkpoint.
 #include <dirent.h>
+#include <fcntl.h>
 #include <stdlib.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -326,6 +330,68 @@ TEST(WalTest, BitFlippedCrcEndsTheValidPrefix) {
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   EXPECT_EQ(replayed, 1u);  // only the record before the corruption
   EXPECT_TRUE(stats.tail_truncated);
+}
+
+// ScanWal is the read-only half of Wal::Open (sgla_walcat prints through
+// it): on a torn tail and on a bit-flipped record, its valid prefix must be
+// byte for byte what Open keeps, and its records exactly what Open replays.
+TEST(WalTest, ScanFindsExactlyThePrefixOpenKeeps) {
+  for (const bool torn : {true, false}) {
+    SCOPED_TRACE(torn ? "torn tail" : "bit-flipped second record");
+    const std::string path = MakeTempDir() + "/wal.log";
+    {
+      auto wal = persist::Wal::Open(
+          path, {}, [](const uint8_t*, size_t) { return OkStatus(); },
+          nullptr);
+      ASSERT_TRUE(wal.ok());
+      ASSERT_TRUE((*wal)->Append({1, 2, 3}).ok());
+      ASSERT_TRUE((*wal)->Append({4, 5}).ok());
+      ASSERT_TRUE((*wal)->Append({6, 7, 8, 9}).ok());
+    }
+    std::vector<uint8_t> image = ReadWhole(path);
+    if (torn) {
+      // A frame header promising 200 payload bytes, with one behind it.
+      image.push_back(200);
+      image.resize(image.size() + 7, 0);
+      image.push_back(0xee);
+    } else {
+      image[16 + 8 + 3 + 8] ^= 0x01;  // first payload byte of record two
+    }
+    WriteWhole(path, image);
+
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    ASSERT_GE(fd, 0);
+    auto scan = persist::ScanWal(fd, path);
+    ::close(fd);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_TRUE(scan->has_header);
+    EXPECT_EQ(scan->bytes, image);
+    EXPECT_EQ(ReadWhole(path), image);  // the scan changed nothing
+    ASSERT_LT(scan->valid_bytes, image.size());
+    EXPECT_EQ(scan->records.size(), torn ? 3u : 1u);
+    std::vector<std::vector<uint8_t>> scanned;
+    for (const auto& record : scan->records) {
+      const uint8_t* payload = scan->bytes.data() + record.first;
+      scanned.emplace_back(payload, payload + record.second);
+    }
+
+    std::vector<std::vector<uint8_t>> replayed;
+    persist::WalOpenStats stats;
+    auto wal = persist::Wal::Open(
+        path, {},
+        [&](const uint8_t* payload, size_t size) {
+          replayed.emplace_back(payload, payload + size);
+          return OkStatus();
+        },
+        &stats);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    wal->reset();
+    EXPECT_EQ(replayed, scanned);
+    EXPECT_EQ(stats.truncated_bytes, image.size() - scan->valid_bytes);
+    EXPECT_EQ(ReadWhole(path),
+              std::vector<uint8_t>(image.begin(),
+                                   image.begin() + scan->valid_bytes));
+  }
 }
 
 TEST(WalTest, CorruptHeaderIsATypedErrorNotATruncation) {
@@ -937,6 +1003,113 @@ TEST(StoreTest, CheckpointWithoutDataDirIsFailedPrecondition) {
   auto epoch = engine.Checkpoint("g");
   ASSERT_FALSE(epoch.ok());
   EXPECT_EQ(epoch.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// ---------------------------------------------------------------------------
+// Updates racing registration and evict + re-register. An update the Store
+// acknowledges must be in the log: after a clean close and reopen, recovery
+// succeeds and lands on the last acknowledged epoch.
+// ---------------------------------------------------------------------------
+
+serve::EngineOptions DurableOptions(const std::string& dir) {
+  serve::EngineOptions options;
+  options.data_dir = dir;
+  options.persist_fsync = true;
+  options.checkpoint_interval = 0;
+  return options;
+}
+
+// Reopens `dir` and returns the recovered epoch of "g" (-1 if absent).
+int64_t RecoveredEpoch(const std::string& dir) {
+  serve::GraphRegistry registry;
+  serve::Engine engine(&registry, DurableOptions(dir));
+  EXPECT_TRUE(engine.recovery_status().ok())
+      << engine.recovery_status().ToString();
+  auto entry = registry.Find("g");
+  return entry == nullptr ? -1 : entry->epoch;
+}
+
+TEST(StoreTest, UpdateRacingItsRegistrationIsDurable) {
+  serve::RegisterOptions register_options;
+  register_options.coarsen_ratio = 0.0;
+  const core::MultiViewGraph fixture = TestFixture();
+  for (int trial = 0; trial < 3; ++trial) {
+    // 0: close right after the race; 1: one more update first, whose
+    // record must not leave an epoch gap behind the raced one.
+    for (const int more_updates : {0, 1}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + ", " +
+                   std::to_string(more_updates) + " more update(s)");
+      const std::string dir = MakeTempDir();
+      int64_t acknowledged = -1;
+      {
+        serve::GraphRegistry registry;
+        serve::Engine engine(&registry, DurableOptions(dir));
+        ASSERT_TRUE(engine.recovery_status().ok());
+        // The updater spins until an update is acknowledged, with one last
+        // try after the registration returned.
+        std::atomic<bool> registered{false};
+        std::thread updater([&] {
+          for (;;) {
+            const bool last_try = registered.load();
+            auto updated = engine.UpdateGraph("g", TestDelta(1));
+            if (updated.ok()) {
+              acknowledged = (*updated)->epoch;
+              return;
+            }
+            if (last_try) return;
+          }
+        });
+        const bool ok =
+            engine.RegisterGraph("g", fixture, register_options).ok();
+        registered.store(true);
+        updater.join();
+        ASSERT_TRUE(ok);
+        ASSERT_EQ(acknowledged, 1);
+        for (int u = 0; u < more_updates; ++u) {
+          auto updated = engine.UpdateGraph("g", TestDelta(7));
+          ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+          acknowledged = (*updated)->epoch;
+        }
+      }
+      EXPECT_EQ(RecoveredEpoch(dir), acknowledged);
+    }
+  }
+}
+
+TEST(StoreTest, UpdatesRacingEvictAndReregisterStayRecoverable) {
+  serve::RegisterOptions register_options;
+  register_options.coarsen_ratio = 0.0;
+  const core::MultiViewGraph fixture = TestFixture(120);
+  for (int trial = 0; trial < 3; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::string dir = MakeTempDir();
+    int64_t acknowledged = -1;
+    {
+      serve::GraphRegistry registry;
+      serve::Engine engine(&registry, DurableOptions(dir));
+      ASSERT_TRUE(engine.recovery_status().ok());
+      ASSERT_TRUE(engine.RegisterGraph("g", fixture, register_options).ok());
+      std::atomic<bool> stop{false};
+      std::thread updater([&] {
+        while (!stop.load()) {
+          engine.UpdateGraph("g", TestDelta(1, 120));  // NotFound is fine
+        }
+      });
+      int registered = 0;
+      for (int cycle = 0; cycle < 20; ++cycle) {
+        engine.EvictGraph("g");
+        registered +=
+            engine.RegisterGraph("g", fixture, register_options).ok() ? 1 : 0;
+      }
+      stop.store(true);
+      updater.join();
+      ASSERT_EQ(registered, 20);
+      auto updated = engine.UpdateGraph("g", TestDelta(7, 120));
+      ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+      acknowledged = (*updated)->epoch;
+    }
+    EXPECT_EQ(RecoveredEpoch(dir), acknowledged);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -171,7 +171,6 @@ TEST(MessagesTest, RegisterRequestRoundTrip) {
   msg.id = "graph-a";
   msg.mvag = MakeMvag(60, 3, 11);
   msg.shards = 4;
-  msg.updatable = false;
   msg.knn_k = 7;
 
   WireWriter w;
@@ -182,7 +181,6 @@ TEST(MessagesTest, RegisterRequestRoundTrip) {
   ASSERT_TRUE(DecodeRegisterRequest(&r, &decoded));
   EXPECT_EQ(decoded.id, msg.id);
   EXPECT_EQ(decoded.shards, msg.shards);
-  EXPECT_EQ(decoded.updatable, msg.updatable);
   EXPECT_EQ(decoded.knn_k, msg.knn_k);
   EXPECT_EQ(decoded.mvag.num_nodes(), msg.mvag.num_nodes());
   EXPECT_EQ(decoded.mvag.num_clusters(), msg.mvag.num_clusters());

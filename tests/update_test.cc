@@ -215,18 +215,13 @@ TEST(UpdateGraphTest, EmptyDeltaIsANoOp) {
   EXPECT_EQ((*updated)->epoch, 0);
 }
 
-TEST(UpdateGraphTest, UnknownIdAndViewOnlyEntriesFail) {
+TEST(UpdateGraphTest, UnknownIdFails) {
   UpdateFixture f = UpdateFixture::Make(240, 2, 13);
   serve::GraphRegistry registry;
-  auto views = core::ComputeViewLaplacians(f.mvag);
-  ASSERT_TRUE(views.ok());
-  ASSERT_TRUE(registry.RegisterViews("views-only", *views, 2).ok());
+  ASSERT_TRUE(registry.Register("g", f.mvag).ok());
 
   auto missing = registry.UpdateGraph("nope", WeightDelta(f.mvag, 4, 2.0));
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-  auto sourceless =
-      registry.UpdateGraph("views-only", WeightDelta(f.mvag, 4, 2.0));
-  EXPECT_EQ(sourceless.status().code(), StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------------

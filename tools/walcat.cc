@@ -2,54 +2,29 @@
 // header of every checkpoint file in a persist data directory, for debugging
 // crash-recovery issues from the artifacts CI uploads on a gate failure.
 //
-// The scan is strictly read-only — unlike persist::Wal::Open it never
-// truncates a torn tail, it just reports where the valid prefix ends, so
-// running it on a live or crashed directory changes nothing.
+// The scan is strictly read-only — it runs persist::ScanWal, the scan
+// persist::Wal::Open runs before it truncates a torn tail, and reports where
+// the valid prefix ends, so running it on a live or crashed directory
+// changes nothing.
 //
 // Usage: sgla_walcat <data-dir | wal-file | checkpoint.sgck> ...
 #include <dirent.h>
+#include <fcntl.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "persist/checkpoint.h"
 #include "persist/store.h"
 #include "persist/wal.h"
-#include "rpc/wire.h"
 
 namespace sgla {
 namespace {
-
-// On-disk WAL framing, mirrored from src/persist/wal.cc (the writer owns the
-// format; this tool only reads it).
-constexpr uint64_t kWalMagic = 0x53474c4177616c31ull;  // "SGLAwal1"
-constexpr uint32_t kWalVersion = 1;
-constexpr size_t kWalHeaderBytes = 16;
-constexpr size_t kWalFrameBytes = 8;  // u32 len + u32 crc
-constexpr uint32_t kMaxRecordBytes = 256u << 20;
-
-using rpc::GetU32;
-using rpc::GetU64;
-
-bool ReadWhole(const std::string& path, std::vector<uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  in.seekg(0, std::ios::beg);
-  out->resize(size < 0 ? 0 : static_cast<size_t>(size));
-  if (!out->empty()) {
-    in.read(reinterpret_cast<char*>(out->data()),
-            static_cast<std::streamsize>(out->size()));
-  }
-  return in.good() || in.eof();
-}
 
 void PrintDeltaSummary(const serve::GraphDelta& delta) {
   size_t upserts = 0, removals = 0;
@@ -68,38 +43,29 @@ void PrintDeltaSummary(const serve::GraphDelta& delta) {
 }
 
 int CatWal(const std::string& path) {
-  std::vector<uint8_t> bytes;
-  if (!ReadWhole(path, &bytes)) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     std::fprintf(stderr, "%s: cannot read\n", path.c_str());
     return 1;
   }
+  auto scan = persist::ScanWal(fd, path);
+  ::close(fd);
+  if (!scan.ok()) {
+    std::printf("== wal %s\n   INVALID: %s\n", path.c_str(),
+                scan.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<uint8_t>& bytes = scan->bytes;
   std::printf("== wal %s (%zu bytes)\n", path.c_str(), bytes.size());
-  if (bytes.size() < kWalHeaderBytes) {
+  if (!scan->has_header) {
     std::printf("   empty/short file: no header\n");
     return bytes.empty() ? 0 : 1;
   }
-  if (GetU64(bytes.data()) != kWalMagic) {
-    std::printf("   BAD MAGIC %016" PRIx64 " (want %016" PRIx64 ")\n",
-                GetU64(bytes.data()), kWalMagic);
-    return 1;
-  }
-  if (GetU32(bytes.data() + 8) != kWalVersion) {
-    std::printf("   unsupported version %u\n", GetU32(bytes.data() + 8));
-    return 1;
-  }
 
-  size_t offset = kWalHeaderBytes;
-  size_t index = 0;
-  while (offset + kWalFrameBytes <= bytes.size()) {
-    const uint32_t length = GetU32(bytes.data() + offset);
-    const uint32_t crc = GetU32(bytes.data() + offset + 4);
-    if (length > kMaxRecordBytes ||
-        offset + kWalFrameBytes + length > bytes.size()) {
-      break;  // torn tail: report below
-    }
-    const uint8_t* payload = bytes.data() + offset + kWalFrameBytes;
-    if (persist::Crc32(payload, length) != crc) break;
-    auto record = persist::DecodeWalRecord(payload, length);
+  for (size_t index = 0; index < scan->records.size(); ++index) {
+    const size_t offset = scan->records[index].first;
+    const uint32_t length = scan->records[index].second;
+    auto record = persist::DecodeWalRecord(bytes.data() + offset, length);
     if (!record.ok()) {
       // CRC passed but the payload does not decode — a writer bug, not a
       // torn append. Keep scanning so the rest of the log is still visible.
@@ -114,15 +80,14 @@ int CatWal(const std::string& path) {
       PrintDeltaSummary(record->delta);
       std::printf("\n");
     }
-    offset += kWalFrameBytes + length;
-    ++index;
   }
-  if (offset < bytes.size()) {
+  if (scan->valid_bytes < bytes.size()) {
     std::printf("   torn tail: %zu valid record(s), %zu trailing byte(s) at "
                 "offset %zu fail the frame check\n",
-                index, bytes.size() - offset, offset);
+                scan->records.size(), bytes.size() - scan->valid_bytes,
+                scan->valid_bytes);
   } else {
-    std::printf("   %zu record(s), clean tail\n", index);
+    std::printf("   %zu record(s), clean tail\n", scan->records.size());
   }
   return 0;
 }
