@@ -32,7 +32,7 @@ int main() {
         kmeans_acc = eval::ClusteringAccuracy(*kmeans_labels, mvag.labels());
       }
       auto embedding =
-          cluster::SpectralEmbeddingForClustering(integration->laplacian, k, {});
+          cluster::SpectralEmbeddingForClustering(integration->laplacian, k);
       if (embedding.ok()) {
         auto labels = cluster::DiscretizeSpectral(*embedding);
         if (labels.ok()) {

@@ -1,6 +1,12 @@
 // Fig. 5: running time of clustering in seconds, per dataset and method
 // (log-scale bars in the paper; rows here). Also reports peak RSS, matching
 // the paper's memory-efficiency discussion (Sec. VI-B).
+// Exit status is the paper's shape check that SGLA+ is cheaper than SGLA,
+// counted in Lanczos vectors rather than wall time (the solves take
+// milliseconds here, well inside the host's timing noise): 1 unless SGLA+
+// builds strictly fewer vectors than SGLA on every dataset where SGLA builds
+// any.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -59,5 +65,31 @@ int main() {
   }
   std::printf("\npeak RSS of this bench process: %.2f GB\n",
               static_cast<double>(PeakRssBytes()) / (1024.0 * 1024.0 * 1024.0));
-  return 0;
+
+  std::printf("\nLanczos vectors built by the weight search (SGLA+ / SGLA):\n");
+  const auto row_of = [&](const std::string& name) {
+    return static_cast<size_t>(
+        std::find(methods.begin(), methods.end(), name) - methods.begin());
+  };
+  const std::vector<bench::ClusteringRun>& sgla = runs[row_of("SGLA")];
+  const std::vector<bench::ClusteringRun>& sgla_plus = runs[row_of("SGLA+")];
+  bool cheaper = true;
+  for (size_t d = 0; d < datasets.size(); ++d) {
+    if (sgla[d].lanczos_vectors == 0) {
+      std::printf("  %-18s SGLA built none (dense fallback or failed)\n",
+                  datasets[d].c_str());
+      continue;
+    }
+    const bool holds = sgla_plus[d].ok &&
+                       sgla_plus[d].lanczos_vectors < sgla[d].lanczos_vectors;
+    std::printf("  %-18s %6lld / %6lld%s\n", datasets[d].c_str(),
+                static_cast<long long>(sgla_plus[d].lanczos_vectors),
+                static_cast<long long>(sgla[d].lanczos_vectors),
+                holds ? "" : "  FAIL");
+    cheaper = cheaper && holds;
+  }
+  std::printf("paper shape check: SGLA+ builds fewer Lanczos vectors than "
+              "SGLA wherever SGLA builds any: %s\n",
+              cheaper ? "PASS" : "FAIL");
+  return cheaper ? 0 : 1;
 }

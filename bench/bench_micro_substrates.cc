@@ -17,6 +17,7 @@
 #include "core/aggregator.h"
 #include "core/integration.h"
 #include "core/objective.h"
+#include "core/view_laplacian.h"
 #include "data/generator.h"
 #include "graph/knn.h"
 #include "graph/laplacian.h"
@@ -25,6 +26,7 @@
 #include "opt/simplex.h"
 #include "serve/engine.h"
 #include "serve/graph_registry.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -112,9 +114,13 @@ BENCHMARK(BM_Spmv)->Arg(2000)->Arg(8000);
 void BM_AggregateReuse(benchmark::State& state) {
   const Fixture& f = Fixture::Get(state.range(0));
   core::LaplacianAggregator aggregator(&f.views);
+  la::CsrMatrix out;
+  aggregator.BindPattern(&out);
   double w = 0.3;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(aggregator.Aggregate({w, 1.0 - w}));
+    aggregator.AggregateValuesInto({w, 1.0 - w}, &out);
+    benchmark::DoNotOptimize(out.values.data());
+    benchmark::ClobberMemory();
     w = w < 0.7 ? w + 0.01 : 0.3;
   }
 }
@@ -224,9 +230,13 @@ void BM_AggregateThreads(benchmark::State& state) {
   const Fixture& f = Fixture::Get(state.range(0));
   PoolOverride pool(static_cast<int>(state.range(1)));
   core::LaplacianAggregator aggregator(&f.views);
+  la::CsrMatrix out;
+  aggregator.BindPattern(&out);
   double w = 0.3;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(aggregator.Aggregate({w, 1.0 - w}));
+    aggregator.AggregateValuesInto({w, 1.0 - w}, &out);
+    benchmark::DoNotOptimize(out.values.data());
+    benchmark::ClobberMemory();
     w = w < 0.7 ? w + 0.01 : 0.3;
   }
 }
@@ -691,6 +701,85 @@ void BM_EngineResolveAfterUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineResolveAfterUpdate)->Arg(2000)->UseRealTime();
 
+// ---------------------------------------------------------------------------
+// SpMV at the density the engine serves. The per-ISA sweeps above run on the
+// ~7 nnz/row IsaFixture, where the vector CSR row loop barely engages. The
+// e2ebench fixture's integrated Laplacian — two SBM views of expected degree
+// 16 plus a 16-column Gaussian attribute view through KNN, aggregated at
+// uniform weights — has ~47 nnz/row, and that is what the clustering and
+// NetMF eigensolves multiply by. Informational: one thread, per ISA, no
+// baseline entry, outside the --bench-smoke filter. Run with
+//   bench_micro_substrates --benchmark_filter='ServedDensity'
+// ---------------------------------------------------------------------------
+
+/// The integrated Laplacian of an e2ebench-style fixture with n nodes.
+const la::CsrMatrix& ServedLaplacian(int64_t n) {
+  static std::map<int64_t, la::CsrMatrix> cache;
+  auto it = cache.find(n);
+  if (it == cache.end()) {
+    constexpr int kClusters = 4;
+    Rng rng(47);
+    const std::vector<int32_t> labels =
+        data::BalancedLabels(n, kClusters, &rng);
+    const double block = static_cast<double>(n) / kClusters;
+    const double within = block - 1.0;
+    const double across = static_cast<double>(n) - block;
+    core::MultiViewGraph mvag(n, kClusters);
+    mvag.AddGraphView(data::SbmGraph(labels, kClusters, 12.0 / within,
+                                     4.0 / across, &rng));
+    mvag.AddGraphView(data::SbmGraph(labels, kClusters, 10.0 / within,
+                                     6.0 / across, &rng));
+    mvag.AddAttributeView(
+        data::GaussianAttributes(labels, kClusters, 16, 3.0, 0.9, &rng));
+    auto views = core::ComputeViewLaplacians(mvag, graph::KnnOptions());
+    SGLA_CHECK(views.ok()) << views.status().ToString();
+    core::LaplacianAggregator aggregator(&*views);
+    la::CsrMatrix laplacian;
+    aggregator.BindPattern(&laplacian);
+    aggregator.AggregateValuesInto(
+        std::vector<double>(views->size(), 1.0 / static_cast<double>(
+                                                     views->size())),
+        &laplacian);
+    it = cache.emplace(n, std::move(laplacian)).first;
+  }
+  return it->second;
+}
+
+void BM_CsrSpmvServedDensity(benchmark::State& state, la::simd::Isa isa) {
+  const la::CsrMatrix& m = ServedLaplacian(state.range(0));
+  PoolOverride pool(1);
+  IsaOverride pin(isa);
+  la::Vector x(static_cast<size_t>(m.cols), 1.0);
+  la::Vector y(static_cast<size_t>(m.rows));
+  for (auto _ : state) {
+    la::Spmv(m, x.data(), y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m.nnz());
+  state.counters["nnz_per_row"] =
+      static_cast<double>(m.nnz()) / static_cast<double>(m.rows);
+}
+
+void BM_SellSpmvServedDensity(benchmark::State& state, la::simd::Isa isa) {
+  const la::CsrMatrix& m = ServedLaplacian(state.range(0));
+  PoolOverride pool(1);
+  IsaOverride pin(isa);
+  la::SellMatrix sell;
+  la::BuildSellPattern(m, &sell);
+  la::FillSellValues(m.values, &sell);
+  la::Vector x(static_cast<size_t>(m.cols), 1.0);
+  la::Vector y(static_cast<size_t>(m.rows));
+  for (auto _ : state) {
+    la::SellSpmv(sell, x.data(), y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m.nnz());
+  state.counters["nnz_per_row"] =
+      static_cast<double>(m.nnz()) / static_cast<double>(m.rows);
+}
+
 void BM_SglaCobyla(benchmark::State& state) {
   const Fixture& f = Fixture::Get(2000);
   core::SglaOptions options;
@@ -737,6 +826,16 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(("BM_AxpyIsa/" + suffix).c_str(),
                                  BM_AxpyIsa, isa)
         ->Arg(512)
+        ->Arg(2000)
+        ->Arg(8000);
+    benchmark::RegisterBenchmark(
+        ("BM_CsrSpmvServedDensity/" + suffix).c_str(),
+        BM_CsrSpmvServedDensity, isa)
+        ->Arg(2000)
+        ->Arg(8000);
+    benchmark::RegisterBenchmark(
+        ("BM_SellSpmvServedDensity/" + suffix).c_str(),
+        BM_SellSpmvServedDensity, isa)
         ->Arg(2000)
         ->Arg(8000);
   }

@@ -127,6 +127,7 @@ ClusteringRun RunClustering(const std::string& method,
         run.note = integration.status().ToString();
         return run;
       }
+      run.lanczos_vectors = integration->lanczos_iterations;
       finish_labels(ClusterLaplacian(integration->laplacian, k));
     } else if (method == "SGLA+") {
       auto integration = core::SglaPlus(views, k);
@@ -134,6 +135,7 @@ ClusteringRun RunClustering(const std::string& method,
         run.note = integration.status().ToString();
         return run;
       }
+      run.lanczos_vectors = integration->lanczos_iterations;
       finish_labels(ClusterLaplacian(integration->laplacian, k));
     } else if (method == "Equal-w") {
       auto integration = baselines::EqualWeights(views, k);

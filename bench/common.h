@@ -35,6 +35,9 @@ struct ClusteringRun {
   std::string note;  ///< "-" reason when !ok (OOM / unsupported)
   eval::ClusteringQuality quality;
   double seconds = 0.0;
+  /// Lanczos vectors the SGLA / SGLA+ weight search built (0 for every
+  /// other method, and on the dense fallback of tiny graphs).
+  int64_t lanczos_vectors = 0;
 };
 
 /// Methods in table order.

@@ -25,7 +25,7 @@ Flags (combinable, e.g. `--asan --bench-smoke`):
                  fail unless recovered solves are bit-identical to an
                  uninterrupted run (combinable with --asan)
   --isa NAME     pin the SIMD dispatch path for everything this invocation
-                 runs (exports SGLA_ISA=NAME; scalar|neon|avx2|avx512).
+                 runs (exports SGLA_ISA=NAME; scalar|avx2|avx512).
                  Unavailable or unknown names warn and fall back to
                  auto-detection, same as the env var.
   --help, -h     this message
@@ -65,7 +65,7 @@ while [[ $# -gt 0 ]]; do
     --recovery) recovery=1 ;;
     --isa)
       if [[ $# -lt 2 ]]; then
-        echo "check.sh: --isa needs a name (scalar|neon|avx2|avx512)" >&2
+        echo "check.sh: --isa needs a name (scalar|avx2|avx512)" >&2
         exit 2
       fi
       shift

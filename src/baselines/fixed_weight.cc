@@ -13,7 +13,8 @@ Result<core::IntegrationResult> EqualWeights(
   core::IntegrationResult result;
   result.weights.assign(views.size(), 1.0 / static_cast<double>(views.size()));
   core::LaplacianAggregator aggregator(&views);
-  result.laplacian = aggregator.Aggregate(result.weights);
+  aggregator.BindPattern(&result.laplacian);
+  aggregator.AggregateValuesInto(result.weights, &result.laplacian);
   result.weight_history.push_back(result.weights);
   return result;
 }

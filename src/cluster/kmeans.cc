@@ -19,6 +19,9 @@ namespace {
 /// reduction partials).
 constexpr int64_t kPointGrain = 256;
 
+/// Seed of the k-means++ seeding stream shared by all restarts.
+constexpr uint64_t kSeed = 5150;
+
 /// k-means++ seeding: each next center sampled proportional to D^2. Writes
 /// the k centers into `centers` (Reshaped here); `dist2_cache` is the reused
 /// D^2 working array.
@@ -163,7 +166,7 @@ void KMeansInto(const la::DenseMatrix& points, int k,
                 KMeansResult* out) {
   SGLA_CHECK(k > 0) << "KMeans needs k > 0";
   SGLA_CHECK(points.rows() >= k) << "KMeans needs at least k points";
-  Rng rng(options.seed);
+  Rng rng(kSeed);
   out->inertia = std::numeric_limits<double>::max();
   bool have_best = false;
   const int restarts = std::max(1, options.num_init);

@@ -12,7 +12,6 @@ namespace cluster {
 struct KMeansOptions {
   int num_init = 8;        ///< k-means++ restarts; best inertia wins
   int max_iterations = 100;
-  uint64_t seed = 5150;
 };
 
 struct KMeansResult {
@@ -38,7 +37,8 @@ struct KMeansWorkspace {
   KMeansResult candidate;      ///< per-restart result slot
 };
 
-/// Lloyd's algorithm with k-means++ seeding. Deterministic for a fixed seed.
+/// Lloyd's algorithm with k-means++ seeding from a fixed seed, so the
+/// result is deterministic.
 KMeansResult KMeans(const la::DenseMatrix& points, int k,
                     const KMeansOptions& options = {});
 

@@ -14,13 +14,6 @@
 namespace sgla {
 namespace cluster {
 
-struct SpectralEmbeddingOptions {
-  /// Spectrum upper bound passed to the Lanczos complement shift; 2 is valid
-  /// for (convex combinations of) normalized Laplacians.
-  double spectrum_upper_bound = 2.0;
-  int lanczos_subspace = 0;  ///< 0 = auto
-};
-
 /// Reusable scratch for SpectralClusteringInto: the embedding eigensolve
 /// buffers and the k-means scratch. One warm workspace makes repeated
 /// clustering calls at a fixed problem size allocation-free except for the
@@ -33,12 +26,15 @@ struct SpectralWorkspace {
 };
 
 /// Row-normalized matrix of the k smallest Laplacian eigenvectors — the
-/// standard NJW spectral embedding used by both clustering backends.
+/// standard NJW spectral embedding used by both clustering backends, and
+/// the embedding step SpectralClusteringInto runs. `laplacian` must be a
+/// (convex combination of) normalized Laplacian(s): the eigensolve assumes
+/// its spectrum lies in [0, 2].
 Result<la::DenseMatrix> SpectralEmbeddingForClustering(
-    const la::CsrMatrix& laplacian, int k,
-    const SpectralEmbeddingOptions& options = {});
+    const la::CsrMatrix& laplacian, int k);
 
-/// NJW spectral clustering: spectral embedding + k-means.
+/// NJW spectral clustering: spectral embedding + k-means. A thin wrapper
+/// over SpectralClusteringInto with a fresh workspace.
 Result<std::vector<int32_t>> SpectralClustering(
     const la::CsrMatrix& laplacian, int k, const KMeansOptions& kmeans = {});
 

@@ -32,9 +32,9 @@ LaplacianAggregator::LaplacianAggregator(
 
   // Build the union pattern with a row-wise k-way merge, recording for every
   // view the destination slot of each of its nonzeros.
-  aggregate_.rows = rows;
-  aggregate_.cols = cols;
-  aggregate_.row_ptr.assign(static_cast<size_t>(rows) + 1, 0);
+  pattern_.rows = rows;
+  pattern_.cols = cols;
+  pattern_.row_ptr.assign(static_cast<size_t>(rows) + 1, 0);
   scatter_.assign(views->size(), {});
   for (size_t v = 0; v < views->size(); ++v) {
     scatter_[v].resize(static_cast<size_t>((*views)[v].nnz()));
@@ -53,7 +53,7 @@ LaplacianAggregator::LaplacianAggregator(
         }
       }
       if (next_col == INT64_MAX) break;
-      const int64_t slot = static_cast<int64_t>(aggregate_.col_idx.size());
+      const int64_t slot = static_cast<int64_t>(pattern_.col_idx.size());
       for (size_t v = 0; v < views->size(); ++v) {
         int64_t& p = cursor[v];
         if (p < (*views)[v].row_ptr[static_cast<size_t>(r) + 1] &&
@@ -62,18 +62,18 @@ LaplacianAggregator::LaplacianAggregator(
           ++p;
         }
       }
-      aggregate_.col_idx.push_back(next_col);
+      pattern_.col_idx.push_back(next_col);
     }
-    aggregate_.row_ptr[static_cast<size_t>(r) + 1] =
-        static_cast<int64_t>(aggregate_.col_idx.size());
+    pattern_.row_ptr[static_cast<size_t>(r) + 1] =
+        static_cast<int64_t>(pattern_.col_idx.size());
   }
-  aggregate_.values.assign(aggregate_.col_idx.size(), 0.0);
+  pattern_.values.assign(pattern_.col_idx.size(), 0.0);
 }
 
 LaplacianAggregator::LaplacianAggregator(
     const std::vector<la::CsrMatrix>* views, const LaplacianAggregator& donor)
     : views_(views),
-      aggregate_(donor.aggregate_),
+      pattern_(donor.pattern_),
       scatter_(donor.scatter_),
       pattern_id_(donor.pattern_id_) {
   SGLA_CHECK(views != nullptr && views->size() == donor.views_->size())
@@ -91,7 +91,7 @@ LaplacianAggregator::LaplacianAggregator(
 void LaplacianAggregator::FillValues(const std::vector<double>& weights,
                                      double* values) const {
   SGLA_CHECK(weights.size() == views_->size())
-      << "Aggregate weight count mismatch";
+      << "aggregator weight count mismatch";
   // Row-parallel over the union pattern: every union slot belongs to exactly
   // one row, and per slot the view contributions arrive in ascending view
   // order — the same per-slot summation order as the serial view-major loop,
@@ -99,10 +99,10 @@ void LaplacianAggregator::FillValues(const std::vector<double>& weights,
   constexpr int64_t kRowGrain = 512;
   const la::simd::KernelTable* table = la::simd::ActiveTable();
   util::ThreadPool::Global().ParallelFor(
-      0, aggregate_.rows, kRowGrain,
+      0, pattern_.rows, kRowGrain,
       [&, values, table](int64_t lo, int64_t hi) {
-        std::fill(values + aggregate_.row_ptr[static_cast<size_t>(lo)],
-                  values + aggregate_.row_ptr[static_cast<size_t>(hi)], 0.0);
+        std::fill(values + pattern_.row_ptr[static_cast<size_t>(lo)],
+                  values + pattern_.row_ptr[static_cast<size_t>(hi)], 0.0);
         for (size_t v = 0; v < views_->size(); ++v) {
           const double w = weights[v];
           if (w == 0.0) continue;
@@ -119,24 +119,18 @@ void LaplacianAggregator::FillValues(const std::vector<double>& weights,
       });
 }
 
-const la::CsrMatrix& LaplacianAggregator::Aggregate(
-    const std::vector<double>& weights) {
-  FillValues(weights, aggregate_.values.data());
-  return aggregate_;
-}
-
 void LaplacianAggregator::BindPattern(la::CsrMatrix* out) const {
-  out->rows = aggregate_.rows;
-  out->cols = aggregate_.cols;
-  out->row_ptr = aggregate_.row_ptr;  // assign-reuses out's capacity
-  out->col_idx = aggregate_.col_idx;
-  out->values.assign(aggregate_.col_idx.size(), 0.0);
+  out->rows = pattern_.rows;
+  out->cols = pattern_.cols;
+  out->row_ptr = pattern_.row_ptr;  // assign-reuses out's capacity
+  out->col_idx = pattern_.col_idx;
+  out->values.assign(pattern_.col_idx.size(), 0.0);
 }
 
 void LaplacianAggregator::AggregateValuesInto(
     const std::vector<double>& weights, la::CsrMatrix* out) const {
-  SGLA_CHECK(out->rows == aggregate_.rows &&
-             out->values.size() == aggregate_.values.size())
+  SGLA_CHECK(out->rows == pattern_.rows &&
+             out->values.size() == pattern_.values.size())
       << "AggregateValuesInto on an unbound output buffer";
   FillValues(weights, out->values.data());
 }

@@ -11,15 +11,14 @@ namespace core {
 
 /// Computes L_w = sum_i w_i L_i repeatedly for changing weights without
 /// rebuilding the union sparsity pattern each time: the pattern and each
-/// view's scatter map into it are precomputed once, so Aggregate() is a pure
-/// fused-multiply pass over the union nnz. This is the hot inner loop of the
-/// SGLA weight search (see DESIGN.md, "aggregator reuse").
+/// view's scatter map into it are precomputed once, so AggregateValuesInto()
+/// is a pure fused-multiply pass over the union nnz. This is the hot inner
+/// loop of the SGLA weight search (see DESIGN.md, "aggregator reuse").
 ///
-/// The pattern is immutable after construction, so any number of threads may
-/// call the const AggregateInto() form concurrently, each with its own
-/// output buffer — this is how the engine layer serves concurrent solves on
-/// one registered graph. The legacy Aggregate() writes into an internal
-/// buffer and therefore needs external serialization.
+/// An aggregator is immutable after construction, so any number of threads
+/// may call AggregateValuesInto() concurrently, each with its own output
+/// buffer — this is how the engine layer serves concurrent solves on one
+/// registered graph.
 class LaplacianAggregator {
  public:
   /// `views` must outlive the aggregator. All views share one shape.
@@ -43,21 +42,17 @@ class LaplacianAggregator {
   /// is re-bound instead of trusted (engine workers hop between graphs).
   uint64_t pattern_id() const { return pattern_id_; }
 
-  /// Returns the aggregate for `weights` (size == num_views()). The reference
-  /// stays valid until the next Aggregate() call on this object.
-  const la::CsrMatrix& Aggregate(const std::vector<double>& weights);
-
-  /// The union-pattern CSR. row_ptr/col_idx are immutable after
-  /// construction; values hold whatever the last Aggregate() call wrote.
-  const la::CsrMatrix& pattern() const { return aggregate_; }
+  /// The union-pattern CSR; every value is 0.0.
+  const la::CsrMatrix& pattern() const { return pattern_; }
 
   /// Copies the union pattern into `out` (shape, row_ptr, col_idx) and sizes
   /// out->values; values content is unspecified. Reuses out's buffers.
   void BindPattern(la::CsrMatrix* out) const;
 
-  /// Fills out->values with sum_i w_i L_i over the union pattern; `out` must
-  /// have been bound with BindPattern() first (checked). Thread-safe across
-  /// distinct `out` buffers; allocation-free.
+  /// Fills out->values with sum_i w_i L_i over the union pattern (weights
+  /// size == num_views()); `out` must have been bound with BindPattern()
+  /// first (checked). Thread-safe across distinct `out` buffers;
+  /// allocation-free.
   void AggregateValuesInto(const std::vector<double>& weights,
                            la::CsrMatrix* out) const;
 
@@ -65,7 +60,7 @@ class LaplacianAggregator {
   void FillValues(const std::vector<double>& weights, double* values) const;
 
   const std::vector<la::CsrMatrix>* views_;
-  la::CsrMatrix aggregate_;                      ///< union pattern, reused
+  la::CsrMatrix pattern_;                        ///< union pattern
   std::vector<std::vector<int64_t>> scatter_;    ///< view nnz -> union nnz
   uint64_t pattern_id_ = 0;
 };

@@ -30,6 +30,9 @@ struct IntegrationResult {
   /// run's cost counter (0 for baselines that never ran the spectral
   /// objective).
   int64_t lanczos_iterations = 0;
+  /// Objective evaluations the weight search made; SGLA stops before
+  /// SglaOptions::max_evaluations once it converges (0 for baselines).
+  int64_t evaluations = 0;
 };
 
 struct SglaOptions {
@@ -64,9 +67,6 @@ struct SglaPlusOptions {
   /// most this many nodes (0 disables sampling). The final aggregation always
   /// uses the full views.
   int64_t max_objective_nodes = 4096;
-  uint64_t sample_seed = 416;
-  /// Ridge coefficient for the quadratic surrogate fit.
-  double ridge = 0.05;
 };
 
 /// SGLA+: evaluates the objective at a few sampled weight vectors (optionally

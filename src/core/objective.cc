@@ -53,8 +53,7 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
 
   AggregateIntoWorkspace(weights);
   // Convex combinations of normalized Laplacians keep the spectrum in [0, 2].
-  la::LanczosOptions lanczos;
-  lanczos.max_subspace = options_.lanczos_subspace;
+  const la::LanczosOptions lanczos;
   la::LanczosStats stats;
   Status solved;
   if (!la::UsesDenseFallback(workspace_->aggregate.rows, k_ + 1)) {

@@ -21,8 +21,6 @@ struct ObjectiveOptions {
   /// Ablation switches (Fig. 11): the full objective uses both terms.
   bool use_eigengap = true;
   bool use_connectivity = true;
-  /// Eigensolver controls; subspace 0 = auto.
-  int lanczos_subspace = 0;
   /// Robust mode (serving's corrupted-view defense): adds
   /// robust_rho * sum_i w_i * |r_i - median(r)| to h, where r_i is view i's
   /// Rayleigh quotient trace(U^T L_i U) / (k+1) against the consensus Ritz

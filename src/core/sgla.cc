@@ -41,6 +41,7 @@ Result<IntegrationResult> SglaOnAggregator(const LaplacianAggregator& aggregator
   result.weight_history = std::move(trace->point_history);
   result.laplacian = objective.AggregateAt(result.weights);
   result.lanczos_iterations = objective.total_lanczos_iterations();
+  result.evaluations = objective.evaluations();
   return result;
 }
 

@@ -9,6 +9,14 @@
 
 namespace sgla {
 namespace core {
+namespace {
+
+// Seed of the extra weight samples (sample_delta > 0) and the node sample.
+constexpr uint64_t kSampleSeed = 416;
+// Ridge coefficient of the quadratic surrogate fit.
+constexpr double kSurrogateRidge = 0.05;
+
+}  // namespace
 
 std::vector<la::Vector> SglaPlusSamples(int r) {
   std::vector<la::Vector> samples;
@@ -33,7 +41,7 @@ Result<IntegrationResult> SglaPlusOnAggregator(
 
   // Assemble the sample set: r+1 defaults, adjusted by sample_delta.
   std::vector<la::Vector> samples = SglaPlusSamples(r);
-  Rng rng(options.sample_seed);
+  Rng rng(kSampleSeed);
   int delta = options.sample_delta;
   while (delta < 0 && samples.size() > 2) {
     samples.pop_back();
@@ -88,7 +96,7 @@ Result<IntegrationResult> SglaPlusOnAggregator(
     }
   }
 
-  auto model = opt::QuadraticModel::Fit(samples, values, options.ridge);
+  auto model = opt::QuadraticModel::Fit(samples, values, kSurrogateRidge);
   if (!model.ok()) return model.status();
   la::Vector minimizer = model->MinimizeOnSimplex();
 
@@ -104,6 +112,7 @@ Result<IntegrationResult> SglaPlusOnAggregator(
 
   result.weights = std::move(minimizer);
   result.lanczos_iterations = objective.total_lanczos_iterations();
+  result.evaluations = objective.evaluations();
   if (sampled_aggregator == nullptr) {
     // No node sampling: the objective evaluated on the full union pattern
     // and can materialize the final aggregate itself.

@@ -7,6 +7,12 @@
 
 namespace sgla {
 namespace embed {
+namespace {
+
+constexpr int kWindow = 10;        // context window T of the DeepWalk matrix
+constexpr double kNegative = 1.0;  // negative-sampling constant b
+
+}  // namespace
 
 Result<la::DenseMatrix> NetMf(const la::CsrMatrix& laplacian,
                               const NetMfOptions& options) {
@@ -29,15 +35,14 @@ Result<la::DenseMatrix> NetMf(const la::CsrMatrix& laplacian,
     // Window filter: average of mu^p over p = 1..T.
     double filtered = 0.0;
     double power = 1.0;
-    for (int p = 1; p <= options.window; ++p) {
+    for (int p = 1; p <= kWindow; ++p) {
       power *= mu;
       filtered += power;
     }
-    filtered /= static_cast<double>(options.window);
+    filtered /= static_cast<double>(kWindow);
     // Truncated log of the shifted PMI spectrum; clipped below at 0.
-    const double value =
-        std::log1p(std::max(0.0, filtered) * static_cast<double>(n) /
-                   std::max(options.negative, 1e-9));
+    const double value = std::log1p(std::max(0.0, filtered) *
+                                    static_cast<double>(n) / kNegative);
     const double scale = std::sqrt(std::max(0.0, value));
     for (int64_t i = 0; i < n; ++i) {
       embedding(i, j) = eigen->vectors(i, j + 1) * scale;

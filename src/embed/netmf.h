@@ -10,13 +10,12 @@ namespace embed {
 
 struct NetMfOptions {
   int dim = 64;
-  int window = 10;        ///< context window T of the DeepWalk matrix
-  double negative = 1.0;  ///< negative-sampling constant b
 };
 
 /// Spectral NetMF over an integrated normalized Laplacian L: recovers the
 /// normalized adjacency spectrum (mu = 1 - lambda), applies the window
-/// filter f(mu) = avg_{p<=T} mu^p and the truncated-log transform, and
+/// filter f(mu) = avg_{p<=T} mu^p with context window T = 10 and the
+/// truncated-log transform with negative-sampling constant b = 1, and
 /// returns the filtered eigenbasis as the embedding (n x dim). This is the
 /// eigen-space variant of NetMF's small-graph path, matching the paper's use
 /// of the integrated Laplacian's spectrum directly.

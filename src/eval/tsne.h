@@ -11,18 +11,16 @@ namespace sgla {
 namespace eval {
 
 struct TsneOptions {
-  double perplexity = 30.0;
   int max_iterations = 500;
   /// Points beyond this count are uniformly subsampled (t-SNE is O(n^2));
   /// 0 keeps everything.
   int64_t max_points = 2000;
-  double learning_rate = 200.0;
-  uint64_t seed = 31337;
 };
 
-/// Exact (non-Barnes-Hut) t-SNE to 2 dimensions. If `kept_indices` is
-/// non-null it receives the original row index of each output row (identity
-/// when no subsampling happened).
+/// Exact (non-Barnes-Hut) t-SNE to 2 dimensions at perplexity 30 (capped at
+/// (n - 1) / 3) and learning rate 200, from a fixed seed. If `kept_indices`
+/// is non-null it receives the original row index of each output row
+/// (identity when no subsampling happened).
 Result<la::DenseMatrix> Tsne(const la::DenseMatrix& points,
                              const TsneOptions& options = {},
                              std::vector<int64_t>* kept_indices = nullptr);

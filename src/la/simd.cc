@@ -21,9 +21,6 @@ const KernelTable* Avx2Table() { return nullptr; }
 #if !defined(SGLA_SIMD_HAVE_AVX512)
 const KernelTable* Avx512Table() { return nullptr; }
 #endif
-#if !defined(SGLA_SIMD_HAVE_NEON)
-const KernelTable* NeonTable() { return nullptr; }
-#endif
 
 namespace {
 
@@ -31,8 +28,6 @@ const KernelTable* TableFor(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return ScalarTable();
-    case Isa::kNeon:
-      return NeonTable();
     case Isa::kAvx2:
       return Avx2Table();
     case Isa::kAvx512:
@@ -45,12 +40,6 @@ bool HostSupports(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return true;
-    case Isa::kNeon:
-#if defined(__aarch64__)
-      return true;  // AdvSIMD is architectural on AArch64
-#else
-      return false;
-#endif
     case Isa::kAvx2:
     case Isa::kAvx512:
 #if defined(__x86_64__) || defined(__i386__)
@@ -67,8 +56,7 @@ bool HostSupports(Isa isa) {
   return false;
 }
 
-constexpr Isa kAllIsas[] = {Isa::kScalar, Isa::kNeon, Isa::kAvx2,
-                            Isa::kAvx512};
+constexpr Isa kAllIsas[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512};
 
 // The resolved dispatch state. `g_table` is what the hot path loads (one
 // acquire load per kernel call); `g_isa` mirrors it for diagnostics. Both
@@ -91,8 +79,6 @@ const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kNeon:
-      return "neon";
     case Isa::kAvx2:
       return "avx2";
     case Isa::kAvx512:
@@ -131,7 +117,7 @@ Isa ResolveIsaSpec(const char* spec, std::string* warning) {
   }
   if (warning != nullptr) {
     *warning = std::string("[SGLA WARNING] SGLA_ISA='") + token +
-               "' is not one of scalar|neon|avx2|avx512; falling back to "
+               "' is not one of scalar|avx2|avx512; falling back to "
                "auto-detected '" +
                IsaName(best) + "'";
   }

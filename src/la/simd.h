@@ -12,11 +12,12 @@ namespace simd {
 
 /// The ISA paths the dispatcher knows about. Order encodes preference:
 /// auto-detection picks the highest value that is both compiled in and
-/// supported by the host.
-enum class Isa { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
+/// supported by the host. Hosts without AVX2 (every non-x86 one included)
+/// run scalar.
+enum class Isa { kScalar, kAvx2, kAvx512 };
 
-/// Lowercase token of an ISA ("scalar", "neon", "avx2", "avx512") — the
-/// exact spelling SGLA_ISA accepts.
+/// Lowercase token of an ISA ("scalar", "avx2", "avx512") — the exact
+/// spelling SGLA_ISA accepts.
 const char* IsaName(Isa isa);
 
 /// The kernel table every la/core/cluster hot loop dispatches through.

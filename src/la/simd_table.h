@@ -66,7 +66,6 @@ struct KernelTable {
 const KernelTable* ScalarTable();
 const KernelTable* Avx2Table();    // nullptr unless compiled in
 const KernelTable* Avx512Table();  // nullptr unless compiled in
-const KernelTable* NeonTable();    // nullptr unless compiled in
 
 }  // namespace simd
 }  // namespace la

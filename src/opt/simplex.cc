@@ -10,6 +10,11 @@ namespace sgla {
 namespace opt {
 namespace {
 
+// Coordinate shift of the initial simplex, and COBYLA's initial and final
+// trust-region radius.
+constexpr double kInitialStep = 0.3;
+constexpr double kMinStep = 1e-4;
+
 struct Evaluated {
   la::Vector point;
   double value;
@@ -22,12 +27,12 @@ void RecordIteration(const Evaluated& best, SimplexTrace* trace) {
 
 /// Initial regular-ish simplex: the uniform vector plus one vertex-shifted
 /// point per coordinate, all projected back onto the feasible set.
-std::vector<la::Vector> InitialSimplex(int dim, double step) {
+std::vector<la::Vector> InitialSimplex(int dim) {
   std::vector<la::Vector> points;
   points.emplace_back(static_cast<size_t>(dim), 1.0 / dim);
   for (int i = 0; i < dim; ++i) {
     la::Vector p = points.front();
-    p[static_cast<size_t>(i)] += step;
+    p[static_cast<size_t>(i)] += kInitialStep;
     points.push_back(ProjectToSimplex(std::move(p)));
   }
   return points;
@@ -38,7 +43,7 @@ Result<SimplexTrace> NelderMead(
     const SimplexOptions& options) {
   SimplexTrace trace;
   std::vector<Evaluated> simplex;
-  for (la::Vector& p : InitialSimplex(dim, options.initial_step)) {
+  for (la::Vector& p : InitialSimplex(dim)) {
     simplex.push_back({p, f(p)});
     ++trace.evaluations;
   }
@@ -123,7 +128,7 @@ Result<SimplexTrace> Cobyla(int dim,
                             const SimplexOptions& options) {
   SimplexTrace trace;
   std::vector<Evaluated> points;
-  for (la::Vector& p : InitialSimplex(dim, options.initial_step)) {
+  for (la::Vector& p : InitialSimplex(dim)) {
     points.push_back({p, f(p)});
     ++trace.evaluations;
   }
@@ -133,9 +138,8 @@ Result<SimplexTrace> Cobyla(int dim,
   Evaluated best = *best_it;
   RecordIteration(best, &trace);
 
-  double radius = options.initial_step;
-  while (trace.evaluations < options.max_evaluations &&
-         radius > options.min_step) {
+  double radius = kInitialStep;
+  while (trace.evaluations < options.max_evaluations && radius > kMinStep) {
     // Least-squares linear model value ~ c + g.w over the current point set.
     // Normal equations in dim+1 unknowns; dim is small (the view count).
     const int m = dim + 1;

@@ -21,8 +21,6 @@ struct SimplexOptions {
   /// Stop once an optimizer iteration improves the best value by less than
   /// this (the paper's early-termination threshold epsilon).
   double epsilon = 1e-3;
-  double initial_step = 0.3;
-  double min_step = 1e-4;
 };
 
 struct SimplexTrace {
@@ -39,8 +37,10 @@ struct SimplexTrace {
 la::Vector ProjectToSimplex(la::Vector w);
 
 /// Minimizes f over the `dim`-dimensional probability simplex starting from
-/// the uniform vector. f may be noisy/expensive; evaluation count is bounded
-/// by options.max_evaluations. Derivative-free.
+/// the uniform vector and one point per coordinate shifted by 0.3 toward it.
+/// f may be noisy/expensive; evaluation count is bounded by
+/// options.max_evaluations. Derivative-free; COBYLA also stops once its
+/// trust radius (starting at 0.3) shrinks to 1e-4.
 Result<SimplexTrace> MinimizeOnSimplex(
     int dim, const std::function<double(const la::Vector&)>& f,
     const SimplexOptions& options = {});

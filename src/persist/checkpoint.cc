@@ -11,6 +11,7 @@
 #include "la/dense.h"
 #include "persist/wal.h"
 #include "rpc/wire.h"
+#include "util/fnv1a.h"
 
 namespace sgla {
 namespace persist {
@@ -109,15 +110,6 @@ bool DecodeGraph(rpc::WireReader* r, core::MultiViewGraph* mvag) {
   return true;
 }
 
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t hash = 1469598103934665603ull;
-  for (char c : s) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 Status FsyncParentDir(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
@@ -141,7 +133,7 @@ Status FsyncParentDir(const std::string& path) {
 
 std::string CheckpointFileName(const std::string& id, uint64_t reg_uid) {
   static const char* kHex = "0123456789abcdef";
-  const uint64_t hash = Fnv1a(id);
+  const uint64_t hash = util::Fnv1a(id.data(), id.size());
   std::string name = "ck-";
   for (int i = 15; i >= 0; --i) {
     name += kHex[(hash >> (4 * i)) & 0xFu];

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "util/fnv1a.h"
+
 namespace sgla {
 namespace serve {
 namespace {
@@ -15,15 +17,10 @@ constexpr int64_t kMinCoarsenFineRows = 64;
 // removing a view all change it; pure edits and the epoch counter do not.
 uint64_t ActiveViewsSignature(const std::vector<uint64_t>& uids,
                               const std::vector<bool>& active) {
-  uint64_t hash = 1469598103934665603ull;
+  uint64_t hash = util::kFnv1aBasis;
   for (size_t v = 0; v < uids.size(); ++v) {
     if (!active.empty() && !active[v]) continue;
-    uint64_t x = uids[v];
-    for (int b = 0; b < 8; ++b) {
-      hash ^= x & 0xffu;
-      hash *= 1099511628211ull;
-      x >>= 8;
-    }
+    hash = util::Fnv1aU64(uids[v], hash);
   }
   return hash;
 }

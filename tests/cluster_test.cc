@@ -139,7 +139,7 @@ TEST(DiscretizeTest, MatchesKMeansOnCleanEmbedding) {
   const std::vector<int32_t> labels = data::BalancedLabels(300, 3, &rng);
   const graph::Graph g = data::SbmGraph(labels, 3, 0.15, 0.005, &rng);
   const la::CsrMatrix laplacian = graph::NormalizedLaplacian(g);
-  auto embedding = cluster::SpectralEmbeddingForClustering(laplacian, 3, {});
+  auto embedding = cluster::SpectralEmbeddingForClustering(laplacian, 3);
   ASSERT_TRUE(embedding.ok());
   auto discrete = cluster::DiscretizeSpectral(*embedding);
   ASSERT_TRUE(discrete.ok()) << discrete.status().ToString();

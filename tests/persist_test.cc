@@ -36,31 +36,15 @@
 #include "serve/engine.h"
 #include "serve/graph_delta.h"
 #include "serve/graph_registry.h"
+#include "util/fnv1a.h"
 #include "util/rng.h"
 
 namespace sgla {
 namespace {
 
-uint64_t Fnv1a(const void* data, size_t bytes,
-               uint64_t hash = 1469598103934665603ull) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-template <typename T>
-uint64_t HashVector(const std::vector<T>& v) {
-  return Fnv1a(v.data(), v.size() * sizeof(T));
-}
-
-uint64_t HashCsr(const la::CsrMatrix& m) {
-  uint64_t hash = Fnv1a(m.row_ptr.data(), m.row_ptr.size() * sizeof(int64_t));
-  hash = Fnv1a(m.col_idx.data(), m.col_idx.size() * sizeof(int64_t), hash);
-  return Fnv1a(m.values.data(), m.values.size() * sizeof(double), hash);
-}
+using util::Fnv1a;
+using util::HashCsr;
+using util::HashVector;
 
 std::string MakeTempDir() {
   std::string path = ::testing::TempDir() + "sgla_persist_XXXXXX";
