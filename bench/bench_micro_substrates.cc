@@ -328,7 +328,6 @@ void BM_SellSpmvIsa(benchmark::State& state, la::simd::Isa isa) {
   const la::CsrMatrix& m = f.views[0];
   la::SellMatrix sell;
   la::BuildSellPattern(m, &sell);
-  la::FillSellValues(m.values, &sell);
   la::Vector x(static_cast<size_t>(m.cols), 1.0);
   la::Vector y(static_cast<size_t>(m.rows));
   for (auto _ : state) {
@@ -544,6 +543,24 @@ void BM_CoarsenGraph(benchmark::State& state) {
   state.SetLabel(la::simd::ActiveIsaName());
 }
 BENCHMARK(BM_CoarsenGraph)->Arg(2000)->Arg(8000)->UseRealTime();
+
+// End-to-end registration: view Laplacians, the union merge and its SELL
+// layout, the coarse plan and contraction. Informational: no baseline entry
+// and outside perf_gate.py's TIMING_GATED, so it shows what registration
+// costs without gating it. The build runs on pool workers, so it is timed
+// in wall-clock; the eviction and the entry's teardown are not timed.
+void BM_EngineRegister(benchmark::State& state) {
+  const Fixture& f = Fixture::Get(state.range(0));
+  serve::GraphRegistry registry;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(registry.Register("bench", f.mvag).ok());
+    state.PauseTiming();
+    registry.Evict("bench");  // drops the last reference to the entry
+    state.ResumeTiming();
+  }
+  state.SetLabel(la::simd::ActiveIsaName());
+}
+BENCHMARK(BM_EngineRegister)->Arg(2000)->Arg(8000)->UseRealTime();
 
 // Steady-state incremental updates: a value-only delta (weight nudges on
 // existing edges) absorbed by UpdateGraph's copy-on-write epoch swap. The
@@ -767,7 +784,6 @@ void BM_SellSpmvServedDensity(benchmark::State& state, la::simd::Isa isa) {
   IsaOverride pin(isa);
   la::SellMatrix sell;
   la::BuildSellPattern(m, &sell);
-  la::FillSellValues(m.values, &sell);
   la::Vector x(static_cast<size_t>(m.cols), 1.0);
   la::Vector y(static_cast<size_t>(m.rows));
   for (auto _ : state) {

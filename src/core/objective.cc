@@ -23,20 +23,6 @@ SpectralObjective::SpectralObjective(const LaplacianAggregator* aggregator,
       k_(k),
       options_(options) {}
 
-void SpectralObjective::AggregateIntoWorkspace(
-    const std::vector<double>& weights) {
-  if (workspace_->bound_pattern != aggregator_->pattern_id()) {
-    aggregator_->BindPattern(&workspace_->aggregate);
-    // The SELL form lives in the workspace, not the aggregator, so a
-    // registered graph holds its union pattern once. BuildSellPattern
-    // reuses the workspace's capacity: rebinding between patterns the
-    // workspace has held before allocates nothing.
-    la::BuildSellPattern(workspace_->aggregate, &workspace_->sell);
-    workspace_->bound_pattern = aggregator_->pattern_id();
-  }
-  aggregator_->AggregateValuesInto(weights, &workspace_->aggregate);
-}
-
 Result<ObjectiveValue> SpectralObjective::Evaluate(
     const std::vector<double>& weights) {
   if (static_cast<int>(weights.size()) != num_views()) {
@@ -51,20 +37,25 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
     return InvalidArgument("view weights must lie on the simplex");
   }
 
-  AggregateIntoWorkspace(weights);
   // Convex combinations of normalized Laplacians keep the spectrum in [0, 2].
   const la::LanczosOptions lanczos;
   la::LanczosStats stats;
   Status solved;
-  if (!la::UsesDenseFallback(workspace_->aggregate.rows, k_ + 1)) {
-    // Lanczos-sized problem: route mat-vecs through the SELL form of the
-    // aggregate (scalar-bit-identical to the CSR form; see la/sparse.h).
-    la::FillSellValues(workspace_->aggregate.values, &workspace_->sell);
-    solved = la::SmallestEigenpairsInto(la::SellSpmvOperator(workspace_->sell),
-                                        k_ + 1, 2.0, lanczos,
-                                        &workspace_->lanczos,
-                                        &workspace_->eigen, &stats);
+  if (!la::UsesDenseFallback(aggregator_->pattern().rows, k_ + 1)) {
+    // Lanczos-sized problem: aggregate straight into the aggregator's SELL
+    // slot order and run the mat-vecs on its shared layout
+    // (scalar-bit-identical to the CSR form; see la/sparse.h).
+    aggregator_->AggregateSellValuesInto(weights, &workspace_->values);
+    solved = la::SmallestEigenpairsInto(
+        la::SellSpmvOperator(aggregator_->sell_layout(),
+                             workspace_->values.data()),
+        k_ + 1, 2.0, lanczos, &workspace_->lanczos, &workspace_->eigen,
+        &stats);
   } else {
+    // The dense fallback densifies a CSR; at these sizes (n <= 96) binding
+    // it on every evaluation costs next to nothing.
+    aggregator_->BindPattern(&workspace_->aggregate);
+    aggregator_->AggregateValuesInto(weights, &workspace_->aggregate);
     solved = la::SmallestEigenpairsInto(workspace_->aggregate, k_ + 1, 2.0,
                                         lanczos, &workspace_->lanczos,
                                         &workspace_->eigen, &stats);
@@ -123,12 +114,6 @@ Result<ObjectiveValue> SpectralObjective::Evaluate(
   }
   value.lanczos_iterations = stats.iterations;
   return value;
-}
-
-const la::CsrMatrix& SpectralObjective::AggregateAt(
-    const std::vector<double>& weights) {
-  AggregateIntoWorkspace(weights);
-  return workspace_->aggregate;
 }
 
 }  // namespace core

@@ -47,17 +47,23 @@ struct ObjectiveValue {
 };
 
 /// All mutable hot-loop state of one objective-evaluation session: the
-/// aggregated-Laplacian output CSR (bound to one aggregator's union pattern,
-/// tracked by `bound_pattern`), the Lanczos basis/panel scratch, and the
-/// eigenpair output buffers. After a warm-up evaluation sizes every buffer,
-/// steady-state evaluations at the same problem size perform zero heap
-/// allocations. Workspaces are cheap when idle and reusable across graphs
-/// (rebinding on first use per graph); they must not be shared by two
-/// concurrent evaluations.
+/// aggregate's values in the evaluated aggregator's SELL slot order, the
+/// Lanczos basis/panel scratch, and the eigenpair output buffers. The
+/// union pattern and its SELL layout live in the aggregator, once per
+/// graph, so binding a workspace to another graph is a resize of `values`.
+/// After a warm-up evaluation sizes every buffer, steady-state evaluations
+/// at the same problem size perform zero heap allocations, and so does
+/// hopping between graphs the workspace has already served. Workspaces must
+/// not be shared by two concurrent evaluations.
+///
+/// Sizes on the e2ebench fixture (~48 nnz per row, k = 4): at n = 8000,
+/// `values` is ~3.1 MB and `lanczos` ~4.4 MB; at n = 2000, ~0.8 MB and
+/// ~1.1 MB. `eigen` holds n * (k + 1) doubles.
 struct EvalWorkspace {
-  la::CsrMatrix aggregate;       ///< union-pattern output buffer
-  la::SellMatrix sell;           ///< SELL form of `aggregate`, built on bind
-  uint64_t bound_pattern = 0;    ///< pattern_id the buffers were bound to
+  std::vector<double> values;  ///< L_w in the aggregator's SELL slot order
+  /// Union-pattern CSR of L_w, for the dense-fallback sizes only
+  /// (la::UsesDenseFallback: n <= 96); empty for Lanczos-sized graphs.
+  la::CsrMatrix aggregate;
   la::LanczosWorkspace lanczos;
   la::Eigenpairs eigen;
   /// Robust-mode scratch (sized on first robust Evaluate, idle otherwise):
@@ -92,12 +98,6 @@ class SpectralObjective {
 
   Result<ObjectiveValue> Evaluate(const std::vector<double>& weights);
 
-  /// The aggregated Laplacian at `weights`, through the same precomputed
-  /// union pattern Evaluate() uses — callers that already ran a weight
-  /// search on this objective avoid rebuilding an aggregator for the final
-  /// result. The reference stays valid until the next Evaluate/AggregateAt.
-  const la::CsrMatrix& AggregateAt(const std::vector<double>& weights);
-
   /// Number of Evaluate() calls so far (the paper's iteration counter t).
   int64_t evaluations() const { return evaluations_; }
 
@@ -106,10 +106,6 @@ class SpectralObjective {
   int64_t total_lanczos_iterations() const { return lanczos_iterations_; }
 
  private:
-  /// Rebinds the workspace buffers to this aggregator's pattern if they
-  /// were last used against a different one, then fills the values.
-  void AggregateIntoWorkspace(const std::vector<double>& weights);
-
   std::unique_ptr<LaplacianAggregator> owned_aggregator_;
   const LaplacianAggregator* aggregator_;
   std::unique_ptr<EvalWorkspace> owned_workspace_;

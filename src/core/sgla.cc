@@ -39,7 +39,8 @@ Result<IntegrationResult> SglaOnAggregator(const LaplacianAggregator& aggregator
   result.weights = trace->best_point;
   result.objective_history = std::move(trace->value_history);
   result.weight_history = std::move(trace->point_history);
-  result.laplacian = objective.AggregateAt(result.weights);
+  aggregator.BindPattern(&result.laplacian);
+  aggregator.AggregateValuesInto(result.weights, &result.laplacian);
   result.lanczos_iterations = objective.total_lanczos_iterations();
   result.evaluations = objective.evaluations();
   return result;

@@ -113,15 +113,9 @@ Result<IntegrationResult> SglaPlusOnAggregator(
   result.weights = std::move(minimizer);
   result.lanczos_iterations = objective.total_lanczos_iterations();
   result.evaluations = objective.evaluations();
-  if (sampled_aggregator == nullptr) {
-    // No node sampling: the objective evaluated on the full union pattern
-    // and can materialize the final aggregate itself.
-    result.laplacian = objective.AggregateAt(result.weights);
-  } else {
-    // The final aggregation always uses the full views.
-    aggregator.BindPattern(&result.laplacian);
-    aggregator.AggregateValuesInto(result.weights, &result.laplacian);
-  }
+  // The final aggregation always uses the full views.
+  aggregator.BindPattern(&result.laplacian);
+  aggregator.AggregateValuesInto(result.weights, &result.laplacian);
   return result;
 }
 

@@ -124,7 +124,7 @@ Status LanczosPassInto(const SpmvOperator& matrix, double sigma, int m,
     // w = B v_j = sigma v_j - M v_j. The sigma_sub kernel is element-wise
     // (separate multiply and subtract roundings in every ISA variant), so
     // this combine is bit-identical across ISA paths and chunkings.
-    matrix.apply(matrix.ctx, basis.Row(j), w.data());
+    matrix.apply(matrix.ctx, matrix.values, basis.Row(j), w.data());
     const double* vj = basis.Row(j);
     const simd::KernelTable* table = simd::ActiveTable();
     const auto combine = [sigma, vj, &w, table](int64_t lo, int64_t hi) {
@@ -196,7 +196,7 @@ Status LanczosPassInto(const SpmvOperator& matrix, double sigma, int m,
     const double vnorm = Norm2(assembled, n);
     if (vnorm < 1e-12) continue;  // row is re-zeroed for the next candidate
     Scale(1.0 / vnorm, assembled, n);
-    matrix.apply(matrix.ctx, assembled, mv.data());
+    matrix.apply(matrix.ctx, matrix.values, assembled, mv.data());
     Axpy(-value, assembled, mv.data(), n);
     ws->bank_value[static_cast<size_t>(pass_base + produced)] = value;
     ws->bank_residual[static_cast<size_t>(pass_base + produced)] =
@@ -207,12 +207,13 @@ Status LanczosPassInto(const SpmvOperator& matrix, double sigma, int m,
   return OkStatus();
 }
 
-void CsrApply(const void* ctx, const double* x, double* y) {
+void CsrApply(const void* ctx, const double*, const double* x, double* y) {
   Spmv(*static_cast<const CsrMatrix*>(ctx), x, y);
 }
 
-void SellApply(const void* ctx, const double* x, double* y) {
-  SellSpmv(*static_cast<const SellMatrix*>(ctx), x, y);
+void SellApply(const void* ctx, const double* values, const double* x,
+               double* y) {
+  SellSpmv(*static_cast<const SellMatrix*>(ctx), values, x, y);
 }
 
 }  // namespace
@@ -225,11 +226,13 @@ SpmvOperator CsrSpmvOperator(const CsrMatrix& m) {
   return op;
 }
 
-SpmvOperator SellSpmvOperator(const SellMatrix& m) {
+SpmvOperator SellSpmvOperator(const SellMatrix& layout,
+                              const double* values) {
   SpmvOperator op;
-  op.rows = m.rows;
+  op.rows = layout.rows;
   op.apply = &SellApply;
-  op.ctx = &m;
+  op.ctx = &layout;
+  op.values = values;
   return op;
 }
 

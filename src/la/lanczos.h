@@ -56,24 +56,29 @@ struct LanczosWorkspace {
   DenseMatrix dense_sym;       ///< dense fallback: symmetrized copy
 };
 
-/// Matrix-free symmetric operator: apply(ctx, x, y) must overwrite all
-/// `rows` entries of y with M x (x is full-length, size rows) and must be
-/// deterministic — the Lanczos trajectory reproduces bit for bit only if
-/// every application does. CSR and SELL matrices wrap themselves via
-/// CsrSpmvOperator() and SellSpmvOperator().
+/// Matrix-free symmetric operator: apply(ctx, values, x, y) must overwrite
+/// all `rows` entries of y with M x (x is full-length, size rows) and must
+/// be deterministic — the Lanczos trajectory reproduces bit for bit only if
+/// every application does. `values` is a second context pointer for
+/// operators whose entries live apart from their pattern. CSR and SELL
+/// matrices wrap themselves via CsrSpmvOperator() and SellSpmvOperator().
 struct SpmvOperator {
   int64_t rows = 0;
-  void (*apply)(const void* ctx, const double* x, double* y) = nullptr;
+  void (*apply)(const void* ctx, const double* values, const double* x,
+                double* y) = nullptr;
   const void* ctx = nullptr;
+  const double* values = nullptr;
 };
 
 /// Wraps `m` (which must outlive the operator) for the operator-form solver.
 SpmvOperator CsrSpmvOperator(const CsrMatrix& m);
 
-/// Wraps a SELL-C-σ matrix (see la::SellMatrix) the same way. Under
-/// SGLA_ISA=scalar the application is bit-identical to CsrSpmvOperator on
-/// the source CSR; vector ISAs run the padded slice kernel.
-SpmvOperator SellSpmvOperator(const SellMatrix& m);
+/// Wraps a SELL-C-σ layout and a value array in its slot order (see
+/// la::SellMatrix and the SellSpmv overload that takes values; both must
+/// outlive the operator). Under SGLA_ISA=scalar the application is
+/// bit-identical to CsrSpmvOperator on the source CSR; vector ISAs run the
+/// padded slice kernel.
+SpmvOperator SellSpmvOperator(const SellMatrix& layout, const double* values);
 
 /// True when the CSR form below takes the dense Jacobi fallback (tiny matrix
 /// or nearly full spectrum requested) instead of running Lanczos. The

@@ -109,7 +109,7 @@ void Avx2SigmaSub(double sigma, const double* v, double* w, int64_t n) {
   for (; i < n; ++i) w[i] = sigma * v[i] - w[i];
 }
 
-void Avx2ScatterAxpy(double w, const double* values, const int64_t* map,
+void Avx2ScatterAxpy(double w, const double* values, const int32_t* map,
                      int64_t nnz, double* out) {
   // AVX2 has gathers but no scatters, so the read-modify-writes stay
   // scalar; only the products vectorize. Each slot still sees one rounded

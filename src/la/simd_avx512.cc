@@ -87,12 +87,12 @@ void Avx512SigmaSub(double sigma, const double* v, double* w, int64_t n) {
   for (; i < n; ++i) w[i] = sigma * v[i] - w[i];
 }
 
-void Avx512ScatterAxpy(double w, const double* values, const int64_t* map,
+void Avx512ScatterAxpy(double w, const double* values, const int32_t* map,
                        int64_t nnz, double* out) {
-  // The union-pattern map is strictly increasing, so an 8-wide
-  // gather + scatter would be conflict-free — but scalar read-modify-writes
-  // keep the kernel bit-identical to the scalar path (one rounded multiply,
-  // one rounded add per slot) and the products still vectorize.
+  // The map never repeats a slot, so an 8-wide gather + scatter would be
+  // conflict-free — but scalar read-modify-writes keep the kernel
+  // bit-identical to the scalar path (one rounded multiply, one rounded add
+  // per slot) and the products still vectorize.
   const __m512d vw = _mm512_set1_pd(w);
   alignas(64) double product[8];
   int64_t p = 0;

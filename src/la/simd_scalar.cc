@@ -40,7 +40,7 @@ void ScalarSigmaSub(double sigma, const double* v, double* w, int64_t n) {
   for (int64_t i = 0; i < n; ++i) w[i] = sigma * v[i] - w[i];
 }
 
-void ScalarScatterAxpy(double w, const double* values, const int64_t* map,
+void ScalarScatterAxpy(double w, const double* values, const int32_t* map,
                        int64_t nnz, double* out) {
   for (int64_t p = 0; p < nnz; ++p) out[map[p]] += w * values[p];
 }

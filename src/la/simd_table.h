@@ -36,9 +36,10 @@ struct KernelTable {
   void (*scale)(double alpha, double* x, int64_t n);
   /// w[i] = sigma * v[i] - w[i] (Lanczos deflation combine).
   void (*sigma_sub)(double sigma, const double* v, double* w, int64_t n);
-  /// out[map[p]] += w * values[p] for p in [0, nnz). `map` is strictly
-  /// increasing (union-pattern scatter), so the writes are conflict-free.
-  void (*scatter_axpy)(double w, const double* values, const int64_t* map,
+  /// out[map[p]] += w * values[p] for p in [0, nnz). `map` never repeats a
+  /// slot (one view's scatter into the union pattern, as offsets from the
+  /// σ window's first output slot), so the writes are conflict-free.
+  void (*scatter_axpy)(double w, const double* values, const int32_t* map,
                        int64_t nnz, double* out);
   /// y[r - row_begin] = sum_p values[p] * x[col_idx[p]] over the CSR row
   /// extent [row_ptr[r], row_ptr[r+1]) for r in [row_begin, row_end).

@@ -63,6 +63,23 @@ void MergeWeightedRows(const std::vector<const CsrMatrix*>& views,
   }
 }
 
+/// Calls fn(at, p) for every stored entry of slices [slice_begin,
+/// slice_end) of `sell`, the layout of `m`: CSR entry p sits at storage
+/// index `at`. Padding slots and ghost lanes are skipped.
+template <typename Fn>
+void ForEachSellEntry(const CsrMatrix& m, const SellMatrix& sell,
+                      int64_t slice_begin, int64_t slice_end, Fn&& fn) {
+  for (int64_t slot = slice_begin * kSellLanes; slot < slice_end * kSellLanes;
+       ++slot) {
+    const int64_t row = sell.perm[static_cast<size_t>(slot)];
+    if (row < 0) continue;  // ghost lane in the final slice
+    const int64_t base = SellSlotBase(sell, slot);
+    const int64_t start = m.row_ptr[static_cast<size_t>(row)];
+    const int64_t len = sell.row_len[static_cast<size_t>(slot)];
+    for (int64_t j = 0; j < len; ++j) fn(base + j * kSellLanes, start + j);
+  }
+}
+
 }  // namespace
 
 CsrMatrix FromTriplets(int64_t rows, int64_t cols,
@@ -108,90 +125,93 @@ void Spmv(const CsrMatrix& m, const double* x, double* y) {
       });
 }
 
-void BuildSellPattern(const CsrMatrix& m, SellMatrix* out) {
+void BuildSellLayout(const CsrMatrix& m, SellMatrix* out) {
   out->rows = m.rows;
   out->cols = m.cols;
+  out->values.clear();
   const int64_t num_slices = (m.rows + kSellLanes - 1) / kSellLanes;
   const int64_t num_slots = num_slices * kSellLanes;
-
-  // Row permutation: descending nnz within each σ window, ascending row
-  // index among equals, windows in natural order. The index tie-break makes
-  // plain std::sort (in-place, no temporary buffer) produce exactly the
-  // stable order.
-  out->perm.assign(static_cast<size_t>(num_slots), -1);
-  std::iota(out->perm.begin(), out->perm.begin() + m.rows, int64_t{0});
+  out->perm.resize(static_cast<size_t>(num_slots));
+  out->row_len.resize(static_cast<size_t>(num_slots));
+  out->slice_ptr.assign(static_cast<size_t>(num_slices) + 1, 0);
   const auto nnz_of = [&m](int64_t r) {
     return m.row_ptr[static_cast<size_t>(r) + 1] -
            m.row_ptr[static_cast<size_t>(r)];
   };
-  for (int64_t lo = 0; lo < m.rows; lo += kSellSortWindow) {
-    const int64_t hi = std::min(m.rows, lo + kSellSortWindow);
-    std::sort(out->perm.begin() + lo, out->perm.begin() + hi,
-              [&nnz_of](int64_t a, int64_t b) {
-                const int64_t na = nnz_of(a);
-                const int64_t nb = nnz_of(b);
-                return na != nb ? na > nb : a < b;
-              });
-  }
+  // A window's rows fill exactly its own slices, so both passes run one σ
+  // window per chunk and write disjoint slots.
+  util::ThreadPool& pool = util::ThreadPool::Global();
 
-  out->row_len.assign(static_cast<size_t>(num_slots), 0);
-  out->slice_ptr.assign(static_cast<size_t>(num_slices) + 1, 0);
-  for (int64_t s = 0; s < num_slices; ++s) {
-    int64_t width = 0;
-    for (int64_t l = 0; l < kSellLanes; ++l) {
-      const int64_t slot = s * kSellLanes + l;
-      const int64_t row = out->perm[static_cast<size_t>(slot)];
-      if (row < 0) continue;  // ghost lane in the final slice
-      const int64_t len = nnz_of(row);
-      out->row_len[static_cast<size_t>(slot)] = len;
-      width = std::max(width, len);
-    }
-    out->slice_ptr[static_cast<size_t>(s) + 1] =
-        out->slice_ptr[static_cast<size_t>(s)] + width;
-  }
-
-  const size_t padded =
-      static_cast<size_t>(out->slice_ptr[static_cast<size_t>(num_slices)] *
-                          kSellLanes);
-  out->col_idx.assign(padded, 0);
-  out->values.assign(padded, 0.0);
-  out->value_slot.assign(static_cast<size_t>(m.nnz()), 0);
-  for (int64_t s = 0; s < num_slices; ++s) {
-    const int64_t base = out->slice_ptr[static_cast<size_t>(s)] * kSellLanes;
-    for (int64_t l = 0; l < kSellLanes; ++l) {
-      const int64_t slot = s * kSellLanes + l;
-      const int64_t row = out->perm[static_cast<size_t>(slot)];
-      if (row < 0) continue;
-      const int64_t start = m.row_ptr[static_cast<size_t>(row)];
-      const int64_t len = out->row_len[static_cast<size_t>(slot)];
-      for (int64_t j = 0; j < len; ++j) {
-        const int64_t at = base + j * kSellLanes + l;
-        out->col_idx[static_cast<size_t>(at)] =
-            m.col_idx[static_cast<size_t>(start + j)];
-        out->values[static_cast<size_t>(at)] =
-            m.values[static_cast<size_t>(start + j)];
-        out->value_slot[static_cast<size_t>(start + j)] = at;
+  // Pass 1: the row permutation — descending nnz within the window,
+  // ascending row index among equals (the tie-break makes in-place
+  // std::sort produce exactly the stable order) — the unpadded lengths, and
+  // each slice's width, parked in slice_ptr[s + 1] until the prefix sum.
+  pool.ParallelFor(0, m.rows, kSellSortWindow, [&](int64_t lo, int64_t hi) {
+    int64_t* perm = out->perm.data();
+    std::iota(perm + lo, perm + hi, lo);
+    std::sort(perm + lo, perm + hi, [&nnz_of](int64_t a, int64_t b) {
+      const int64_t na = nnz_of(a);
+      const int64_t nb = nnz_of(b);
+      return na != nb ? na > nb : a < b;
+    });
+    const int64_t slice_end = (hi + kSellLanes - 1) / kSellLanes;
+    std::fill(perm + hi, perm + slice_end * kSellLanes, int64_t{-1});
+    for (int64_t s = lo / kSellLanes; s < slice_end; ++s) {
+      int64_t width = 0;
+      for (int64_t l = 0; l < kSellLanes; ++l) {
+        const int64_t slot = s * kSellLanes + l;
+        const int64_t row = perm[slot];
+        const int64_t len = row < 0 ? 0 : nnz_of(row);
+        out->row_len[static_cast<size_t>(slot)] = len;
+        width = std::max(width, len);
       }
+      out->slice_ptr[static_cast<size_t>(s) + 1] = width;
     }
+  });
+  for (int64_t s = 0; s < num_slices; ++s) {
+    out->slice_ptr[static_cast<size_t>(s) + 1] +=
+        out->slice_ptr[static_cast<size_t>(s)];
   }
+
+  // Pass 2: column indices, 0 in padding.
+  out->col_idx.resize(static_cast<size_t>(
+      out->slice_ptr[static_cast<size_t>(num_slices)] * kSellLanes));
+  pool.ParallelFor(0, m.rows, kSellSortWindow, [&](int64_t lo, int64_t hi) {
+    const int64_t slice_begin = lo / kSellLanes;
+    const int64_t slice_end = (hi + kSellLanes - 1) / kSellLanes;
+    int64_t* col = out->col_idx.data();
+    std::fill(col + SellSlotBase(*out, lo),
+              col + out->slice_ptr[static_cast<size_t>(slice_end)] * kSellLanes,
+              int64_t{0});
+    ForEachSellEntry(m, *out, slice_begin, slice_end,
+                     [&m, col](int64_t at, int64_t p) {
+                       col[at] = m.col_idx[static_cast<size_t>(p)];
+                     });
+  });
 }
 
-void FillSellValues(const std::vector<double>& csr_values, SellMatrix* out) {
-  SGLA_CHECK(csr_values.size() == out->value_slot.size())
-      << "FillSellValues nnz mismatch (pattern not built for this CSR?)";
-  for (size_t p = 0; p < csr_values.size(); ++p) {
-    out->values[static_cast<size_t>(out->value_slot[p])] = csr_values[p];
-  }
+void BuildSellPattern(const CsrMatrix& m, SellMatrix* out) {
+  BuildSellLayout(m, out);
+  out->values.assign(out->col_idx.size(), 0.0);
+  double* values = out->values.data();
+  ForEachSellEntry(m, *out, 0, out->num_slices(),
+                   [&m, values](int64_t at, int64_t p) {
+                     values[at] = m.values[static_cast<size_t>(p)];
+                   });
 }
 
 void SellSpmv(const SellMatrix& m, const double* x, double* y) {
+  SellSpmv(m, m.values.data(), x, y);
+}
+
+void SellSpmv(const SellMatrix& m, const double* values, const double* x,
+              double* y) {
   const simd::KernelTable* table = simd::ActiveTable();
   util::ThreadPool::Global().ParallelFor(
       0, m.num_slices(), kSellSliceGrain,
-      [&m, x, y, table](int64_t lo, int64_t hi) {
-        table->sell_spmv(m.slice_ptr.data(), m.col_idx.data(),
-                         m.values.data(), m.row_len.data(), m.perm.data(), x,
-                         y, lo, hi);
+      [&m, values, x, y, table](int64_t lo, int64_t hi) {
+        table->sell_spmv(m.slice_ptr.data(), m.col_idx.data(), values,
+                         m.row_len.data(), m.perm.data(), x, y, lo, hi);
       });
 }
 

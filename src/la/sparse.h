@@ -45,39 +45,55 @@ constexpr int64_t kSellSortWindow = 512;
 /// Storage is lane-minor — slot j of slice s, lane l lives at
 /// (slice_ptr[s] + j) * kSellLanes + l — so one vector register walks a
 /// whole slice column-step by column-step. Padding slots carry value 0.0
-/// and column 0; ghost lanes (beyond the final row) have perm < 0.
+/// and column 0; ghost lanes (beyond the final row) have perm < 0. The rows
+/// of window [lo, lo + kSellSortWindow) fill exactly the slots and slices of
+/// that window, so a row-parallel loop at that grain owns whole slices.
 ///
-/// The pattern arrays (everything except `values`) are a pure function of
-/// the CSR sparsity; `values` is refreshed in place from new CSR values via
-/// `value_slot`, so a bound SellMatrix rides along with the zero-allocation
-/// aggregation workspaces.
+/// The layout (everything except `values`) is a pure function of the CSR
+/// sparsity. It may travel without values: core::LaplacianAggregator keeps
+/// one bare layout per registered graph, and each solve keeps only a value
+/// array in its slot order (the SellSpmv overload that takes one).
 struct SellMatrix {
   int64_t rows = 0;
   int64_t cols = 0;
   std::vector<int64_t> slice_ptr;  ///< num_slices + 1, in column steps
   std::vector<int64_t> col_idx;    ///< slice_ptr.back() * kSellLanes
-  std::vector<double> values;      ///< same size as col_idx
+  std::vector<double> values;      ///< same size as col_idx; empty if bare
   std::vector<int64_t> row_len;    ///< per slot: unpadded row length
   std::vector<int64_t> perm;       ///< per slot: source row, < 0 for ghosts
-  std::vector<int64_t> value_slot; ///< CSR entry p -> index into values
   int64_t num_slices() const {
     return static_cast<int64_t>(slice_ptr.size()) - 1;
   }
+  /// Value slots, padding included: the size of a value array for it.
+  int64_t num_slots() const { return static_cast<int64_t>(col_idx.size()); }
 };
 
-/// (Re)builds `out` as the SELL form of `m`, reusing its buffers' capacity.
-/// Values are copied from m along with the pattern.
-void BuildSellPattern(const CsrMatrix& m, SellMatrix* out);
+/// Storage index of column step 0 of `slot` (slice * kSellLanes + lane):
+/// entry j of row m.perm[slot] lives at SellSlotBase(m, slot) +
+/// j * kSellLanes.
+inline int64_t SellSlotBase(const SellMatrix& m, int64_t slot) {
+  return m.slice_ptr[static_cast<size_t>(slot / kSellLanes)] * kSellLanes +
+         slot % kSellLanes;
+}
 
-/// Overwrites out->values from `csr_values` (size out->value_slot.size(),
-/// the source CSR's nnz) through the value_slot map. Allocation-free;
-/// padding slots keep their 0.0.
-void FillSellValues(const std::vector<double>& csr_values, SellMatrix* out);
+/// (Re)builds `out` as the bare SELL layout of `m`'s sparsity (out->values
+/// cleared), reusing its buffers' capacity. One σ window per chunk on the
+/// global pool; the layout does not depend on the thread count.
+void BuildSellLayout(const CsrMatrix& m, SellMatrix* out);
+
+/// BuildSellLayout plus m's values copied into slot order (0.0 in padding).
+void BuildSellPattern(const CsrMatrix& m, SellMatrix* out);
 
 /// y = M * x over the SELL form; bit-identical at any thread count, and
 /// under SGLA_ISA=scalar bit-identical to Spmv on the source CSR (the
 /// scalar kernel walks each row's entries in CSR order, skipping padding).
 void SellSpmv(const SellMatrix& m, const double* x, double* y);
+
+/// The same product over the layout of `m` with the values held elsewhere:
+/// `values` has m.num_slots() entries in slot order, 0.0 in padding slots.
+/// m.values is not read.
+void SellSpmv(const SellMatrix& m, const double* values, const double* x,
+              double* y);
 
 /// Builds CSR from triplets, summing duplicates; entries sorted by (row, col).
 CsrMatrix FromTriplets(int64_t rows, int64_t cols, std::vector<Triplet> entries);

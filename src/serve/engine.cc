@@ -232,14 +232,14 @@ Result<SolveResponse> Engine::Run(const SolveRequest& request,
   options.base.objective.robust = request.robust || entry.robust_views;
 
   // The fast tier runs in the coarse-sized workspace so fast and exact
-  // solves on one session don't evict each other's bound patterns.
+  // solves on one session don't resize each other's buffers.
   const core::LaplacianAggregator& aggregator =
       fast ? *coarse->aggregator : *entry.aggregator;
-  core::EvalWorkspace* eval = fast ? &ws->coarse_eval : &ws->eval;
+  TierWorkspace* tier = fast ? &ws->coarse : &ws->exact;
   Result<core::IntegrationResult> integration =
       request.algorithm == Algorithm::kSgla
-          ? core::SglaOnAggregator(aggregator, k, options.base, eval)
-          : core::SglaPlusOnAggregator(aggregator, k, options, eval);
+          ? core::SglaOnAggregator(aggregator, k, options.base, &tier->eval)
+          : core::SglaPlusOnAggregator(aggregator, k, options, &tier->eval);
   if (!integration.ok()) return integration.status();
 
   SolveResponse response;
@@ -253,19 +253,21 @@ Result<SolveResponse> Engine::Run(const SolveRequest& request,
 
   if (request.mode == SolveMode::kCluster) {
     la::LanczosStats embed_stats;
+    // Lend the tier's weight-search Lanczos and eigenpair buffers to the
+    // embedding eigensolve and take them back: a solve leaves nothing in
+    // them that the next one reads, so the loan changes no bits.
+    std::swap(tier->eval.lanczos, tier->cluster.lanczos);
+    std::swap(tier->eval.eigen, tier->cluster.eigen);
+    Status clustered = cluster::SpectralClusteringInto(
+        response.integration.laplacian, k, request.kmeans, &tier->cluster,
+        fast ? &ws->coarse_labels : &response.labels, nullptr, nullptr,
+        nullptr, &embed_stats);
+    std::swap(tier->eval.eigen, tier->cluster.eigen);
+    std::swap(tier->eval.lanczos, tier->cluster.lanczos);
+    if (!clustered.ok()) return clustered;
     if (fast) {
-      Status clustered = cluster::SpectralClusteringInto(
-          response.integration.laplacian, k, request.kmeans,
-          &ws->coarse_cluster, &ws->coarse_labels, nullptr, nullptr, nullptr,
-          &embed_stats);
-      if (!clustered.ok()) return clustered;
       coarse::ProlongateLabels(coarse->plan, ws->coarse_labels,
                                &response.labels);
-    } else {
-      Status clustered = cluster::SpectralClusteringInto(
-          response.integration.laplacian, k, request.kmeans, &ws->cluster,
-          &response.labels, nullptr, nullptr, nullptr, &embed_stats);
-      if (!clustered.ok()) return clustered;
     }
     response.stats.embedding_lanczos_iterations = embed_stats.iterations;
   } else {

@@ -111,8 +111,11 @@ struct SolveResponse {
 
 struct EngineOptions {
   /// Concurrent solve sessions. Each session worker owns one reusable
-  /// workspace; kernel-level parallelism inside a solve still comes from the
-  /// shared deterministic ThreadPool.
+  /// workspace (one value array and one Lanczos basis per tier: ~7.9 MB
+  /// warm at n = 8000, ~2.0 MB at n = 2000); kernel-level parallelism inside
+  /// a solve still comes from the shared deterministic ThreadPool. 4
+  /// sessions instead of 2 nearly doubled serve-skewed throughput but
+  /// slowed ingest-stream exact solves by ~40% (ROADMAP.md).
   int num_sessions = 2;
   /// Admission bound: maximum accepted-but-unfinished solves across
   /// Submit/TrySubmit. 0 (default) keeps today's unbounded behavior; > 0
@@ -261,17 +264,25 @@ class Engine {
   }
 
  private:
-  /// Per-session reusable state; index = session worker id. Per session,
-  /// not per graph: `eval` is stamped with the pattern it was bound to and
-  /// rebound when the session hops to a different graph.
-  struct SessionWorkspace {
+  /// One serving tier's scratch. The clustering eigensolve borrows
+  /// `eval.lanczos` and `eval.eigen` for its call, so a tier keeps one
+  /// Lanczos basis and one eigenpair buffer; `cluster.lanczos` and
+  /// `cluster.eigen` stay empty between solves.
+  struct TierWorkspace {
     core::EvalWorkspace eval;
     cluster::SpectralWorkspace cluster;
-    /// Coarse-tier scratch, sized by the coarse companion (~ratio * n): the
-    /// fast tier's whole pipeline runs here, so fast and exact solves never
-    /// fight over one workspace's bound pattern.
-    core::EvalWorkspace coarse_eval;
-    cluster::SpectralWorkspace coarse_cluster;
+  };
+
+  /// Per-session reusable state; index = session worker id. Per session,
+  /// not per graph: the pattern and its SELL layout stay in each graph's
+  /// aggregator, so hopping to another graph only resizes buffers. The
+  /// fast tier runs in `coarse`, sized by the coarse companion
+  /// (~coarsen_ratio * n). On the e2ebench fixture a warm exact tier holds
+  /// ~7.9 MB at n = 8000 and ~2.0 MB at n = 2000 (DESIGN.md "Engine
+  /// layer").
+  struct SessionWorkspace {
+    TierWorkspace exact;
+    TierWorkspace coarse;
     std::vector<int32_t> coarse_labels;  ///< pre-prolongation labels
   };
 

@@ -128,8 +128,8 @@ std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
 // null for registration, recovery and lifecycle epochs) and `affected` marks
 // the views the edit recomputed. The donor lends only what has provably
 // identical inputs: when every serving view keeps its sparsity, the union
-// pattern and scatter maps are copied under the donor's pattern_id (bound
-// solve workspaces skip rebinding) and the companion reuses the plan, the
+// pattern, its SELL layout and the scatter maps are copied under the
+// donor's pattern_id and the companion reuses the plan, the
 // untouched coarse views and, when the coarse patterns match, the coarse
 // aggregator. Any pattern change re-plans from scratch.
 void BuildServingState(GraphEntry* entry, const core::MultiViewGraph& mvag,

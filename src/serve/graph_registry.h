@@ -182,8 +182,8 @@ class GraphRegistry {
   /// recomputed (attribute rows re-run that view's KNN); the rest carry over
   /// bitwise. An edit epoch lends the builder its predecessor: when no
   /// serving view changes sparsity, the aggregators donor-copy the previous
-  /// pattern/scatter state — same pattern_id, so bound solve workspaces skip
-  /// rebinding — and the companion keeps its plan and the contractions of
+  /// pattern, SELL layout and scatter maps under the same pattern_id — and
+  /// the companion keeps its plan and the contractions of
   /// untouched views. Any pattern change rebuilds the union pattern and
   /// re-plans the companion from scratch. Lifecycle deltas
   /// (AddView/RemoveView/MaskView/UnmaskView) build without a donor. AddView

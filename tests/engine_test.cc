@@ -608,10 +608,11 @@ TEST(EngineAllocationTest, SteadyStateObjectiveEvaluationsAllocateNothing) {
 
 TEST(EngineAllocationTest, RebindingBetweenPatternsAllocatesNothing) {
   // One workspace alternates between two graphs of different n, the way a
-  // session worker hops between registered graphs: every Evaluate rebinds
-  // the union CSR and rebuilds its SELL form. Once both patterns have been
-  // bound, the buffers fit either, so a rebind must allocate nothing — and
-  // every value must equal a fresh workspace's, bit for bit.
+  // session worker hops between registered graphs. The union pattern and
+  // its SELL layout stay in each aggregator, so every Evaluate only resizes
+  // the workspace's value array to the other graph's slot count. Once both
+  // graphs have been served, the buffers fit either, so a hop must allocate
+  // nothing — and every value must equal a fresh workspace's, bit for bit.
   const GraphFixture fa = GraphFixture::Make(1200, 4, 93);
   const GraphFixture fb = GraphFixture::Make(700, 3, 97);
   const core::LaplacianAggregator a(&fa.views);
@@ -635,8 +636,15 @@ TEST(EngineAllocationTest, RebindingBetweenPatternsAllocatesNothing) {
     core::EvalWorkspace workspace;
     core::SpectralObjective on_a(&a, 4, core::ObjectiveOptions(), &workspace);
     core::SpectralObjective on_b(&b, 3, core::ObjectiveOptions(), &workspace);
-    ASSERT_TRUE(on_a.Evaluate(w).ok());  // warm-up: bind both patterns
+    ASSERT_TRUE(on_a.Evaluate(w).ok());  // warm-up: serve both graphs
     ASSERT_TRUE(on_b.Evaluate(w).ok());
+    // The workspace holds one double per SELL slot of the graph it served
+    // last, and no union-pattern CSR: both graphs are Lanczos-sized.
+    EXPECT_EQ(static_cast<int64_t>(workspace.values.size()),
+              b.sell_layout().num_slots());
+    EXPECT_EQ(workspace.aggregate.row_ptr.capacity(), 0u);
+    EXPECT_EQ(workspace.aggregate.col_idx.capacity(), 0u);
+    EXPECT_EQ(workspace.aggregate.values.capacity(), 0u);
 
     const int64_t before = g_allocations.load(std::memory_order_relaxed);
     for (int i = 0; i < 6; ++i) {
@@ -651,7 +659,7 @@ TEST(EngineAllocationTest, RebindingBetweenPatternsAllocatesNothing) {
     }
     const int64_t after = g_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0)
-        << "rebinding between bound patterns allocated at threads="
+        << "hopping between served graphs allocated at threads="
         << threads;
   }
 }

@@ -433,7 +433,6 @@ TEST(SimdTest, SellSpmvMatchesCsrPerIsa) {
       const la::CsrMatrix m = RandomSparse(n, n, density, &rng);
       la::SellMatrix sell;
       la::BuildSellPattern(m, &sell);
-      la::FillSellValues(m.values, &sell);
       la::Vector x(static_cast<size_t>(n));
       for (double& v : x) v = rng.Gaussian();
       la::Vector y_csr(static_cast<size_t>(n), -1.0);
@@ -465,8 +464,10 @@ TEST(SimdTest, ElementWiseKernelsBitIdenticalAcrossIsas) {
     la::Vector x(static_cast<size_t>(n)), y0(static_cast<size_t>(n));
     for (double& v : x) v = rng.Gaussian();
     for (double& v : y0) v = rng.Gaussian();
-    std::vector<int64_t> map(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) map[static_cast<size_t>(i)] = 2 * i;
+    std::vector<int32_t> map(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      map[static_cast<size_t>(i)] = static_cast<int32_t>(2 * i);
+    }
 
     // Scalar reference pass.
     la::Vector axpy_ref, scale_ref, sig_ref, scat_ref;

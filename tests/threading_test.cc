@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <stdexcept>
 #include <string>
@@ -52,6 +53,20 @@ class ThreadCountGuard {
   ~ThreadCountGuard() {
     util::ThreadPool::SetGlobalThreads(util::ThreadPool::DefaultThreads());
   }
+};
+
+/// Pins the SIMD dispatch path for one test scope, restoring the previous
+/// path on destruction (same helper as la_test.cc).
+class ScopedIsa {
+ public:
+  explicit ScopedIsa(la::simd::Isa isa) : previous_(la::simd::ActiveIsa()) {
+    EXPECT_TRUE(la::simd::SetActiveForTesting(isa))
+        << "pinning unavailable ISA " << la::simd::IsaName(isa);
+  }
+  ~ScopedIsa() { la::simd::SetActiveForTesting(previous_); }
+
+ private:
+  la::simd::Isa previous_;
 };
 
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
@@ -330,6 +345,100 @@ TEST(AggregatorTest, MatchesWeightedSumOnDisjointSupports) {
   for (int64_t p = 0; p < got.nnz(); ++p) {
     EXPECT_DOUBLE_EQ(got.values[static_cast<size_t>(p)],
                      want.values[static_cast<size_t>(p)]);
+  }
+}
+
+uint64_t DoubleBits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+/// The SELL-order fill is what every Lanczos-sized objective evaluation
+/// runs on: slot for slot it must equal BuildSellPattern of the CSR fill,
+/// with +0.0 in padding and ghost-lane slots, on every ISA and at every
+/// thread count — for a fresh and a pattern-donor aggregator, zero weights
+/// included.
+TEST(AggregatorTest, SellFillMatchesSellFormOfCsrFill) {
+  const std::vector<std::vector<double>> weight_sets = {
+      {0.2, 0.5, 0.3},
+      {0.0, 1.0, 0.0},  // zero weights are skipped, not scaled
+      {0.0, 0.0, 0.0},  // all-zero: every slot reads +0.0
+  };
+  ThreadCountGuard guard;
+  // 61: one window, a ragged final slice. 1203: three windows, the last
+  // ragged (179 rows), and ghost lanes in the final slice.
+  for (int64_t n : {61, 1203}) {
+    Rng rng(400 + static_cast<uint64_t>(n));
+    const double scale = 8.0 / static_cast<double>(n);
+    std::vector<la::CsrMatrix> views;
+    views.push_back(RandomSparse(n, n, 0.5 * scale, &rng));
+    views.push_back(RandomSparse(n, n, 1.0 * scale, &rng));
+    views.push_back(RandomSparse(n, n, 2.0 * scale, &rng));
+    std::vector<la::CsrMatrix> rescaled = views;  // same patterns
+    for (la::CsrMatrix& view : rescaled) {
+      for (double& value : view.values) value *= -1.5;
+    }
+    const core::LaplacianAggregator fresh(&views);
+    const core::LaplacianAggregator donor_copy(&rescaled, fresh);
+
+    for (const core::LaplacianAggregator* aggregator : {&fresh, &donor_copy}) {
+      la::CsrMatrix csr;
+      aggregator->BindPattern(&csr);
+      la::SellMatrix want;
+      la::BuildSellPattern(csr, &want);
+      const la::SellMatrix& layout = aggregator->sell_layout();
+      ASSERT_EQ(layout.slice_ptr, want.slice_ptr) << "n=" << n;
+      ASSERT_EQ(layout.perm, want.perm) << "n=" << n;
+      ASSERT_EQ(layout.row_len, want.row_len) << "n=" << n;
+      ASSERT_EQ(layout.col_idx, want.col_idx) << "n=" << n;
+      EXPECT_TRUE(layout.values.empty());
+
+      for (const std::vector<double>& w : weight_sets) {
+        std::vector<uint64_t> reference;  // first (ISA, threads) run's bits
+        for (la::simd::Isa isa : la::simd::AvailableIsas()) {
+          ScopedIsa pin(isa);
+          for (int threads : {1, 2, 8}) {
+            util::ThreadPool::SetGlobalThreads(threads);
+            aggregator->AggregateValuesInto(w, &csr);
+            la::BuildSellPattern(csr, &want);
+            // Stale NaNs show any slot the fill forgets to write.
+            std::vector<double> got(want.values.size(), std::nan(""));
+            aggregator->AggregateSellValuesInto(w, &got);
+            ASSERT_EQ(got.size(), want.values.size());
+            std::vector<uint64_t> bits(got.size());
+            for (size_t at = 0; at < got.size(); ++at) {
+              bits[at] = DoubleBits(got[at]);
+              ASSERT_EQ(bits[at], DoubleBits(want.values[at]))
+                  << la::simd::IsaName(isa) << " threads=" << threads
+                  << " n=" << n << " slot " << at;
+            }
+            for (int64_t slot = 0; slot < want.num_slices() * la::kSellLanes;
+                 ++slot) {
+              const int64_t width =
+                  want.slice_ptr[static_cast<size_t>(slot / la::kSellLanes) +
+                                 1] -
+                  want.slice_ptr[static_cast<size_t>(slot / la::kSellLanes)];
+              for (int64_t j = want.row_len[static_cast<size_t>(slot)];
+                   j < width; ++j) {
+                const size_t at = static_cast<size_t>(
+                    la::SellSlotBase(want, slot) + j * la::kSellLanes);
+                EXPECT_EQ(bits[at], DoubleBits(0.0))
+                    << "padding slot " << at << " n=" << n
+                    << (want.perm[static_cast<size_t>(slot)] < 0 ? " (ghost)"
+                                                                 : "");
+              }
+            }
+            if (reference.empty()) {
+              reference = bits;
+            } else {
+              EXPECT_EQ(bits, reference)
+                  << la::simd::IsaName(isa) << " threads=" << threads;
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Incremental-update tests: GraphDelta application, copy-on-write epochs,
-// value-only vs pattern-changing delta handling (pattern_id stamp reuse),
+// value-only vs pattern-changing delta handling (pattern_id reuse),
 // the zero-allocation hot path of a value-only update + re-solve, history
 // independence (after seeded random delta sequences every answer at every
 // tier, and the coarse companion behind the fast one, equals a fresh
@@ -337,8 +337,8 @@ TEST_P(UpdateSolveTest, ValueOnlyDeltaReusesPatternAndMatchesScratch) {
   EXPECT_EQ((*after)->epoch, 1);
   EXPECT_NE(after->get(), before->get());
 
-  // The pattern_id stamp is the value-only contract: bound workspaces must
-  // not rebind, so the donor aggregator keeps the previous epoch's id.
+  // The pattern_id is the value-only contract: the donor aggregator copies
+  // the previous epoch's pattern, SELL layout and maps, and keeps its id.
   EXPECT_EQ((*after)->aggregator->pattern_id(), pattern_before);
   // Views: affected view re-valued on the same pattern, the other carried.
   EXPECT_EQ((*after)->views[0].col_idx, (*before)->views[0].col_idx);
@@ -375,8 +375,8 @@ TEST_P(UpdateSolveTest, PatternChangingDeltaRebuildsAndMatchesScratch) {
   auto after = registry.UpdateGraph("g", delta);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ((*after)->epoch, 1);
-  // Removals change view 0's sparsity: the union pattern is rebuilt under a
-  // fresh id so every bound workspace rebinds.
+  // Removals change view 0's sparsity: the union pattern and its SELL
+  // layout are rebuilt under a fresh id.
   EXPECT_NE((*after)->aggregator->pattern_id(), pattern_before);
 
   core::MultiViewGraph scratch_mvag = f.mvag;
@@ -465,7 +465,7 @@ TEST(UpdateAllocationTest, ValueOnlyUpdateResolveHotPathAllocatesNothing) {
     ASSERT_TRUE(before_objective.Evaluate(w1).ok());
     ASSERT_TRUE(before_objective.Evaluate(w2).ok());
 
-    // The post-update re-solve reuses the bound workspace from its first
+    // The post-update re-solve reuses the sized workspace from its first
     // evaluation on.
     core::SpectralObjective after_objective(&after_aggregator, 3,
                                             core::ObjectiveOptions(), &ws);
