@@ -21,6 +21,7 @@
 #include "data/generator.h"
 #include "graph/knn.h"
 #include "graph/laplacian.h"
+#include "la/eigen_sym.h"
 #include "la/lanczos.h"
 #include "la/simd.h"
 #include "opt/simplex.h"
@@ -796,6 +797,58 @@ void BM_SellSpmvServedDensity(benchmark::State& state, la::simd::Isa isa) {
       static_cast<double>(m.nnz()) / static_cast<double>(m.rows);
 }
 
+// ---------------------------------------------------------------------------
+// The Lanczos eigensolve, whole and its Rayleigh–Ritz step alone. Every SGLA
+// objective evaluation is one eigensolve of k + 1 pairs on the SELL form of
+// the integrated Laplacian; its inner loop is the SELL SpMV, the
+// Gram–Schmidt sweep and the tridiagonal QL with its row rotations.
+// Informational like the SpMV benches above: one thread, per ISA, no
+// baseline entry, outside the --bench-smoke filter. Run with
+//   bench_micro_substrates --benchmark_filter='Eigensolve|TridiagonalEigen'
+// ---------------------------------------------------------------------------
+
+/// One objective-shaped eigensolve: k + 1 = 5 pairs, default options, on
+/// the served Laplacian's SELL form, with a reused workspace.
+void BM_EigensolveServedDensity(benchmark::State& state, la::simd::Isa isa) {
+  const la::CsrMatrix& m = ServedLaplacian(state.range(0));
+  PoolOverride pool(1);
+  IsaOverride pin(isa);
+  la::SellMatrix sell;
+  la::BuildSellPattern(m, &sell);
+  const la::SpmvOperator op = la::SellSpmvOperator(sell, sell.values.data());
+  la::LanczosWorkspace workspace;
+  la::Eigenpairs pairs;
+  la::LanczosStats stats;
+  for (auto _ : state) {
+    const Status solved = la::SmallestEigenpairsInto(
+        op, 5, 2.0, la::LanczosOptions(), &workspace, &pairs, &stats);
+    SGLA_CHECK(solved.ok()) << solved.ToString();
+    benchmark::DoNotOptimize(pairs.values.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["lanczos_vectors"] = stats.iterations;
+}
+
+/// Rayleigh–Ritz on one 48 x 48 tridiagonal, the default subspace size.
+void BM_TridiagonalEigen(benchmark::State& state, la::simd::Isa isa) {
+  IsaOverride pin(isa);
+  const int m = static_cast<int>(state.range(0));
+  Rng rng(48);
+  la::Vector diag(static_cast<size_t>(m)), offdiag(static_cast<size_t>(m));
+  for (double& d : diag) d = 1.0 + 0.5 * rng.Gaussian();
+  for (double& e : offdiag) e = 0.05 + 0.5 * rng.Uniform();
+  la::TridiagonalWorkspace workspace;
+  la::Vector values;
+  la::DenseMatrix vectors;
+  for (auto _ : state) {
+    const Status solved = la::TridiagonalEigenInto(
+        diag.data(), offdiag.data(), m, &workspace, &values, &vectors);
+    SGLA_CHECK(solved.ok()) << solved.ToString();
+    benchmark::DoNotOptimize(vectors.data().data());
+    benchmark::ClobberMemory();
+  }
+}
+
 void BM_SglaCobyla(benchmark::State& state) {
   const Fixture& f = Fixture::Get(2000);
   core::SglaOptions options;
@@ -854,6 +907,15 @@ int main(int argc, char** argv) {
         BM_SellSpmvServedDensity, isa)
         ->Arg(2000)
         ->Arg(8000);
+    benchmark::RegisterBenchmark(
+        ("BM_EigensolveServedDensity/" + suffix).c_str(),
+        BM_EigensolveServedDensity, isa)
+        ->Arg(500)
+        ->Arg(2000)
+        ->Arg(8000);
+    benchmark::RegisterBenchmark(("BM_TridiagonalEigen/" + suffix).c_str(),
+                                 BM_TridiagonalEigen, isa)
+        ->Arg(48);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 
+#include "la/simd.h"
 #include "util/logging.h"
 
 namespace sgla {
@@ -22,18 +23,6 @@ double Pythag(double a, double b) {
   if (abs_b == 0.0) return 0.0;
   const double ratio = abs_a / abs_b;
   return abs_b * std::sqrt(1.0 + ratio * ratio);
-}
-
-/// Applies the plane rotation (c, s) to rows i and i+1 of z, every column.
-void RotateRows(DenseMatrix* z, int i, double c, double s) {
-  const int64_t cols = z->cols();
-  double* zi = z->Row(i);
-  double* zn = z->Row(i + 1);
-  for (int64_t k = 0; k < cols; ++k) {
-    const double f = zn[k];
-    zn[k] = s * zi[k] + c * f;
-    zi[k] = c * zi[k] - s * f;
-  }
 }
 
 }  // namespace
@@ -129,6 +118,9 @@ Status TridiagonalEigenInto(const double* diag, const double* offdiag, int m,
   DenseMatrix& z = workspace->z;
   z.Reshape(m, m);
   for (int c = 0; c < m; ++c) z(c, c) = 1.0;
+  // Each QL step rotates rows i and i + 1 of z through the element-wise
+  // rotate kernel: the same bits on every ISA path.
+  const simd::KernelTable* table = simd::ActiveTable();
 
   // Implicit QL with Wilkinson shifts: each sweep chases a bulge up the
   // unreduced block [l, split] and converges d[l]; negligible off-diagonals
@@ -172,7 +164,7 @@ Status TridiagonalEigenInto(const double* diag, const double* offdiag, int m,
         p = s * r;
         d[i + 1] = g + p;
         g = c * r - b;
-        RotateRows(&z, i, c, s);
+        table->rotate(c, s, z.Row(i), z.Row(i + 1), m);
       }
       if (r == 0.0 && i >= l) continue;
       d[l] -= p;

@@ -15,24 +15,10 @@ constexpr int64_t kDenseFallbackThreshold = 96;
 
 /// Elements per chunk for the length-n panel updates below. Every element is
 /// written by exactly one chunk with the same arithmetic as the serial loop,
-/// so these stay bit-identical to a serial run at any thread count. Dot
-/// products are deliberately left serial: chunked reductions would reorder
-/// the summation and change the modified-Gram-Schmidt trajectory.
+/// so these stay bit-identical to a serial run at any thread count. The
+/// Gram–Schmidt sweep stays serial: its dots are reductions, and chunking
+/// them would reorder the summation and change the trajectory.
 constexpr int64_t kElementGrain = 8192;
-
-/// y += alpha * x, element-parallel. Single-chunk sizes skip the pool
-/// entirely — this runs O(m^2) times inside the deflate loop, where the
-/// dispatch cost would rival the arithmetic on small graphs.
-void ParallelAxpy(double alpha, const double* x, double* y, int64_t n) {
-  if (n <= kElementGrain) {
-    Axpy(alpha, x, y, n);
-    return;
-  }
-  util::ThreadPool::Global().ParallelFor(
-      0, n, kElementGrain, [alpha, x, y](int64_t lo, int64_t hi) {
-        Axpy(alpha, x + lo, y + lo, hi - lo);
-      });
-}
 
 Status DenseSmallestInto(const CsrMatrix& matrix, int k,
                          LanczosWorkspace* ws, Eigenpairs* out) {
@@ -90,18 +76,24 @@ Status LanczosPassInto(const SpmvOperator& matrix, double sigma, int m,
   alpha.assign(static_cast<size_t>(m), 0.0);
   beta.assign(static_cast<size_t>(m), 0.0);
 
+  // Two modified Gram–Schmidt passes of x against the locked bank rows
+  // [0, num_locked), then basis rows [0, upto). Each step takes
+  // proj = dot(x, row) and x -= proj * row; axpy_dot fuses one row's axpy
+  // with the next row's dot into a single sweep over x, with exactly the
+  // bits of the separate kernels.
+  const simd::KernelTable* table = simd::ActiveTable();
   auto deflate = [&](double* x, int upto) {
-    for (int pass = 0; pass < 2; ++pass) {
-      for (int l = 0; l < num_locked; ++l) {
-        const double* locked = ws->bank.Row(l);
-        const double proj = Dot(x, locked, n);
-        ParallelAxpy(-proj, locked, x, n);
-      }
-      for (int i = 0; i < upto; ++i) {
-        const double proj = Dot(x, basis.Row(i), n);
-        ParallelAxpy(-proj, basis.Row(i), x, n);
-      }
+    const int rows = num_locked + upto;
+    if (rows == 0) return;
+    const auto row = [&](int r) -> const double* {
+      return r < num_locked ? ws->bank.Row(r) : basis.Row(r - num_locked);
+    };
+    double proj = table->dot(x, row(0), n);
+    for (int step = 0; step + 1 < 2 * rows; ++step) {
+      proj = table->axpy_dot(-proj, row(step % rows), x,
+                             row((step + 1) % rows), n);
     }
+    table->axpy(-proj, row(rows - 1), x, n);
   };
 
   Vector& v = ws->v;
@@ -126,7 +118,6 @@ Status LanczosPassInto(const SpmvOperator& matrix, double sigma, int m,
     // this combine is bit-identical across ISA paths and chunkings.
     matrix.apply(matrix.ctx, matrix.values, basis.Row(j), w.data());
     const double* vj = basis.Row(j);
-    const simd::KernelTable* table = simd::ActiveTable();
     const auto combine = [sigma, vj, &w, table](int64_t lo, int64_t hi) {
       table->sigma_sub(sigma, vj + lo, w.data() + lo, hi - lo);
     };

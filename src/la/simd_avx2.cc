@@ -90,6 +90,40 @@ void Avx2Axpy(double alpha, const double* x, double* y, int64_t n) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+double Avx2AxpyDot(double alpha, const double* u, double* x,
+                   const double* next, int64_t n) {
+  // Avx2Axpy's element roundings feeding Avx2Dot's lane layout: four
+  // accumulators over 16-element blocks, 4-element blocks into acc0, the
+  // same combine, then the scalar tail.
+  const __m256d va = _mm256_set1_pd(alpha);
+  __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                    _mm256_setzero_pd(), _mm256_setzero_pd()};
+  int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    for (int b = 0; b < 4; ++b) {
+      const int64_t at = i + 4 * b;
+      const __m256d xb = _mm256_add_pd(
+          _mm256_loadu_pd(x + at), _mm256_mul_pd(va, _mm256_loadu_pd(u + at)));
+      _mm256_storeu_pd(x + at, xb);
+      acc[b] = _mm256_fmadd_pd(xb, _mm256_loadu_pd(next + at), acc[b]);
+    }
+  }
+  for (; i + 4 <= n; i += 4) {
+    const __m256d xb = _mm256_add_pd(
+        _mm256_loadu_pd(x + i), _mm256_mul_pd(va, _mm256_loadu_pd(u + i)));
+    _mm256_storeu_pd(x + i, xb);
+    acc[0] = _mm256_fmadd_pd(xb, _mm256_loadu_pd(next + i), acc[0]);
+  }
+  const __m256d sum = _mm256_add_pd(_mm256_add_pd(acc[0], acc[1]),
+                                    _mm256_add_pd(acc[2], acc[3]));
+  double tail = 0.0;
+  for (; i < n; ++i) {
+    x[i] += alpha * u[i];
+    tail += x[i] * next[i];
+  }
+  return HorizontalSum(sum) + tail;
+}
+
 void Avx2Scale(double alpha, double* x, int64_t n) {
   const __m256d va = _mm256_set1_pd(alpha);
   int64_t i = 0;
@@ -161,7 +195,15 @@ void Avx2SpmvRows(const int64_t* row_ptr, const int64_t* col_idx,
   }
 }
 
-void Avx2SellSpmv(const int64_t* slice_ptr, const int64_t* col_idx,
+/// x[idx[0..4)] through the masked gather with a zero source and every lane
+/// enabled: the same four loads as _mm256_i32gather_pd, whose undefined
+/// source register GCC flags under -Wmaybe-uninitialized.
+inline __m256d Gather4(const double* x, __m128i idx) {
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), x, idx, all, 8);
+}
+
+void Avx2SellSpmv(const int64_t* slice_ptr, const int32_t* col_idx,
                   const double* values, const int64_t* row_len,
                   const int64_t* perm, const double* x, double* y,
                   int64_t slice_begin, int64_t slice_end) {
@@ -174,14 +216,14 @@ void Avx2SellSpmv(const int64_t* slice_ptr, const int64_t* col_idx,
     // leaves every lane's FMA chain (and therefore its bits) unchanged.
     for (int64_t j = 0; j < width; ++j) {
       const int64_t at = (begin + j) * 8;
-      const __m256i idx_lo = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(col_idx + at));
-      const __m256i idx_hi = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(col_idx + at + 4));
+      const __m128i idx_lo = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(col_idx + at));
+      const __m128i idx_hi = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(col_idx + at + 4));
       acc_lo = _mm256_fmadd_pd(_mm256_loadu_pd(values + at),
-                               _mm256_i64gather_pd(x, idx_lo, 8), acc_lo);
+                               Gather4(x, idx_lo), acc_lo);
       acc_hi = _mm256_fmadd_pd(_mm256_loadu_pd(values + at + 4),
-                               _mm256_i64gather_pd(x, idx_hi, 8), acc_hi);
+                               Gather4(x, idx_hi), acc_hi);
     }
     alignas(32) double lane[8];
     _mm256_store_pd(lane, acc_lo);
@@ -210,10 +252,32 @@ void Avx2NearestCenter(const double* point, const double* centers, int64_t k,
   *best_c = best_index;
 }
 
+void Avx2Rotate(double c, double s, double* x, double* y, int64_t n) {
+  // Two rounded products and one rounded add or subtract per element, as in
+  // the scalar loop: no FMA.
+  const __m256d vc = _mm256_set1_pd(c);
+  const __m256d vs = _mm256_set1_pd(s);
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d xi = _mm256_loadu_pd(x + i);
+    const __m256d f = _mm256_loadu_pd(y + i);
+    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_mul_pd(vs, xi),
+                                          _mm256_mul_pd(vc, f)));
+    _mm256_storeu_pd(x + i, _mm256_sub_pd(_mm256_mul_pd(vc, xi),
+                                          _mm256_mul_pd(vs, f)));
+  }
+  for (; i < n; ++i) {
+    const double f = y[i];
+    y[i] = s * x[i] + c * f;
+    x[i] = c * x[i] - s * f;
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
-    &Avx2Dot,      &Avx2SquaredDistance, &Avx2Axpy,
-    &Avx2Scale,    &Avx2SigmaSub,        &Avx2ScatterAxpy,
-    &Avx2SpmvRows, &Avx2SellSpmv,        &Avx2NearestCenter,
+    &Avx2Dot,           &Avx2SquaredDistance, &Avx2Axpy,
+    &Avx2AxpyDot,       &Avx2Scale,           &Avx2SigmaSub,
+    &Avx2ScatterAxpy,   &Avx2SpmvRows,        &Avx2SellSpmv,
+    &Avx2NearestCenter, &Avx2Rotate,
 };
 
 }  // namespace

@@ -32,6 +32,16 @@ void ScalarAxpy(double alpha, const double* x, double* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+double ScalarAxpyDot(double alpha, const double* u, double* x,
+                     const double* next, int64_t n) {
+  double sum = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    x[i] += alpha * u[i];
+    sum += x[i] * next[i];
+  }
+  return sum;
+}
+
 void ScalarScale(double alpha, double* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] *= alpha;
 }
@@ -58,7 +68,7 @@ void ScalarSpmvRows(const int64_t* row_ptr, const int64_t* col_idx,
   }
 }
 
-void ScalarSellSpmv(const int64_t* slice_ptr, const int64_t* col_idx,
+void ScalarSellSpmv(const int64_t* slice_ptr, const int32_t* col_idx,
                     const double* values, const int64_t* row_len,
                     const int64_t* perm, const double* x, double* y,
                     int64_t slice_begin, int64_t slice_end) {
@@ -98,10 +108,19 @@ void ScalarNearestCenter(const double* point, const double* centers,
   *best_c = best_index;
 }
 
+void ScalarRotate(double c, double s, double* x, double* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    const double f = y[i];
+    y[i] = s * x[i] + c * f;
+    x[i] = c * x[i] - s * f;
+  }
+}
+
 constexpr KernelTable kScalarTable = {
-    &ScalarDot,        &ScalarSquaredDistance, &ScalarAxpy,
-    &ScalarScale,      &ScalarSigmaSub,        &ScalarScatterAxpy,
-    &ScalarSpmvRows,   &ScalarSellSpmv,        &ScalarNearestCenter,
+    &ScalarDot,           &ScalarSquaredDistance, &ScalarAxpy,
+    &ScalarAxpyDot,       &ScalarScale,           &ScalarSigmaSub,
+    &ScalarScatterAxpy,   &ScalarSpmvRows,        &ScalarSellSpmv,
+    &ScalarNearestCenter, &ScalarRotate,
 };
 
 }  // namespace

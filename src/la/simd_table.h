@@ -16,23 +16,30 @@ namespace simd {
 
 /// One entry per hot kernel. Bit-stability contract per kernel:
 ///
-/// *Element-wise* kernels (axpy, scale, sigma_sub, scatter_axpy) carry no
-/// accumulator: every output element is one rounded `a*x+y`-shaped
-/// expression. Vector variants MUST NOT fuse the multiply-add (no FMA) so
-/// each lane computes exactly the scalar sequence — these kernels are
-/// bit-identical across *all* ISA paths, which is what keeps
-/// SGLA_ISA=<any> aggregation values equal to scalar aggregation values.
+/// *Element-wise* kernels (axpy, scale, sigma_sub, scatter_axpy, rotate)
+/// carry no accumulator: every output element is one rounded
+/// `a*x+y`-shaped expression. Vector variants MUST NOT fuse the
+/// multiply-add (no FMA) so each lane computes exactly the scalar sequence —
+/// these kernels are bit-identical across *all* ISA paths, which is what
+/// keeps SGLA_ISA=<any> aggregation values equal to scalar aggregation
+/// values.
 ///
-/// *Reduction* kernels (dot, squared_distance, spmv_rows, sell_spmv,
-/// nearest_center) use a fixed lane layout, a fixed-order horizontal sum
-/// and a separate scalar remainder loop. Their bits differ between ISA
-/// paths (different association order), but within one ISA they are a pure
-/// function of the operands — no thread count or row batching may change
-/// the per-row/per-element association order.
+/// *Reduction* kernels (dot, squared_distance, axpy_dot, spmv_rows,
+/// sell_spmv, nearest_center) use a fixed lane layout, a fixed-order
+/// horizontal sum and a separate scalar remainder loop. Their bits differ
+/// between ISA paths (different association order), but within one ISA they
+/// are a pure function of the operands — no thread count or row batching may
+/// change the per-row/per-element association order.
 struct KernelTable {
   double (*dot)(const double* x, const double* y, int64_t n);
   double (*squared_distance)(const double* x, const double* y, int64_t n);
   void (*axpy)(double alpha, const double* x, double* y, int64_t n);
+  /// x += alpha * u element by element (axpy's roundings), then returns
+  /// dot(x, next) with this ISA's dot lane layout: bit for bit, x and the
+  /// result equal axpy(alpha, u, x) followed by dot(x, next). One sweep of
+  /// a modified Gram–Schmidt pass; x must not overlap u or next.
+  double (*axpy_dot)(double alpha, const double* u, double* x,
+                     const double* next, int64_t n);
   void (*scale)(double alpha, double* x, int64_t n);
   /// w[i] = sigma * v[i] - w[i] (Lanczos deflation combine).
   void (*sigma_sub)(double sigma, const double* v, double* w, int64_t n);
@@ -53,7 +60,10 @@ struct KernelTable {
   /// ghost lanes in the final ragged slice). The scalar variant iterates
   /// row_len entries per lane (skipping padding) so its bits match the
   /// plain CSR row loop exactly; vector variants run the padded width.
-  void (*sell_spmv)(const int64_t* slice_ptr, const int64_t* col_idx,
+  /// Vector variants may walk several slices at once, but each slice keeps
+  /// its own accumulator and its own slot order j = 0..width-1, so every
+  /// lane is one FMA chain over its slice's padded width.
+  void (*sell_spmv)(const int64_t* slice_ptr, const int32_t* col_idx,
                     const double* values, const int64_t* row_len,
                     const int64_t* perm, const double* x, double* y,
                     int64_t slice_begin, int64_t slice_end);
@@ -62,6 +72,10 @@ struct KernelTable {
   void (*nearest_center)(const double* point, const double* centers,
                          int64_t k, int64_t d, double* best_d2,
                          int64_t* best_c);
+  /// The plane rotation (c, s) of rows x and y:
+  /// (x[i], y[i]) <- (c*x[i] - s*y[i], s*x[i] + c*y[i]), each element two
+  /// rounded products and one rounded add (the tridiagonal QL sweep).
+  void (*rotate)(double c, double s, double* x, double* y, int64_t n);
 };
 
 const KernelTable* ScalarTable();

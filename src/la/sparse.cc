@@ -126,6 +126,8 @@ void Spmv(const CsrMatrix& m, const double* x, double* y) {
 }
 
 void BuildSellLayout(const CsrMatrix& m, SellMatrix* out) {
+  SGLA_CHECK(m.cols <= INT32_MAX)
+      << "SELL column indices are int32; " << m.cols << " columns";
   out->rows = m.rows;
   out->cols = m.cols;
   out->values.clear();
@@ -179,13 +181,14 @@ void BuildSellLayout(const CsrMatrix& m, SellMatrix* out) {
   pool.ParallelFor(0, m.rows, kSellSortWindow, [&](int64_t lo, int64_t hi) {
     const int64_t slice_begin = lo / kSellLanes;
     const int64_t slice_end = (hi + kSellLanes - 1) / kSellLanes;
-    int64_t* col = out->col_idx.data();
+    int32_t* col = out->col_idx.data();
     std::fill(col + SellSlotBase(*out, lo),
               col + out->slice_ptr[static_cast<size_t>(slice_end)] * kSellLanes,
-              int64_t{0});
+              int32_t{0});
     ForEachSellEntry(m, *out, slice_begin, slice_end,
                      [&m, col](int64_t at, int64_t p) {
-                       col[at] = m.col_idx[static_cast<size_t>(p)];
+                       col[at] = static_cast<int32_t>(
+                           m.col_idx[static_cast<size_t>(p)]);
                      });
   });
 }

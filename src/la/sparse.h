@@ -45,7 +45,10 @@ constexpr int64_t kSellSortWindow = 512;
 /// Storage is lane-minor — slot j of slice s, lane l lives at
 /// (slice_ptr[s] + j) * kSellLanes + l — so one vector register walks a
 /// whole slice column-step by column-step. Padding slots carry value 0.0
-/// and column 0; ghost lanes (beyond the final row) have perm < 0. The rows
+/// and column 0; ghost lanes (beyond the final row) have perm < 0. Column
+/// indices are int32 (half the bytes of the CSR's, and what the vector
+/// kernels gather with), so a layout needs cols <= INT32_MAX; no layout is
+/// ever serialized, so the width is free to change. The rows
 /// of window [lo, lo + kSellSortWindow) fill exactly the slots and slices of
 /// that window, so a row-parallel loop at that grain owns whole slices.
 ///
@@ -57,7 +60,7 @@ struct SellMatrix {
   int64_t rows = 0;
   int64_t cols = 0;
   std::vector<int64_t> slice_ptr;  ///< num_slices + 1, in column steps
-  std::vector<int64_t> col_idx;    ///< slice_ptr.back() * kSellLanes
+  std::vector<int32_t> col_idx;    ///< slice_ptr.back() * kSellLanes
   std::vector<double> values;      ///< same size as col_idx; empty if bare
   std::vector<int64_t> row_len;    ///< per slot: unpadded row length
   std::vector<int64_t> perm;       ///< per slot: source row, < 0 for ghosts
@@ -78,7 +81,8 @@ inline int64_t SellSlotBase(const SellMatrix& m, int64_t slot) {
 
 /// (Re)builds `out` as the bare SELL layout of `m`'s sparsity (out->values
 /// cleared), reusing its buffers' capacity. One σ window per chunk on the
-/// global pool; the layout does not depend on the thread count.
+/// global pool; the layout does not depend on the thread count. Aborts if
+/// m.cols exceeds INT32_MAX.
 void BuildSellLayout(const CsrMatrix& m, SellMatrix* out);
 
 /// BuildSellLayout plus m's values copied into slot order (0.0 in padding).

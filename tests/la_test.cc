@@ -11,6 +11,8 @@
 #include <cstring>
 #include <limits>
 #include <new>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -455,9 +457,145 @@ TEST(SimdTest, SellSpmvMatchesCsrPerIsa) {
   }
 }
 
-/// Satellite: element-wise kernels (axpy, scale, sigma_sub, scatter_axpy)
-/// must be bit-identical to scalar on EVERY ISA path — each output element
-/// is one separately-rounded mul + add, never an FMA (see la/simd_table.h).
+/// A SELL layout built slice by slice: slice s is widths[s] column steps
+/// wide, and the lanes of the final slice past `rows` are ghosts. Each real
+/// lane gets a random length up to its slice's width (lane 0 gets the full
+/// width), random columns in [0, cols) and random values; padding carries
+/// value 0.0 and column 0, as BuildSellLayout writes it.
+la::SellMatrix HandBuiltSell(const std::vector<int64_t>& widths, int64_t rows,
+                             int64_t cols, Rng* rng) {
+  la::SellMatrix m;
+  m.rows = rows;
+  m.cols = cols;
+  m.slice_ptr.assign(1, 0);
+  for (int64_t width : widths) {
+    m.slice_ptr.push_back(m.slice_ptr.back() + width);
+  }
+  const int64_t slots = m.slice_ptr.back() * la::kSellLanes;
+  m.col_idx.assign(static_cast<size_t>(slots), 0);
+  m.values.assign(static_cast<size_t>(slots), 0.0);
+  for (int64_t s = 0; s < static_cast<int64_t>(widths.size()); ++s) {
+    for (int64_t l = 0; l < la::kSellLanes; ++l) {
+      const int64_t slot = s * la::kSellLanes + l;
+      const bool ghost = slot >= rows;
+      m.perm.push_back(ghost ? -1 : slot);
+      const int64_t width = widths[static_cast<size_t>(s)];
+      const int64_t len =
+          ghost ? 0 : l == 0 ? width : rng->UniformInt(0, width);
+      m.row_len.push_back(len);
+      for (int64_t j = 0; j < len; ++j) {
+        const size_t at =
+            static_cast<size_t>(la::SellSlotBase(m, slot) + j * la::kSellLanes);
+        m.col_idx[at] = static_cast<int32_t>(rng->UniformInt(0, cols - 1));
+        m.values[at] = rng->Gaussian();
+      }
+    }
+  }
+  return m;
+}
+
+/// A vector sell_spmv lane is exactly one FMA chain over its slice's
+/// padded width, j = 0..width-1 — however the kernel groups slices (AVX-512
+/// walks two at a time, each with its own accumulator). Covers 1, 2, 3 and
+/// 5 slices, pairs whose widths differ either way, an empty slice, a ragged
+/// final slice with ghost lanes, and ranges that start on an odd slice so
+/// the pairing shifts.
+TEST(SimdTest, SellSpmvVectorLanesAreFmaChainsPerSlice) {
+  struct Layout {
+    std::vector<int64_t> widths;
+    int64_t rows;
+  };
+  const Layout layouts[] = {
+      {{3}, 8},               // one slice
+      {{5, 2}, 16},           // a pair, first slice wider
+      {{2, 5, 4}, 24},        // second slice wider, then an odd tail
+      {{4, 4, 1, 0, 6}, 40},  // an empty slice
+      {{6, 3, 7, 2, 5}, 37},  // ragged final slice: 3 ghost lanes
+  };
+  for (la::simd::Isa isa : la::simd::AvailableIsas()) {
+    if (isa == la::simd::Isa::kScalar) continue;
+    ScopedIsa pin(isa);
+    const la::simd::KernelTable* t = la::simd::ActiveTable();
+    for (const Layout& layout : layouts) {
+      Rng rng(500 + layout.rows);
+      const int64_t cols = 29;
+      const la::SellMatrix m = HandBuiltSell(layout.widths, layout.rows, cols,
+                                             &rng);
+      la::Vector x(static_cast<size_t>(cols));
+      for (double& v : x) v = rng.Gaussian();
+      const int64_t slices = m.num_slices();
+      for (int64_t begin = 0; begin < std::min<int64_t>(2, slices); ++begin) {
+        const std::string where = std::string(la::simd::IsaName(isa)) +
+                                  " slices=" + std::to_string(slices) +
+                                  " begin=" + std::to_string(begin);
+        la::Vector want(static_cast<size_t>(layout.rows), -3.0);
+        for (int64_t s = begin; s < slices; ++s) {
+          for (int64_t l = 0; l < la::kSellLanes; ++l) {
+            const int64_t slot = s * la::kSellLanes + l;
+            double acc = 0.0;
+            for (int64_t j = m.slice_ptr[static_cast<size_t>(s)];
+                 j < m.slice_ptr[static_cast<size_t>(s) + 1]; ++j) {
+              const size_t at = static_cast<size_t>(j * la::kSellLanes + l);
+              acc = std::fma(m.values[at],
+                             x[static_cast<size_t>(m.col_idx[at])], acc);
+            }
+            const int64_t row = m.perm[static_cast<size_t>(slot)];
+            if (row >= 0) want[static_cast<size_t>(row)] = acc;
+          }
+        }
+        la::Vector got(static_cast<size_t>(layout.rows), -3.0);
+        t->sell_spmv(m.slice_ptr.data(), m.col_idx.data(), m.values.data(),
+                     m.row_len.data(), m.perm.data(), x.data(), got.data(),
+                     begin, slices);
+        for (int64_t r = 0; r < layout.rows; ++r) {
+          EXPECT_EQ(Bits(got[static_cast<size_t>(r)]),
+                    Bits(want[static_cast<size_t>(r)]))
+              << where << " row " << r;
+        }
+      }
+    }
+  }
+}
+
+/// axpy_dot is one Gram–Schmidt step in one sweep. On every ISA,
+/// x and the returned value must equal, bit for bit, axpy(alpha, u, x)
+/// followed by dot(x, next) — at every remainder length and past the
+/// Lanczos element grain.
+TEST(SimdTest, AxpyDotEqualsAxpyThenDotPerIsa) {
+  std::vector<int64_t> sizes;
+  for (int64_t n = 0; n <= 40; ++n) sizes.push_back(n);
+  for (int64_t n : {500, 2000, 8193}) sizes.push_back(n);
+  for (la::simd::Isa isa : la::simd::AvailableIsas()) {
+    ScopedIsa pin(isa);
+    const la::simd::KernelTable* t = la::simd::ActiveTable();
+    for (int64_t n : sizes) {
+      Rng rng(600 + n);
+      la::Vector u(static_cast<size_t>(n)), x(static_cast<size_t>(n)),
+          next(static_cast<size_t>(n));
+      for (double& v : u) v = rng.Gaussian();
+      for (double& v : x) v = rng.Gaussian();
+      for (double& v : next) v = rng.Gaussian();
+      const double alpha = -0.37 * rng.Gaussian();
+      la::Vector want_x = x;
+      t->axpy(alpha, u.data(), want_x.data(), n);
+      const double want = t->dot(want_x.data(), next.data(), n);
+      la::Vector got_x = x;
+      const double got =
+          t->axpy_dot(alpha, u.data(), got_x.data(), next.data(), n);
+      EXPECT_EQ(Bits(got), Bits(want))
+          << la::simd::IsaName(isa) << " n=" << n;
+      for (int64_t i = 0; i < n; ++i) {
+        EXPECT_EQ(Bits(got_x[static_cast<size_t>(i)]),
+                  Bits(want_x[static_cast<size_t>(i)]))
+            << la::simd::IsaName(isa) << " n=" << n << " element " << i;
+      }
+    }
+  }
+}
+
+/// Element-wise kernels (axpy, scale, sigma_sub, scatter_axpy, rotate) must
+/// be bit-identical to scalar on EVERY ISA path — each output element is
+/// one separately-rounded mul + add, never an FMA (see la/simd_table.h).
 TEST(SimdTest, ElementWiseKernelsBitIdenticalAcrossIsas) {
   for (int64_t n : kLaneSizes) {
     Rng rng(300 + n);
@@ -470,7 +608,7 @@ TEST(SimdTest, ElementWiseKernelsBitIdenticalAcrossIsas) {
     }
 
     // Scalar reference pass.
-    la::Vector axpy_ref, scale_ref, sig_ref, scat_ref;
+    la::Vector axpy_ref, scale_ref, sig_ref, scat_ref, rot_x_ref, rot_y_ref;
     {
       ScopedIsa pin(la::simd::Isa::kScalar);
       const la::simd::KernelTable* t = la::simd::ActiveTable();
@@ -482,6 +620,9 @@ TEST(SimdTest, ElementWiseKernelsBitIdenticalAcrossIsas) {
       t->sigma_sub(2.0, x.data(), sig_ref.data(), n);
       scat_ref.assign(static_cast<size_t>(2 * n), 0.5);
       t->scatter_axpy(0.9, x.data(), map.data(), n, scat_ref.data());
+      rot_x_ref = x;
+      rot_y_ref = y0;
+      t->rotate(0.8, -0.6, rot_x_ref.data(), rot_y_ref.data(), n);
     }
     for (la::simd::Isa isa : la::simd::AvailableIsas()) {
       if (isa == la::simd::Isa::kScalar) continue;
@@ -501,6 +642,13 @@ TEST(SimdTest, ElementWiseKernelsBitIdenticalAcrossIsas) {
       t->scatter_axpy(0.9, x.data(), map.data(), n, out.data());
       EXPECT_EQ(out, scat_ref) << la::simd::IsaName(isa)
                                << " scatter_axpy n=" << n;
+      la::Vector rot_x = x;
+      out = y0;
+      t->rotate(0.8, -0.6, rot_x.data(), out.data(), n);
+      EXPECT_EQ(rot_x, rot_x_ref) << la::simd::IsaName(isa)
+                                  << " rotate x n=" << n;
+      EXPECT_EQ(out, rot_y_ref) << la::simd::IsaName(isa)
+                                << " rotate y n=" << n;
     }
   }
 }

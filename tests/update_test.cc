@@ -13,6 +13,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -741,28 +742,37 @@ void ExpectEveryTierMatchesAFreshRegistration(uint64_t seed, bool lifecycle,
   EXPECT_EQ(fast.labels, fresh_fast.labels);
 }
 
-TEST(HistoryIndependenceTest, EveryTierMatchesAFreshRegistration) {
-  // Fixed before the first run; a failing seed is a defect, not a reason to
-  // pick another.
-  const uint64_t kSeeds[] = {17, 29, 41, 53, 67, 79};
+/// One (thread count, seed) per instance, so gtest sharding can spread the
+/// 12 instances over ctest entries (see CMakeLists.txt).
+class HistoryIndependenceTest
+    : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
+
+TEST_P(HistoryIndependenceTest, EveryTierMatchesAFreshRegistration) {
   constexpr int kDeltas = 8;
   ThreadCountGuard guard;
-  for (int threads : {1, 4}) {
-    util::ThreadPool::SetGlobalThreads(threads);
-    for (uint64_t seed : kSeeds) {
-      // Two sequences per seed: edits mixed with lifecycle ops, and edits
-      // alone. A lifecycle op rebuilds the serving state without a donor,
-      // so only the edits-only sequence carries one companion forward
-      // through every epoch.
-      for (bool lifecycle : {true, false}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " seed=" + std::to_string(seed) +
-                     (lifecycle ? " edits+lifecycle" : " edits"));
-        ExpectEveryTierMatchesAFreshRegistration(seed, lifecycle, kDeltas);
-      }
-    }
+  const int threads = std::get<0>(GetParam());
+  const uint64_t seed = std::get<1>(GetParam());
+  util::ThreadPool::SetGlobalThreads(threads);
+  // Two sequences per seed: edits mixed with lifecycle ops, and edits
+  // alone. A lifecycle op rebuilds the serving state without a donor, so
+  // only the edits-only sequence carries one companion forward through
+  // every epoch.
+  for (bool lifecycle : {true, false}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads) +
+                 " seed=" + std::to_string(seed) +
+                 (lifecycle ? " edits+lifecycle" : " edits"));
+    ExpectEveryTierMatchesAFreshRegistration(seed, lifecycle, kDeltas);
   }
 }
+
+// The seeds were fixed before the first run; a failing seed is a defect,
+// not a reason to pick another.
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsAndSeeds, HistoryIndependenceTest,
+    ::testing::Combine(::testing::Values(1, 4),
+                       ::testing::Values(uint64_t{17}, uint64_t{29},
+                                         uint64_t{41}, uint64_t{53},
+                                         uint64_t{67}, uint64_t{79})));
 
 // ---------------------------------------------------------------------------
 // UpdateGraph racing evict / re-register (extends the PR-4 snapshot-lookup

@@ -381,11 +381,7 @@ TEST(LifecycleHammerTest, LifecycleRacingSolveUpdateEvictIsClean) {
   threads.emplace_back([&] {  // lifecycle updater: mask/unmask view 1
     for (int i = 0; i < kIterations; ++i) {
       serve::GraphDelta delta;
-      if (i % 2 == 0) {
-        delta.mask_views = {1};
-      } else {
-        delta.unmask_views = {1};
-      }
+      (i % 2 == 0 ? delta.mask_views : delta.unmask_views).push_back(1);
       auto updated = registry.UpdateGraph("g", delta);
       if (!updated.ok() &&
           updated.status().code() != StatusCode::kNotFound) {
