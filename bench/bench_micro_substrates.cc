@@ -384,6 +384,28 @@ void BM_AxpyIsa(benchmark::State& state, la::simd::Isa isa) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
+/// The KNN's distance kernel: one 16-d point (the e2ebench attribute
+/// width) against 2000 contiguous rows, as the exact scan measures each row
+/// against all rows. Informational, per ISA.
+void BM_SquaredDistancesIsa(benchmark::State& state, la::simd::Isa isa) {
+  IsaOverride pin(isa);
+  const int64_t rows = 2000;
+  const int64_t d = 16;
+  Rng rng(29);
+  la::Vector points(static_cast<size_t>(rows * d));
+  for (double& v : points) v = rng.Gaussian();
+  la::Vector out(static_cast<size_t>(rows));
+  int64_t row = 0;
+  for (auto _ : state) {
+    la::SquaredDistances(points.data() + row * d, points.data(), rows, d,
+                         out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    row = (row + 1) % rows;
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+
 void BM_KMeansIsa(benchmark::State& state, la::simd::Isa isa) {
   const IsaFixture& f = IsaFixture::Get();
   PoolOverride pool(1);
@@ -561,7 +583,7 @@ void BM_EngineRegister(benchmark::State& state) {
   }
   state.SetLabel(la::simd::ActiveIsaName());
 }
-BENCHMARK(BM_EngineRegister)->Arg(2000)->Arg(8000)->UseRealTime();
+BENCHMARK(BM_EngineRegister)->Arg(500)->Arg(2000)->Arg(8000)->UseRealTime();
 
 // Steady-state incremental updates: a value-only delta (weight nudges on
 // existing edges) absorbed by UpdateGraph's copy-on-write epoch swap. The
@@ -897,6 +919,8 @@ int main(int argc, char** argv) {
         ->Arg(512)
         ->Arg(2000)
         ->Arg(8000);
+    benchmark::RegisterBenchmark(("BM_SquaredDistancesIsa/" + suffix).c_str(),
+                                 BM_SquaredDistancesIsa, isa);
     benchmark::RegisterBenchmark(
         ("BM_CsrSpmvServedDensity/" + suffix).c_str(),
         BM_CsrSpmvServedDensity, isa)

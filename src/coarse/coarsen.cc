@@ -86,13 +86,23 @@ LevelGraph LevelFromUnion(const la::CsrMatrix& union_pattern,
 /// with it the plan — is still untouched by value-only deltas. Pure function
 /// of the level graph (no matching state), hence safely parallel per row.
 ///
-/// Marker-array form, O(sum_v deg(v)^2) per level: row u's weights are
-/// scattered into a rows-sized marker once, then each neighbor v's row is
-/// streamed against it. Weights are non-negative, so min(mark[t], w(v,t))
-/// is 0 for every t outside row u, and zeroing mark[u] (for the whole row)
-/// and mark[v] (for v's pass) drops exactly the excluded t = u, v. Every
-/// score slot is an independent integer sum, so any row partition gives
-/// the same bits; the marker is per chunk, so chunks share nothing.
+/// Marker-array form: row u's weights are scattered into a rows-sized
+/// marker once, then each neighbor v's row is streamed against it. Weights
+/// are non-negative, so min(mark[t], w(v,t)) is 0 for every t outside row
+/// u, and zeroing mark[u] (for the whole row) and mark[v] (for v's pass)
+/// drops exactly the excluded t = u, v.
+///
+/// Half-edge: only slots above the diagonal (v > u) are scored; the rest
+/// stay 0. MatchLevel visits vertices in ascending order and leaves every
+/// visited vertex matched or a singleton, so when it reads row u every
+/// v < u is already taken and that slot is never read. Each undirected edge
+/// is therefore scored once, from its smaller endpoint, and the cost is
+/// O(sum_u sum_{v > u in N(u)} deg(v)) per level, about half the full
+/// O(sum_v deg(v)^2). The upper slots hold exactly what scoring every slot
+/// would, so the plan keeps its bits and assumes no symmetry. Every score
+/// slot is an independent integer sum written by the chunk holding its
+/// row, so any row partition gives the same bits; the marker is per chunk,
+/// so chunks share nothing.
 std::vector<int64_t> EdgeAffinity(const LevelGraph& g) {
   std::vector<int64_t> score(g.col.size(), 0);
   util::ThreadPool::Global().ParallelFor(
@@ -107,7 +117,7 @@ std::vector<int64_t> EdgeAffinity(const LevelGraph& g) {
           mark[u] = 0;
           for (int64_t p = u_begin; p < u_end; ++p) {
             const int64_t v = g.col[p];
-            if (v == u) continue;
+            if (v <= u) continue;  // the diagonal, or a slot never read
             mark[v] = 0;
             int64_t s = g.weight[p];
             for (int64_t q = g.row_ptr[v]; q < g.row_ptr[v + 1]; ++q) {
@@ -124,13 +134,15 @@ std::vector<int64_t> EdgeAffinity(const LevelGraph& g) {
 
 /// Greedy heavy-edge matching in ascending vertex order on the affinity
 /// scores; ties go to the smallest neighbor index (CSR columns ascend, so
-/// the first maximum wins). At most `max_merges` pairs form — a full level
-/// halves the graph, so an uncapped final level would overshoot the target
-/// ratio by up to 2x (and can push the coarse graph under the dense-
-/// eigensolver threshold); the cap turns it into a partial level that lands
-/// on the target exactly, leaving later-visited rows as singletons. Writes
-/// the level's fine -> coarse map (ids by first appearance) and returns the
-/// coarse row count.
+/// the first maximum wins). Every vertex below u was visited and is matched
+/// or a singleton, so only neighbors above u can still be free and only
+/// EdgeAffinity's upper slots are read. At most `max_merges` pairs form — a
+/// full level halves the graph, so an uncapped final level would overshoot
+/// the target ratio by up to 2x (and can push the coarse graph under the
+/// dense-eigensolver threshold); the cap turns it into a partial level that
+/// lands on the target exactly, leaving later-visited rows as singletons.
+/// Writes the level's fine -> coarse map (ids by first appearance) and
+/// returns the coarse row count.
 int64_t MatchLevel(const LevelGraph& g, int64_t max_merges,
                    std::vector<int64_t>* map) {
   const std::vector<int64_t> score = EdgeAffinity(g);
@@ -142,7 +154,7 @@ int64_t MatchLevel(const LevelGraph& g, int64_t max_merges,
     int64_t best_w = 0;
     for (int64_t p = g.row_ptr[u]; p < g.row_ptr[u + 1]; ++p) {
       const int64_t v = g.col[p];
-      if (v == u || match[v] >= 0) continue;
+      if (v <= u || match[v] >= 0) continue;
       if (score[p] > best_w) {
         best = v;
         best_w = score[p];

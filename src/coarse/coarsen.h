@@ -43,6 +43,9 @@ struct CoarsePlan {
 /// level shrinks the graph by less than 5% (matching saturated). `views`
 /// supply the multiplicities — the number of views holding a structural
 /// entry per union slot.
+/// The matching reads each undirected edge's affinity from its smaller
+/// endpoint's row only, so each edge is scored once per level (see
+/// EdgeAffinity in coarsen.cc).
 CoarsePlan BuildCoarsePlan(const la::CsrMatrix& union_pattern,
                            const std::vector<la::CsrMatrix>& views,
                            const CoarsenOptions& options = {});

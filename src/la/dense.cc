@@ -12,7 +12,7 @@ namespace la {
 
 // The BLAS-1 hot kernels dispatch through the runtime-selected ISA table
 // (la/simd.h). Axpy and Scale are element-wise and bit-identical across
-// every ISA path; Dot and SquaredDistance are reductions whose bits are a
+// every ISA path; Dot and SquaredDistance(s) are reductions whose bits are a
 // fixed function of the operands within one ISA (scalar keeps the
 // historical serial-sum bits exactly).
 
@@ -32,6 +32,11 @@ void Scale(double alpha, double* x, int64_t n) {
 
 double SquaredDistance(const double* x, const double* y, int64_t n) {
   return simd::ActiveTable()->squared_distance(x, y, n);
+}
+
+void SquaredDistances(const double* point, const double* rows, int64_t count,
+                      int64_t d, double* out) {
+  simd::ActiveTable()->squared_distances(point, rows, count, d, out);
 }
 
 DenseMatrix MatMul(const DenseMatrix& a, const DenseMatrix& b) {

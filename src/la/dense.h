@@ -60,6 +60,10 @@ void Scale(double alpha, double* x, int64_t n);
 
 /// Squared Euclidean distance between two length-n rows.
 double SquaredDistance(const double* x, const double* y, int64_t n);
+/// out[j] = SquaredDistance(point, rows + j*d, d) for j in [0, count), bit
+/// for bit, in one dispatched call over `count` contiguous length-d rows.
+void SquaredDistances(const double* point, const double* rows, int64_t count,
+                      int64_t d, double* out);
 
 /// out = A * B (naive triple loop; fine for the small/medium shapes here).
 DenseMatrix MatMul(const DenseMatrix& a, const DenseMatrix& b);

@@ -79,6 +79,70 @@ double Avx2SquaredDistance(const double* x, const double* y, int64_t n) {
   return HorizontalSum(_mm256_add_pd(acc0, acc1)) + tail;
 }
 
+void Avx2SquaredDistances(const double* point, const double* rows,
+                          int64_t count, int64_t d, double* out) {
+  // Four rows per block, each with Avx2SquaredDistance's two accumulators
+  // and step pattern. Per row acc0 + acc1 comes first; then unpacklo +
+  // unpackhi form (l0+l1) and (l2+l3) of two rows at a time, and a 128-bit
+  // permute pairs them, so lane r is HorizontalSum(acc0 + acc1) of row r
+  // with the same operand order. Each row's scalar remainder is added last;
+  // leftover rows take the single kernel.
+  int64_t j = 0;
+  for (; j + 4 <= count; j += 4) {
+    const double* block = rows + j * d;
+    __m256d acc0[4];
+    __m256d acc1[4];
+    for (int r = 0; r < 4; ++r) {
+      acc0[r] = _mm256_setzero_pd();
+      acc1[r] = _mm256_setzero_pd();
+    }
+    int64_t i = 0;
+    for (; i + 8 <= d; i += 8) {
+      const __m256d x0 = _mm256_loadu_pd(point + i);
+      const __m256d x1 = _mm256_loadu_pd(point + i + 4);
+      for (int r = 0; r < 4; ++r) {
+        const double* row = block + r * d;
+        const __m256d d0 = _mm256_sub_pd(x0, _mm256_loadu_pd(row + i));
+        const __m256d d1 = _mm256_sub_pd(x1, _mm256_loadu_pd(row + i + 4));
+        acc0[r] = _mm256_fmadd_pd(d0, d0, acc0[r]);
+        acc1[r] = _mm256_fmadd_pd(d1, d1, acc1[r]);
+      }
+    }
+    for (; i + 4 <= d; i += 4) {
+      const __m256d x0 = _mm256_loadu_pd(point + i);
+      for (int r = 0; r < 4; ++r) {
+        const __m256d d0 =
+            _mm256_sub_pd(x0, _mm256_loadu_pd(block + r * d + i));
+        acc0[r] = _mm256_fmadd_pd(d0, d0, acc0[r]);
+      }
+    }
+    alignas(32) double tail[4];
+    for (int r = 0; r < 4; ++r) {
+      const double* row = block + r * d;
+      double sum = 0.0;
+      for (int64_t t = i; t < d; ++t) {
+        const double diff = point[t] - row[t];
+        sum += diff * diff;
+      }
+      tail[r] = sum;
+    }
+    __m256d c[4];
+    for (int r = 0; r < 4; ++r) c[r] = _mm256_add_pd(acc0[r], acc1[r]);
+    // [a0+a1, b0+b1, a2+a3, b2+b3] for rows (0, 1) and (2, 3).
+    const __m256d h01 = _mm256_add_pd(_mm256_unpacklo_pd(c[0], c[1]),
+                                      _mm256_unpackhi_pd(c[0], c[1]));
+    const __m256d h23 = _mm256_add_pd(_mm256_unpacklo_pd(c[2], c[3]),
+                                      _mm256_unpackhi_pd(c[2], c[3]));
+    const __m256d sums =
+        _mm256_add_pd(_mm256_permute2f128_pd(h01, h23, 0x20),
+                      _mm256_permute2f128_pd(h01, h23, 0x31));
+    _mm256_storeu_pd(out + j, _mm256_add_pd(sums, _mm256_load_pd(tail)));
+  }
+  for (; j < count; ++j) {
+    out[j] = Avx2SquaredDistance(point, rows + j * d, d);
+  }
+}
+
 void Avx2Axpy(double alpha, const double* x, double* y, int64_t n) {
   const __m256d va = _mm256_set1_pd(alpha);
   int64_t i = 0;
@@ -274,10 +338,10 @@ void Avx2Rotate(double c, double s, double* x, double* y, int64_t n) {
 }
 
 constexpr KernelTable kAvx2Table = {
-    &Avx2Dot,           &Avx2SquaredDistance, &Avx2Axpy,
-    &Avx2AxpyDot,       &Avx2Scale,           &Avx2SigmaSub,
-    &Avx2ScatterAxpy,   &Avx2SpmvRows,        &Avx2SellSpmv,
-    &Avx2NearestCenter, &Avx2Rotate,
+    &Avx2Dot,           &Avx2SquaredDistance, &Avx2SquaredDistances,
+    &Avx2Axpy,          &Avx2AxpyDot,         &Avx2Scale,
+    &Avx2SigmaSub,      &Avx2ScatterAxpy,     &Avx2SpmvRows,
+    &Avx2SellSpmv,      &Avx2NearestCenter,   &Avx2Rotate,
 };
 
 }  // namespace

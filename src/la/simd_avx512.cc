@@ -69,6 +69,76 @@ double Avx512SquaredDistance(const double* x, const double* y, int64_t n) {
   return HorizontalSum(acc) + tail;
 }
 
+/// Lane r of the result is HorizontalSum(acc[r]) for r = 0..7: the same
+/// ((0+1)+(2+3))+((4+5)+(6+7)) association with the same operand order,
+/// done for eight rows at once by a two-source permute tree instead of
+/// eight stores. (permutex2var, not unpacklo/unpackhi: GCC flags the
+/// latter's undefined source under -Wmaybe-uninitialized.)
+inline __m512d HorizontalSums8(const __m512d acc[8]) {
+  // Two rows a, b -> [a0+a1, b0+b1, a2+a3, b2+b3, a4+a5, b4+b5, a6+a7, b6+b7].
+  const __m512i even = _mm512_set_epi64(14, 6, 12, 4, 10, 2, 8, 0);
+  const __m512i odd = _mm512_set_epi64(15, 7, 13, 5, 11, 3, 9, 1);
+  __m512d pairs[4];
+  for (int r = 0; r < 4; ++r) {
+    const __m512d a = acc[2 * r];
+    const __m512d b = acc[2 * r + 1];
+    pairs[r] = _mm512_add_pd(_mm512_permutex2var_pd(a, even, b),
+                             _mm512_permutex2var_pd(a, odd, b));
+  }
+  // Four rows -> [(01)+(23) of rows 0..3, (45)+(67) of rows 0..3].
+  const __m512i first = _mm512_set_epi64(13, 12, 5, 4, 9, 8, 1, 0);
+  const __m512i second = _mm512_set_epi64(15, 14, 7, 6, 11, 10, 3, 2);
+  const __m512d low = _mm512_add_pd(
+      _mm512_permutex2var_pd(pairs[0], first, pairs[1]),
+      _mm512_permutex2var_pd(pairs[0], second, pairs[1]));
+  const __m512d high = _mm512_add_pd(
+      _mm512_permutex2var_pd(pairs[2], first, pairs[3]),
+      _mm512_permutex2var_pd(pairs[2], second, pairs[3]));
+  // Eight rows -> ((01)+(23)) + ((45)+(67)) per row.
+  const __m512i front = _mm512_set_epi64(11, 10, 9, 8, 3, 2, 1, 0);
+  const __m512i back = _mm512_set_epi64(15, 14, 13, 12, 7, 6, 5, 4);
+  return _mm512_add_pd(_mm512_permutex2var_pd(low, front, high),
+                       _mm512_permutex2var_pd(low, back, high));
+}
+
+void Avx512SquaredDistances(const double* point, const double* rows,
+                            int64_t count, int64_t d, double* out) {
+  // Eight rows per block, each with Avx512SquaredDistance's accumulator and
+  // 8-element steps; the permute tree sums all eight at once, and each
+  // row's scalar remainder is added last. Leftover rows take the single
+  // kernel.
+  const int64_t d8 = d - d % 8;
+  int64_t j = 0;
+  for (; j + 8 <= count; j += 8) {
+    const double* block = rows + j * d;
+    __m512d acc[8];
+    for (int r = 0; r < 8; ++r) acc[r] = _mm512_setzero_pd();
+    for (int64_t i = 0; i < d8; i += 8) {
+      const __m512d x = _mm512_loadu_pd(point + i);
+      for (int r = 0; r < 8; ++r) {
+        const __m512d diff =
+            _mm512_sub_pd(x, _mm512_loadu_pd(block + r * d + i));
+        acc[r] = _mm512_fmadd_pd(diff, diff, acc[r]);
+      }
+    }
+    alignas(64) double tail[8];
+    for (int r = 0; r < 8; ++r) {
+      const double* row = block + r * d;
+      double sum = 0.0;
+      for (int64_t i = d8; i < d; ++i) {
+        const double diff = point[i] - row[i];
+        sum += diff * diff;
+      }
+      tail[r] = sum;
+    }
+    _mm512_storeu_pd(out + j, _mm512_add_pd(HorizontalSums8(acc),
+                                            _mm512_load_pd(tail)));
+  }
+  for (; j < count; ++j) {
+    out[j] = Avx512SquaredDistance(point, rows + j * d, d);
+  }
+}
+
 void Avx512Axpy(double alpha, const double* x, double* y, int64_t n) {
   const __m512d va = _mm512_set1_pd(alpha);
   int64_t i = 0;
@@ -282,10 +352,10 @@ void Avx512Rotate(double c, double s, double* x, double* y, int64_t n) {
 }
 
 constexpr KernelTable kAvx512Table = {
-    &Avx512Dot,           &Avx512SquaredDistance, &Avx512Axpy,
-    &Avx512AxpyDot,       &Avx512Scale,           &Avx512SigmaSub,
-    &Avx512ScatterAxpy,   &Avx512SpmvRows,        &Avx512SellSpmv,
-    &Avx512NearestCenter, &Avx512Rotate,
+    &Avx512Dot,           &Avx512SquaredDistance, &Avx512SquaredDistances,
+    &Avx512Axpy,          &Avx512AxpyDot,         &Avx512Scale,
+    &Avx512SigmaSub,      &Avx512ScatterAxpy,     &Avx512SpmvRows,
+    &Avx512SellSpmv,      &Avx512NearestCenter,   &Avx512Rotate,
 };
 
 }  // namespace

@@ -28,6 +28,13 @@ double ScalarSquaredDistance(const double* x, const double* y, int64_t n) {
   return sum;
 }
 
+void ScalarSquaredDistances(const double* point, const double* rows,
+                            int64_t count, int64_t d, double* out) {
+  for (int64_t j = 0; j < count; ++j) {
+    out[j] = ScalarSquaredDistance(point, rows + j * d, d);
+  }
+}
+
 void ScalarAxpy(double alpha, const double* x, double* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -117,10 +124,10 @@ void ScalarRotate(double c, double s, double* x, double* y, int64_t n) {
 }
 
 constexpr KernelTable kScalarTable = {
-    &ScalarDot,           &ScalarSquaredDistance, &ScalarAxpy,
-    &ScalarAxpyDot,       &ScalarScale,           &ScalarSigmaSub,
-    &ScalarScatterAxpy,   &ScalarSpmvRows,        &ScalarSellSpmv,
-    &ScalarNearestCenter, &ScalarRotate,
+    &ScalarDot,           &ScalarSquaredDistance, &ScalarSquaredDistances,
+    &ScalarAxpy,          &ScalarAxpyDot,         &ScalarScale,
+    &ScalarSigmaSub,      &ScalarScatterAxpy,     &ScalarSpmvRows,
+    &ScalarSellSpmv,      &ScalarNearestCenter,   &ScalarRotate,
 };
 
 }  // namespace

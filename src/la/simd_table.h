@@ -24,15 +24,22 @@ namespace simd {
 /// keeps SGLA_ISA=<any> aggregation values equal to scalar aggregation
 /// values.
 ///
-/// *Reduction* kernels (dot, squared_distance, axpy_dot, spmv_rows,
-/// sell_spmv, nearest_center) use a fixed lane layout, a fixed-order
-/// horizontal sum and a separate scalar remainder loop. Their bits differ
-/// between ISA paths (different association order), but within one ISA they
-/// are a pure function of the operands — no thread count or row batching may
-/// change the per-row/per-element association order.
+/// *Reduction* kernels (dot, squared_distance, squared_distances, axpy_dot,
+/// spmv_rows, sell_spmv, nearest_center) use a fixed lane layout, a
+/// fixed-order horizontal sum and a separate scalar remainder loop. Their
+/// bits differ between ISA paths (different association order), but within
+/// one ISA they are a pure function of the operands — no thread count or
+/// row batching may change the per-row/per-element association order.
 struct KernelTable {
   double (*dot)(const double* x, const double* y, int64_t n);
   double (*squared_distance)(const double* x, const double* y, int64_t n);
+  /// out[j] = squared_distance(point, rows + j*d, d) for j in [0, count),
+  /// bit for bit within the ISA: each row keeps the single-pair kernel's
+  /// accumulators, horizontal-sum order and scalar remainder (added last).
+  /// Vector variants may measure several rows at once. `out` must not
+  /// overlap the operands.
+  void (*squared_distances)(const double* point, const double* rows,
+                            int64_t count, int64_t d, double* out);
   void (*axpy)(double alpha, const double* x, double* y, int64_t n);
   /// x += alpha * u element by element (axpy's roundings), then returns
   /// dot(x, next) with this ISA's dot lane layout: bit for bit, x and the

@@ -1,8 +1,11 @@
 #include "serve/graph_registry.h"
 
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "util/fnv1a.h"
+#include "util/thread_pool.h"
 
 namespace sgla {
 namespace serve {
@@ -23,6 +26,27 @@ uint64_t ActiveViewsSignature(const std::vector<uint64_t>& uids,
     hash = util::Fnv1aU64(uids[v], hash);
   }
   return hash;
+}
+
+// Registration options reach Restore from in-process callers and, through
+// recovery, from a checkpoint's bytes; KnnGraph aborts on k < 1, recurses
+// without bound on leaf_size < 1 and builds no edges with trees < 1, and
+// BuildCoarsePlan takes ceil(ratio * n) as an integer. Checked once here,
+// so neither Register nor recovery can reach those.
+Status ValidateRegisterOptions(const RegisterOptions& options) {
+  const graph::KnnOptions& knn = options.knn;
+  if (knn.k < 1 || knn.trees < 1 || knn.leaf_size < 1) {
+    return InvalidArgument(
+        "knn options need k, trees and leaf_size >= 1 (got k=" +
+        std::to_string(knn.k) + ", trees=" + std::to_string(knn.trees) +
+        ", leaf_size=" + std::to_string(knn.leaf_size) + ")");
+  }
+  if (!std::isfinite(options.coarsen_ratio)) {
+    return InvalidArgument("coarsen_ratio " +
+                           std::to_string(options.coarsen_ratio) +
+                           " is not finite");
+  }
+  return OkStatus();
 }
 
 // Contracts one serving view, `fine`, onto the coarse node set; `global` is
@@ -93,20 +117,37 @@ std::unique_ptr<const CoarseGraphEntry> BuildCoarseEntry(
       return nullptr;
     }
   }
-  companion->views.reserve(fine.size());
-  for (size_t v = 0; v < fine.size(); ++v) {
-    const size_t global =
-        entry.active_to_global.empty()
-            ? v
-            : static_cast<size_t>(entry.active_to_global[v]);
-    if (donor != nullptr && !affected[global]) {
-      companion->views.push_back(donor->views[v]);
-      continue;
-    }
-    auto view =
-        ContractOneView(fine[v], global, companion->plan, mvag, options.knn);
-    if (!view.ok()) return nullptr;
-    companion->views.push_back(std::move(*view));
+  // One task per view, as ComputeViewLaplacians builds the fine views: each
+  // task writes only its own slot, and the kernels inside it (contraction,
+  // row averaging, the coarse KNN's serial pair loop) run inline on their
+  // fixed chunk partitions, so every view equals the serial loop's bit for
+  // bit.
+  const int64_t num_views = static_cast<int64_t>(fine.size());
+  companion->views.resize(fine.size());
+  std::vector<char> failed(fine.size(), 0);
+  util::ThreadPool::Global().ParallelFor(
+      0, num_views, 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t v = lo; v < hi; ++v) {
+          const size_t slot = static_cast<size_t>(v);
+          const size_t global =
+              entry.active_to_global.empty()
+                  ? slot
+                  : static_cast<size_t>(entry.active_to_global[slot]);
+          if (donor != nullptr && !affected[global]) {
+            companion->views[slot] = donor->views[slot];
+            continue;
+          }
+          auto view = ContractOneView(fine[slot], global, companion->plan,
+                                      mvag, options.knn);
+          if (!view.ok()) {
+            failed[slot] = 1;
+            continue;
+          }
+          companion->views[slot] = std::move(*view);
+        }
+      });
+  for (char view_failed : failed) {
+    if (view_failed != 0) return nullptr;
   }
   companion->aggregator.reset(
       donor != nullptr && SamePatterns(companion->views, donor->views)
@@ -175,6 +216,8 @@ Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Register(
 Result<std::shared_ptr<const GraphEntry>> GraphRegistry::Restore(
     const std::string& id, const core::MultiViewGraph& mvag,
     const RegisterOptions& options, const RestoreState& state) {
+  Status valid = ValidateRegisterOptions(options);
+  if (!valid.ok()) return valid;
   // The expensive part (KNN construction, Laplacians, union pattern) runs
   // before the lock, so registration never stalls concurrent Find/Evict.
   auto views = core::ComputeViewLaplacians(mvag, options.knn);

@@ -163,7 +163,7 @@ class GraphRegistry {
   /// (attribute views through `options.knn`) and the union pattern, then
   /// publishes the entry at epoch 0 with every view active. Fails on
   /// duplicate id, and with InvalidArgument on a malformed graph (see
-  /// core::ComputeViewLaplacians).
+  /// core::ComputeViewLaplacians) or malformed options (see Restore).
   Result<std::shared_ptr<const GraphEntry>> Register(
       const std::string& id, const core::MultiViewGraph& mvag,
       const RegisterOptions& options = {});
@@ -202,7 +202,10 @@ class GraphRegistry {
   /// every UpdateGraph epoch uses, so recovered solves at every tier are
   /// bit-identical to the pre-crash process. Fails on duplicate id, on a
   /// malformed graph, or on state that contradicts the graph (uid count vs
-  /// view count, empty active set, signature mismatch).
+  /// view count, empty active set, signature mismatch). Options are checked
+  /// first, since recovery reads them from checkpoint bytes: knn.k,
+  /// knn.trees and knn.leaf_size below 1, or a non-finite coarsen_ratio,
+  /// fail with InvalidArgument before anything is built.
   Result<std::shared_ptr<const GraphEntry>> Restore(
       const std::string& id, const core::MultiViewGraph& mvag,
       const RegisterOptions& options, const RestoreState& state);

@@ -442,13 +442,32 @@ struct NamedGraph {
 };
 
 /// The reference sweep's fixtures: both SBM fixtures above (n = 2570 leaves
-/// ragged chunks), a 3-view graph whose attribute view goes through KNN
-/// (multiplicities 1..3), and a graph whose every ninth row is isolated in
-/// every view (empty union rows).
+/// ragged chunks), the e2ebench fixture's shape at n = 3000 (two SBM views
+/// of expected degree 16 and a 16-d attribute view, ~48 union entries per
+/// row, so the contracted levels get dense), a 3-view graph whose attribute
+/// view goes through KNN (multiplicities 1..3), and a graph whose every
+/// ninth row is isolated in every view (empty union rows).
 std::vector<NamedGraph> ReferenceFixtures() {
   std::vector<NamedGraph> out;
   out.push_back({"sbm-600", CoarseFixture::Make(600, 3, 31).mvag});
   out.push_back({"sbm-2570", CoarseFixture::Make(2570, 3, 51).mvag});
+  {
+    const int64_t n = 3000;
+    const int k = 4;
+    Rng rng(151);
+    std::vector<int32_t> labels = data::BalancedLabels(n, k, &rng);
+    const double block = static_cast<double>(n) / k;
+    const double within = block - 1.0;
+    const double across = static_cast<double>(n) - block;
+    core::MultiViewGraph mvag(n, k);
+    mvag.AddGraphView(
+        data::SbmGraph(labels, k, 12.0 / within, 4.0 / across, &rng));
+    mvag.AddGraphView(
+        data::SbmGraph(labels, k, 10.0 / within, 6.0 / across, &rng));
+    mvag.AddAttributeView(
+        data::GaussianAttributes(labels, k, 16, 3.0, 0.9, &rng));
+    out.push_back({"e2ebench-3000", std::move(mvag)});
+  }
   {
     const int64_t n = 900;
     Rng rng(131);

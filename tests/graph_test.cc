@@ -1,10 +1,15 @@
 // NormalizedLaplacian invariants: symmetry, PSD-ness, the D^{1/2}1 null
 // vector, unit diagonal, spectrum within [0, 2], bit-identity to triplet
-// assembly; KNN graph sanity on well-separated blobs.
+// assembly; KNN graph sanity on well-separated blobs, and KnnGraph against
+// a serial reference implementation on both paths.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,10 +18,137 @@
 #include "graph/graph.h"
 #include "graph/knn.h"
 #include "graph/laplacian.h"
+#include "la/dense.h"
 #include "la/lanczos.h"
+#include "la/simd.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sgla {
+namespace reference {
+
+// KnnGraph as it stood before the batched distance kernel: one dispatched
+// squared_distance per pair, a duplicate check on every offer, the
+// cross-tree merge on one thread and the union in a std::set. Kept verbatim
+// (apart from running its trees one after another, which the per-tree heaps
+// make immaterial) so the production KnnGraph can be held to it bit for bit.
+using Candidate = std::pair<double, int64_t>;
+
+class NeighborHeap {
+ public:
+  NeighborHeap(int64_t n, int k) : k_(k), heaps_(static_cast<size_t>(n)) {}
+
+  void Offer(int64_t node, int64_t neighbor, double dist2) {
+    auto& heap = heaps_[static_cast<size_t>(node)];
+    for (const Candidate& c : heap) {
+      if (c.second == neighbor) return;
+    }
+    if (static_cast<int>(heap.size()) < k_) {
+      heap.push_back({dist2, neighbor});
+      std::push_heap(heap.begin(), heap.end());
+    } else if (dist2 < heap.front().first) {
+      std::pop_heap(heap.begin(), heap.end());
+      heap.back() = {dist2, neighbor};
+      std::push_heap(heap.begin(), heap.end());
+    }
+  }
+
+  const std::vector<Candidate>& Of(int64_t node) const {
+    return heaps_[static_cast<size_t>(node)];
+  }
+
+ private:
+  int k_;
+  std::vector<std::vector<Candidate>> heaps_;
+};
+
+void BruteForceBlock(const la::DenseMatrix& points,
+                     const std::vector<int64_t>& block, NeighborHeap* heap) {
+  const int64_t d = points.cols();
+  for (size_t a = 0; a < block.size(); ++a) {
+    for (size_t b = a + 1; b < block.size(); ++b) {
+      const int64_t i = block[a];
+      const int64_t j = block[b];
+      const double dist2 =
+          la::SquaredDistance(points.Row(i), points.Row(j), d);
+      heap->Offer(i, j, dist2);
+      heap->Offer(j, i, dist2);
+    }
+  }
+}
+
+void RpTreeSplit(const la::DenseMatrix& points, std::vector<int64_t> nodes,
+                 int leaf_size, Rng* rng, NeighborHeap* heap) {
+  if (static_cast<int>(nodes.size()) <= leaf_size) {
+    BruteForceBlock(points, nodes, heap);
+    return;
+  }
+  const int64_t d = points.cols();
+  la::Vector direction(static_cast<size_t>(d));
+  for (int64_t j = 0; j < d; ++j) {
+    direction[static_cast<size_t>(j)] = rng->Gaussian();
+  }
+  std::vector<double> projection(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    projection[i] = la::Dot(points.Row(nodes[i]), direction.data(), d);
+  }
+  std::vector<double> sorted = projection;
+  std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
+                   sorted.end());
+  const double median = sorted[sorted.size() / 2];
+  std::vector<int64_t> left, right;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    (projection[i] < median ? left : right).push_back(nodes[i]);
+  }
+  if (left.empty() || right.empty()) {
+    left.assign(nodes.begin(), nodes.begin() + nodes.size() / 2);
+    right.assign(nodes.begin() + nodes.size() / 2, nodes.end());
+  }
+  RpTreeSplit(points, std::move(left), leaf_size, rng, heap);
+  RpTreeSplit(points, std::move(right), leaf_size, rng, heap);
+}
+
+graph::Graph KnnGraph(const la::DenseMatrix& points,
+                      const graph::KnnOptions& options) {
+  const int64_t n = points.rows();
+  NeighborHeap heap(n, options.k);
+  if (n <= options.exact_threshold) {
+    std::vector<int64_t> all(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) all[static_cast<size_t>(i)] = i;
+    BruteForceBlock(points, all, &heap);
+  } else {
+    std::vector<NeighborHeap> tree_heaps;
+    for (int t = 0; t < options.trees; ++t) {
+      tree_heaps.emplace_back(n, options.k);
+      Rng tree_rng(options.seed +
+                   0x9e3779b97f4a7c15ull * static_cast<uint64_t>(t + 1));
+      std::vector<int64_t> all(static_cast<size_t>(n));
+      for (int64_t i = 0; i < n; ++i) all[static_cast<size_t>(i)] = i;
+      RpTreeSplit(points, std::move(all), options.leaf_size, &tree_rng,
+                  &tree_heaps.back());
+    }
+    for (int t = 0; t < options.trees; ++t) {
+      for (int64_t i = 0; i < n; ++i) {
+        for (const Candidate& c : tree_heaps[static_cast<size_t>(t)].Of(i)) {
+          heap.Offer(i, c.second, c.first);
+        }
+      }
+    }
+  }
+  std::set<std::pair<int64_t, int64_t>> edges;
+  for (int64_t i = 0; i < n; ++i) {
+    for (const Candidate& c : heap.Of(i)) {
+      const int64_t j = c.second;
+      edges.insert({std::min(i, j), std::max(i, j)});
+    }
+  }
+  graph::Graph g(n);
+  for (const auto& [u, v] : edges) g.AddEdge(u, v, 1.0);
+  return g;
+}
+
+}  // namespace reference
+
 namespace {
 
 graph::Graph TestGraph() {
@@ -180,6 +312,78 @@ TEST(KnnTest, ApproximatePathCoversExactNeighborsMostly) {
   // The forest should recover a solid majority of true neighbor pairs.
   EXPECT_GT(static_cast<double>(recalled),
             0.5 * static_cast<double>(ge.num_edges()));
+}
+
+/// KnnGraph must reproduce the reference above edge for edge, on the exact
+/// scan (row-parallel and serial pair loop) and the RP forest (batched leaf
+/// scans, duplicate-free per-tree heaps, row-parallel merge), at 1, 2 and 4
+/// threads under every ISA. The tie-heavy inputs (small integer attributes,
+/// every third row duplicated) make many distances equal, so offer order
+/// decides which neighbors a full heap keeps.
+TEST(KnnTest, MatchesParentImplementationBitForBit) {
+  struct Input {
+    std::string name;
+    la::DenseMatrix points;
+  };
+  std::vector<Input> inputs;
+  for (int64_t n : {300, 700}) {
+    for (int64_t d : {3, 13, 16}) {
+      Rng rng(static_cast<uint64_t>(90 * n + d));
+      const std::vector<int32_t> labels = data::BalancedLabels(n, 4, &rng);
+      la::DenseMatrix blobs =
+          data::GaussianAttributes(labels, 4, d, 3.0, 0.9, &rng);
+      la::DenseMatrix ties = blobs;
+      for (double& v : ties.data()) v = std::floor(v);
+      for (int64_t i = 0; i + 1 < n; i += 3) {
+        std::copy(ties.Row(i), ties.Row(i) + d, ties.Row(i + 1));
+      }
+      const std::string shape =
+          "n=" + std::to_string(n) + " d=" + std::to_string(d);
+      inputs.push_back({"blobs " + shape, std::move(blobs)});
+      inputs.push_back({"ties " + shape, std::move(ties)});
+    }
+  }
+  std::vector<std::pair<std::string, graph::KnnOptions>> configs;
+  {
+    graph::KnnOptions exact;
+    exact.exact_threshold = 1 << 30;
+    configs.push_back({"exact", exact});
+    graph::KnnOptions forest;
+    forest.exact_threshold = 1;
+    configs.push_back({"forest", forest});
+    forest.k = 6;
+    forest.trees = 5;
+    forest.leaf_size = 40;
+    configs.push_back({"forest k=6 trees=5 leaf=40", forest});
+  }
+  const int restore_threads = util::ThreadPool::Global().num_threads();
+  const la::simd::Isa restore_isa = la::simd::ActiveIsa();
+  for (la::simd::Isa isa : la::simd::AvailableIsas()) {
+    ASSERT_TRUE(la::simd::SetActiveForTesting(isa));
+    for (const Input& input : inputs) {
+      for (const auto& [config_name, options] : configs) {
+        const graph::Graph want = reference::KnnGraph(input.points, options);
+        for (int threads : {1, 2, 4}) {
+          SCOPED_TRACE(std::string(la::simd::IsaName(isa)) + " " +
+                       input.name + " " + config_name +
+                       " threads=" + std::to_string(threads));
+          util::ThreadPool::SetGlobalThreads(threads);
+          const graph::Graph got = graph::KnnGraph(input.points, options);
+          ASSERT_EQ(got.num_nodes(), want.num_nodes());
+          ASSERT_EQ(got.num_edges(), want.num_edges());
+          for (size_t e = 0; e < got.edges().size(); ++e) {
+            const graph::Edge& g = got.edges()[e];
+            const graph::Edge& w = want.edges()[e];
+            ASSERT_TRUE(g.u == w.u && g.v == w.v && g.weight == w.weight)
+                << "edge " << e << ": (" << g.u << ", " << g.v << ") vs ("
+                << w.u << ", " << w.v << ")";
+          }
+        }
+      }
+    }
+  }
+  la::simd::SetActiveForTesting(restore_isa);
+  util::ThreadPool::SetGlobalThreads(restore_threads);
 }
 
 }  // namespace

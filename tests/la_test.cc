@@ -593,6 +593,48 @@ TEST(SimdTest, AxpyDotEqualsAxpyThenDotPerIsa) {
   }
 }
 
+/// squared_distances measures one point against a block of contiguous rows;
+/// on every ISA each out[j] must equal squared_distance(point, row j), bit
+/// for bit. The dimensions cover below, at and past one 8-lane step with
+/// every remainder shape, and the counts cover empty, ragged and whole
+/// 8-row (and 4-row) blocks. Values are spread over magnitudes so that a
+/// different lane-sum order or an early remainder shows in the low bits.
+TEST(SimdTest, SquaredDistancesEqualSquaredDistancePerIsa) {
+  std::vector<int64_t> counts;
+  for (int64_t c = 0; c <= 17; ++c) counts.push_back(c);
+  counts.push_back(64);
+  counts.push_back(1001);
+  for (la::simd::Isa isa : la::simd::AvailableIsas()) {
+    ScopedIsa pin(isa);
+    const la::simd::KernelTable* t = la::simd::ActiveTable();
+    for (int64_t d : {0, 1, 3, 7, 8, 9, 13, 16, 17, 32, 40}) {
+      Rng rng(700 + d);
+      la::Vector point(static_cast<size_t>(d));
+      for (double& v : point) {
+        v = rng.Gaussian() * std::exp(4.0 * rng.Gaussian());
+      }
+      la::Vector rows(static_cast<size_t>(1001 * d));
+      for (double& v : rows) {
+        v = rng.Gaussian() * std::exp(4.0 * rng.Gaussian());
+      }
+      for (int64_t count : counts) {
+        // A sentinel past the end catches a block that writes too far.
+        la::Vector out(static_cast<size_t>(count) + 1, -1.0);
+        t->squared_distances(point.data(), rows.data(), count, d, out.data());
+        for (int64_t j = 0; j < count; ++j) {
+          const double want =
+              t->squared_distance(point.data(), rows.data() + j * d, d);
+          EXPECT_EQ(Bits(out[static_cast<size_t>(j)]), Bits(want))
+              << la::simd::IsaName(isa) << " d=" << d << " count=" << count
+              << " row " << j;
+        }
+        EXPECT_EQ(out[static_cast<size_t>(count)], -1.0)
+            << la::simd::IsaName(isa) << " d=" << d << " count=" << count;
+      }
+    }
+  }
+}
+
 /// Element-wise kernels (axpy, scale, sigma_sub, scatter_axpy, rotate) must
 /// be bit-identical to scalar on EVERY ISA path — each output element is
 /// one separately-rounded mul + add, never an FMA (see la/simd_table.h).

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -979,6 +980,78 @@ TEST(StoreTest, CorruptCheckpointFailsRecoveryAndGatesMutations) {
   EXPECT_EQ(registered.status().code(), engine.recovery_status().code());
   EXPECT_FALSE(engine.UpdateGraph("g", TestDelta(1, 40)).ok());
   EXPECT_FALSE(engine.Checkpoint("g").ok());
+}
+
+TEST(StoreTest, CheckpointWithInvalidRegisterOptionsFailsRecovery) {
+  // A CRC-valid checkpoint carries the registration options recovery hands
+  // to Restore. Values the KNN and the coarse plan cannot take (k, trees or
+  // leaf_size below 1, a non-finite coarsen_ratio) must fail recovery with
+  // INVALID_ARGUMENT, never abort the process, recurse without bound or
+  // reach undefined behaviour. leaf_size = 0 needs the RP-forest path, so
+  // every case sets exact_threshold below n.
+  struct Forged {
+    const char* name;
+    void (*apply)(serve::RegisterOptions*);
+  };
+  const Forged forged[] = {
+      {"k=0", [](serve::RegisterOptions* o) { o->knn.k = 0; }},
+      {"k=-3", [](serve::RegisterOptions* o) { o->knn.k = -3; }},
+      {"trees=0", [](serve::RegisterOptions* o) { o->knn.trees = 0; }},
+      {"leaf_size=0", [](serve::RegisterOptions* o) { o->knn.leaf_size = 0; }},
+      {"coarsen_ratio=inf",
+       [](serve::RegisterOptions* o) {
+         o->coarsen_ratio = std::numeric_limits<double>::infinity();
+       }},
+      {"coarsen_ratio=-inf",
+       [](serve::RegisterOptions* o) {
+         o->coarsen_ratio = -std::numeric_limits<double>::infinity();
+       }},
+      {"coarsen_ratio=nan",
+       [](serve::RegisterOptions* o) {
+         o->coarsen_ratio = std::numeric_limits<double>::quiet_NaN();
+       }},
+  };
+  const core::MultiViewGraph mvag = TestFixture(200);
+  for (const Forged& f : forged) {
+    SCOPED_TRACE(f.name);
+    persist::CheckpointData data;
+    data.id = "g";
+    data.reg_uid = 1;
+    data.options.knn.exact_threshold = 50;
+    f.apply(&data.options);
+    data.next_view_uid = 4;
+    data.view_uids = {1, 2, 3};
+    data.active = {true, true, true};
+    data.mvag = mvag;
+    const std::string dir = MakeTempDir();
+    ASSERT_TRUE(persist::SaveCheckpoint(
+                    data, dir + "/" + persist::CheckpointFileName("g", 1))
+                    .ok());
+    auto loaded = persist::LoadCheckpoint(FindCheckpointFile(dir));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+    serve::GraphRegistry registry;
+    persist::StoreOptions store_options;
+    store_options.dir = dir;
+    store_options.fsync = false;
+    auto store = persist::Store::Open(store_options, &registry);
+    ASSERT_FALSE(store.ok());
+    EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument)
+        << store.status().ToString();
+    EXPECT_EQ(registry.Find("g"), nullptr);
+
+    serve::EngineOptions options;
+    options.data_dir = dir;
+    options.persist_fsync = false;
+    serve::Engine engine(&registry, options);
+    EXPECT_EQ(engine.recovery_status().code(), StatusCode::kInvalidArgument)
+        << engine.recovery_status().ToString();
+
+    // The same options fail a plain registration the same way.
+    serve::GraphRegistry plain;
+    auto registered = plain.Register("g", mvag, loaded->options);
+    EXPECT_EQ(registered.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(StoreTest, CheckpointWithoutDataDirIsFailedPrecondition) {
